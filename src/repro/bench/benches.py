@@ -19,7 +19,7 @@ from ..faults import run_campaign, run_parallel_campaign
 from ..obs.campaign_log import CampaignLog
 from ..obs.profile import SimProfiler
 from ..sim import Machine
-from ..sim.jit import attach_jit
+from ..sim.jit import attach_jit, compile_program
 from ..transform import Technique
 from ..workloads.suite import MICRO_BENCHMARKS
 
@@ -75,6 +75,11 @@ def measure_campaign_suite(trials: int = DEFAULT_TRIALS,
     ``serial``, and ``jit`` (checkpointed, compiled) against
     ``checkpointed``.  The interpreter modes pin ``jit=False``
     explicitly -- they are the baselines the JIT speedups divide by.
+    The ``parallel`` mode (and ``parallel_speedup``) is skipped when
+    the host has fewer cores than ``jobs``: there it would measure
+    pool overhead, not parallelism.  The summary also records the
+    suite cell's JIT codegen cost, ``jit_codegen_seconds`` and
+    ``jit_source_lines``, measured outside every trial timing.
 
     Returns ``(records, results)``: JSONL-ready bench records (per-mode
     plus one ``campaign_bench_summary``) and the per-mode
@@ -90,10 +95,17 @@ def measure_campaign_suite(trials: int = DEFAULT_TRIALS,
     timed = lambda label, runner, **kw: _timed(  # noqa: E731
         label, runner, workload=workload, technique=technique,
         verbose=verbose, **kw)
-    # Compile (and cache) the JIT outside every timed region, mirroring
-    # how the interpreter modes get pre-built machines.
+    # Compile the JIT outside every timed trial region, mirroring how
+    # the interpreter modes get pre-built machines.  The uncached
+    # compile is the codegen datapoint; attach_jit then fills the
+    # per-program cache the JIT modes run from.
+    start = perf_counter()
+    compiled = compile_program(machines[5])
+    codegen_seconds = perf_counter() - start
+    source_lines = sum(src.count("\n") for src in compiled.sources.values())
     attach_jit(machines[5])
     machines[5].jit = None
+    parallel_ok = (os.cpu_count() or 1) >= jobs
 
     serial, serial_rec = timed(
         "serial",
@@ -107,15 +119,16 @@ def measure_campaign_suite(trials: int = DEFAULT_TRIALS,
         lambda: run_campaign(program, trials=trials, seed=seed,
                              machine=machines[1], jit=False),
     )
-    parallel, par_rec = timed(
-        f"parallel x{jobs}",
-        lambda: run_parallel_campaign(program, trials=trials, seed=seed,
-                                      jobs=jobs,
-                                      max_instructions=MAX_INSTRUCTIONS,
-                                      jit=False),
-    )
-    par_rec["mode"] = "parallel"
-    par_rec["jobs"] = jobs
+    if parallel_ok:
+        parallel, par_rec = timed(
+            f"parallel x{jobs}",
+            lambda: run_parallel_campaign(program, trials=trials,
+                                          seed=seed, jobs=jobs,
+                                          max_instructions=MAX_INSTRUCTIONS,
+                                          jit=False),
+        )
+        par_rec["mode"] = "parallel"
+        par_rec["jobs"] = jobs
     taint_log = CampaignLog()
     tainted, taint_rec = timed(
         "taint-on",
@@ -166,7 +179,6 @@ def measure_campaign_suite(trials: int = DEFAULT_TRIALS,
     jit_rec["mode"] = "jit"
 
     ckpt_speedup = ckpt_rec["trials_per_sec"] / serial_rec["trials_per_sec"]
-    par_speedup = par_rec["trials_per_sec"] / serial_rec["trials_per_sec"]
     taint_ratio = (recheck_rec["trials_per_sec"]
                    / ckpt_rec["trials_per_sec"])
     profile_overhead = (ckpt_rec["trials_per_sec"]
@@ -184,7 +196,6 @@ def measure_campaign_suite(trials: int = DEFAULT_TRIALS,
         "seed": seed,
         "checkpoint_speedup": round(ckpt_speedup, 2),
         "parallel_jobs": jobs,
-        "parallel_speedup": round(par_speedup, 2),
         "taint_on_trials_per_sec": taint_rec["trials_per_sec"],
         "taint_off_ratio": round(taint_ratio, 2),
         "profile_overhead": round(profile_overhead, 2),
@@ -192,21 +203,14 @@ def measure_campaign_suite(trials: int = DEFAULT_TRIALS,
         "jit_trials_per_sec": jit_rec["trials_per_sec"],
         "jit_serial_speedup": round(jit_serial_speedup, 2),
         "jit_speedup": round(jit_speedup, 2),
+        "jit_codegen_seconds": round(codegen_seconds, 4),
+        "jit_source_lines": source_lines,
     }
-    if verbose:
-        print(f"  checkpointing speedup: {ckpt_speedup:.2f}x "
-              f"(parallel x{jobs}: {par_speedup:.2f}x, "
-              f"taint-off recheck {taint_ratio:.2f}x, "
-              f"profiler overhead {profile_overhead:.2f}x, "
-              f"atlas overhead {atlas_overhead:.2f}x)")
-        print(f"  jit speedup: {jit_serial_speedup:.2f}x full-replay, "
-              f"{jit_speedup:.2f}x over checkpointed")
-    records = [serial_rec, ckpt_rec, par_rec, taint_rec, recheck_rec,
+    records = [serial_rec, ckpt_rec, taint_rec, recheck_rec,
                profile_rec, atlas_rec, jit_serial_rec, jit_rec, summary]
     results = {
         "serial": serial,
         "checkpointed": checkpointed,
-        "parallel": parallel,
         "taint": tainted,
         "taint_off_recheck": recheck,
         "profile": profiled,
@@ -214,6 +218,24 @@ def measure_campaign_suite(trials: int = DEFAULT_TRIALS,
         "jit_serial": jit_serial,
         "jit": jitted,
     }
+    if parallel_ok:
+        par_speedup = (par_rec["trials_per_sec"]
+                       / serial_rec["trials_per_sec"])
+        summary["parallel_speedup"] = round(par_speedup, 2)
+        records.insert(2, par_rec)
+        results["parallel"] = parallel
+    if verbose:
+        parallel_note = (f"parallel x{jobs}: {par_speedup:.2f}x"
+                         if parallel_ok else
+                         f"parallel x{jobs} skipped: fewer cores")
+        print(f"  checkpointing speedup: {ckpt_speedup:.2f}x "
+              f"({parallel_note}, "
+              f"taint-off recheck {taint_ratio:.2f}x, "
+              f"profiler overhead {profile_overhead:.2f}x, "
+              f"atlas overhead {atlas_overhead:.2f}x)")
+        print(f"  jit speedup: {jit_serial_speedup:.2f}x full-replay, "
+              f"{jit_speedup:.2f}x over checkpointed; codegen "
+              f"{codegen_seconds:.3f}s, {source_lines} source lines")
     return records, results
 
 

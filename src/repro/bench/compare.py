@@ -38,6 +38,9 @@ GATED_METRICS: dict[tuple[str, str | None], tuple[tuple[str, str], ...]] = {
         ("jit_trials_per_sec", "higher"),
         ("jit_serial_speedup", "higher"),
         ("jit_speedup", "higher"),
+        # Deterministic generated-code size of the suite cell: a
+        # codegen blowup fails the gate on any host.
+        ("jit_source_lines", "lower"),
     ),
     ("adaptive_bench", "technique"): (("adaptive_trials", "lower"),),
     # The campaign service's headlines: submitting through the queue

@@ -45,10 +45,19 @@ Execution model ("side exits"):
   profiler still *simulates* the dispatch predicate to measure JIT
   coverage; see :mod:`repro.obs.profile`).
 
+Code size stays linear in program size.  A fallthrough/JMP successor
+is fused into the current block's straight-line chain only when the
+current block *owns* it (is its unique predecessor, ignoring SWIFT-R/
+TRUMP repair edges), so every block lands in at most one chain plus
+its own dispatch entry.  A leaf callee is expanded in place at a call
+site only while the caller stays within ``_INLINE_BUDGET``; past it the
+call is a plain side exit.
+
 Generated code holds no per-run state: drivers read the register files
 and memory afresh from the ``Machine`` argument on every activation,
-write dirty registers back at every side exit, and push call frames
-through ``m.functions`` so frames are identical to interpreter frames.
+write dirty registers back once on the way out (one shared ``finally``
+per function), and push call frames through ``m.functions`` so frames
+are identical to interpreter frames.
 Sharing one :class:`JitProgram` across machines is sound because slot
 assignment (``Machine.slot_of``) is deterministic per program compile
 order.
@@ -96,11 +105,6 @@ _GLOBALS = {
     # exported explicitly like everything else the templates touch.
     "KeyError": KeyError,
 }
-
-# Marker suffix interpolated into emitted bodies where the dirty-register
-# writeback belongs; replaced once the full write set is known.  Any
-# leading indentation survives as the line prefix.
-_WB = "\x00WB\x00"
 
 # Memory ops eligible for hoisted span checks (access runs).
 _ACCESS_OPS = (Opcode.LOAD, Opcode.STORE, Opcode.FLOAD, Opcode.FSTORE)
@@ -213,10 +217,17 @@ class _Emitter:
         # Index of the block a leaf's inner loop re-enters at (whole
         # mode): branches back to it are a bare ``continue``.
         self.chain_entry = -1
-        # Chain-inlining signal (whole mode): an unconditional top-level
+        # Chain-fusion signal (whole mode): an unconditional top-level
         # transfer sets this instead of emitting a dispatch round trip,
-        # and the driver renderer keeps emitting the successor inline.
+        # and the driver renderer either emits the successor inline (a
+        # block it owns, see ``_owners``) or dispatches to it.
         self.chain_next: tuple[int, int] | None = None
+        # Instructions rendered so far (chain copies and inline
+        # expansions included) against the most the inline budget
+        # allows this function; a leaf call that would overrun it is
+        # emitted as a plain side exit instead of expanded.
+        self.rendered = 0
+        self.inline_limit = 0
         self.int_slots: set[int] = set()
         self.float_slots: set[int] = set()
         self.int_writes: set[int] = set()
@@ -304,8 +315,8 @@ class _Emitter:
         return sym
 
     def emit_exit(self, delta: int, action: str, indent: str = "") -> None:
-        """Writeback + exact icount + return ``action`` (a side exit)."""
-        self.emit(indent + _WB)
+        """Exact icount + return ``action`` (a side exit; the shared
+        ``finally`` writes the dirty locals back)."""
         self.emit(f"{indent}m.icount = ic + {delta}")
         self.emit(f"{indent}return {action}")
 
@@ -487,6 +498,7 @@ class _Emitter:
         self.block = block
         self.entry = entry
         seg = instrs[entry:]
+        self.rendered += len(seg)
         left = False
         offset = 0
         while offset < len(seg):
@@ -531,37 +543,33 @@ class _Emitter:
         return lines
 
     def assemble(self, name: str, args: str, body: list[str]) -> str:
-        """Wrap a body in the def/prologue/try skeleton, expanding
-        writeback markers (their indentation survives as a prefix)."""
+        """Wrap a body in the def/prologue/try skeleton.
+
+        Every way out -- side exit, fuel stop, trap -- writes back the
+        same dirty locals, so the writeback is emitted once, as the
+        ``finally`` of a ``try`` around the whole body.
+        """
         writeback = self.writeback_lines()
         out = [f"def {name}({args}):"]
-        indent = "    "
-        for line in self.prologue_lines():
-            out.append(indent + line)
+        out += ["    " + line for line in self.prologue_lines()]
+        if not (writeback or self.uses_traps):
+            out += ["    " + line for line in body]
+            return "\n".join(out)
+        out.append("    try:")
+        out += ["        " + line for line in body]
         if self.uses_traps:
             # Trapping templates store the exact retired count in _tp
             # *before* any side effect, and trapping operations never
-            # mutate state before raising, so the handler can write the
-            # dirty locals back and report a bit-identical icount.
+            # mutate state before raising, so the handler reports a
+            # bit-identical icount (``finally`` then writes back).
             # Inlined callee code shares this handler: its trap points
             # are absolute (``ic`` runs through the inlined body) and
             # its dirty slots are in this function's writeback set.
-            out.append(indent + "try:")
-            body_indent = indent * 2
-        else:
-            body_indent = indent
-        for line in body:
-            if line.endswith(_WB):
-                pad = body_indent + line[:-len(_WB)]
-                out += [pad + wb for wb in writeback]
-            else:
-                out.append(body_indent + line)
-        if self.uses_traps:
-            out.append(indent + "except _GT:")
-            out.append(indent * 2 + "m.icount = _tp")
-            for wb in writeback:
-                out.append(indent * 2 + wb)
-            out.append(indent * 2 + "raise")
+            out += ["    except _GT:", "        m.icount = _tp",
+                    "        raise"]
+        if writeback:
+            out.append("    finally:")
+            out += ["        " + line for line in writeback]
         return "\n".join(out)
 
 
@@ -780,7 +788,10 @@ def _emit_call(e, instr, delta):
     resume = e.entry + delta    # absolute index within the block
     summary = (e.call_summaries.get(instr.callee)
                if e.whole and e.call_summaries is not None else None)
-    inline = summary is not None and summary[0]
+    # An expansion renders each callee block at most twice (its own
+    # entry plus one chain copy): twice the callee's size bounds it.
+    inline = (summary is not None and summary[0]
+              and e.rendered + 2 * summary[3] <= e.inline_limit)
     if not inline:
         # Push the return frame directly -- identical to the frame the
         # interpreter's run loop builds (state_matches compares call
@@ -837,7 +848,7 @@ def _emit_call(e, instr, delta):
              e.inline_arg_kinds, e.lines, e._indent,
              e.machine._current_function)
     e.func_name = callee
-    e.block_index = {blk.name: i for i, blk in enumerate(cfunc.blocks)}
+    e.block_index = cfunc.block_index
     e.dispatch_var = "_cb"
     e.ret_break = True
     e.inline_arg_kinds = kinds
@@ -856,7 +867,6 @@ def _emit_call(e, instr, delta):
         e.emit(line)
     if need:
         e.emit(f"if ic + {need} > stop:")
-        e.emit("    " + _WB)
         e.emit("    m.icount = ic")
         e.emit("    return -4")
     e.emit("m.call_stack.pop()")
@@ -1121,38 +1131,64 @@ def _dispatch_tree(bodies: dict[int, list[str]], lo: int, hi: int,
     return out
 
 
-# Upper bound on blocks inlined into one dispatch entry's fallthrough/
-# JMP chain.  Bounds generated-code size at O(nblocks * _CHAIN_CAP)
-# bodies per function; chains usually end much earlier at a call,
-# return, or loop back-edge.
-_CHAIN_CAP = 16
+# Most instructions one function's driver may render, per static
+# instruction of the function, before leaf calls stop being expanded
+# in place.  Without inlining a driver renders each block at most
+# twice, so this bounds generated code linearly in program size.
+_INLINE_BUDGET = 64
+
+
+def _flow_edges(cfunc):
+    """Block-to-block ``(src, dst)`` edges of ``cfunc``.
+
+    Branch/jump targets plus layout fallthrough, minus RECOVERY/VOTE
+    branches: SWIFT-R/TRUMP vote and repair blocks live past the
+    function tail and branch *back* into the main flow on rarely-taken
+    edges, which would otherwise make every repaired block a loop body
+    and a join point.
+    """
+    index = cfunc.block_index
+    nblocks = len(cfunc.blocks)
+    for j, blk in enumerate(cfunc.blocks):
+        for instr in blk.instrs:
+            if (instr.op.kind in (OpKind.BRANCH, OpKind.JUMP)
+                    and instr.role not in (Role.RECOVERY, Role.VOTE)):
+                yield j, index[instr.label]
+        last = blk.instrs[-1] if blk.instrs else None
+        if j + 1 < nblocks and (last is None or not last.is_terminator
+                                or last.op.kind is OpKind.BRANCH):
+            yield j, j + 1
+
+
+def _owners(cfunc) -> list[int | None]:
+    """Per block: its unique predecessor over ``_flow_edges``, or None.
+
+    A chain fuses a successor only into the block that owns it, so the
+    owned-by relation is a forest and every block is rendered at most
+    twice: at its own dispatch entry and in its owner's chain.
+    """
+    preds: list[set[int]] = [set() for _ in cfunc.blocks]
+    for src, dst in _flow_edges(cfunc):
+        preds[dst].add(src)
+    return [next(iter(p)) if len(p) == 1 and b not in p else None
+            for b, p in enumerate(preds)]
 
 
 def _use_counts(machine: Machine, cfunc, summaries: dict | None = None
                 ) -> tuple[dict[int, int], dict[int, int]]:
     """Loop-weighted static register-use counts for ``cfunc``.
 
-    Uses are counted with an 8x weight inside any backward-branch
-    interval (the classic interval approximation of a loop body).
-    SWIFT-R vote/repair blocks live past the function tail and branch
-    *back* into the main flow; counting those rarely-taken edges would
-    mark the whole function as loop body, so RECOVERY/VOTE edges are
-    skipped.  With ``summaries``, each inline-expanded CALL merges the
-    callee's own counts at the site's weight -- inlined code runs on
-    the caller's locals, so the callee's hot slots are the caller's.
+    Uses are counted with an 8x weight inside any backward-edge
+    interval of ``_flow_edges`` (the classic interval approximation of
+    a loop body).  With ``summaries``, each inline-expanded CALL merges
+    the callee's own counts at the site's weight -- inlined code runs
+    on the caller's locals, so the callee's hot slots are the caller's.
     """
-    nblocks = len(cfunc.blocks)
-    block_index = {blk.name: i for i, blk in enumerate(cfunc.blocks)}
-    loopy = [False] * nblocks
-    for j, blk in enumerate(cfunc.blocks):
-        for instr in blk.instrs:
-            if instr.op.kind in (OpKind.BRANCH, OpKind.JUMP):
-                if instr.role in (Role.RECOVERY, Role.VOTE):
-                    continue
-                t = block_index[instr.label]
-                if t <= j:
-                    for b in range(t, j + 1):
-                        loopy[b] = True
+    loopy = [False] * len(cfunc.blocks)
+    for j, t in _flow_edges(cfunc):
+        if t <= j:
+            for b in range(t, j + 1):
+                loopy[b] = True
     icounts: dict[int, int] = {}
     fcounts: dict[int, int] = {}
     for j, blk in enumerate(cfunc.blocks):
@@ -1198,7 +1234,8 @@ def _call_summaries(machine: Machine) -> dict:
     template (the same condition under which its own driver compiles,
     so the ``-7 - block`` fuel-stop protocol always has a standalone
     driver to resume into).  The use counts feed the callers' local
-    plans: inlined code runs on the caller's locals.
+    plans: inlined code runs on the caller's locals.  The static size
+    feeds the callers' inline budgets.
     """
     saved = machine._current_function
     summaries: dict[str, tuple] = {}
@@ -1212,33 +1249,40 @@ def _call_summaries(machine: Machine) -> dict:
                         inline = False
             if inline:
                 icounts, fcounts = _use_counts(machine, cfunc)
-                summaries[name] = (True, icounts, fcounts)
+                summaries[name] = (True, icounts, fcounts,
+                                   _static_size(cfunc))
             else:
-                summaries[name] = (False, {}, {})
+                summaries[name] = (False, {}, {}, 0)
     finally:
         machine._current_function = saved
     return summaries
 
 
-def _render_driver(machine: Machine, cfunc, block_index: dict[str, int],
-                   int_cells: bool, summaries: dict) -> str:
+def _static_size(cfunc) -> int:
+    return sum(len(blk.instrs) for blk in cfunc.blocks)
+
+
+def _render_driver(machine: Machine, cfunc, int_cells: bool,
+                   summaries: dict) -> str:
     """One generated function executing whole blocks of ``cfunc``.
 
     ``driver(m, ic, stop, bi)`` runs from block ``bi`` until a side
     exit, checking at each block entry that the block fits under
     ``stop`` (else it returns ``bi`` with ``m.icount`` synced, and the
-    interpreter takes over at that exact boundary).  Unconditional
-    fallthrough/JMP successors are emitted inline -- registers stay in
-    locals and no dispatch happens across them -- which is what fuses
-    SWIFT-R's tiny check-and-branch blocks into straight-line code.
-    Every block still performs its own entry fuel check, so the
-    pause-safety predicate is per-block-activation regardless of
-    inlining (the profiler's coverage simulation relies on this).
+    interpreter takes over at that exact boundary).  A fallthrough/JMP
+    successor the current block owns (``_owners``) is emitted inline --
+    registers stay in locals and no dispatch happens across it -- which
+    is what fuses SWIFT-R's tiny check-and-branch blocks into
+    straight-line code; any other successor is reached through
+    dispatch.  Every block still performs its own entry fuel check, so
+    the pause-safety predicate is per-block-activation regardless of
+    fusion (the profiler's coverage simulation relies on this).
     """
     local_int, local_float = _plan_locals(machine, cfunc, summaries)
-    emitter = _Emitter(machine, cfunc.name, block_index, whole=True,
+    emitter = _Emitter(machine, cfunc.name, cfunc.block_index, whole=True,
                        int_cells=int_cells, local_int=local_int,
                        local_float=local_float, call_summaries=summaries)
+    emitter.inline_limit = _INLINE_BUDGET * _static_size(cfunc)
     bodies = _render_block_loops(emitter, cfunc,
                                  lambda cur: [f"return {cur}"])
     dispatch = _dispatch_tree(bodies, 0, len(cfunc.blocks), "    ")
@@ -1250,21 +1294,24 @@ def _render_block_loops(emitter: _Emitter, cfunc, fuel_stop
                         ) -> dict[int, list[str]]:
     """Leaf-loop bodies for every block of ``cfunc``.
 
-    Each leaf is its own inner loop: a back-edge to the leaf's entry
-    block is a bare ``continue`` (no dispatch round trip, re-running
-    the entry fuel check); transfers anywhere else ``break`` back out
-    to the binary dispatch after assigning ``emitter.dispatch_var``.
-    ``fuel_stop(cur)`` supplies the exit lines for a block that cannot
-    complete under ``stop`` (emitted after writeback and icount sync):
-    a driver returns the block index; an inlined callee returns the
-    ``-7 - block`` encoding with the callee pending.
+    Each block's dispatch entry is its own inner loop: a back-edge to
+    the entry block is a bare ``continue`` (no dispatch round trip,
+    re-running the entry fuel check); transfers anywhere else ``break``
+    back out to the binary dispatch after assigning
+    ``emitter.dispatch_var``.  An unowned block's entry runs the chain
+    of owned successors it heads; an owned block entered directly (a
+    conditional branch, a repair back-edge, a fuel-stop resume) runs as
+    a one-block body.  ``fuel_stop(cur)`` supplies the exit lines for a
+    block that cannot complete under ``stop`` (emitted after the icount
+    sync): a driver returns the block index; an inlined callee returns
+    the ``-7 - block`` encoding with the callee pending.
     """
+    owners = _owners(cfunc)
     nblocks = len(cfunc.blocks)
     bodies: dict[int, list[str]] = {}
-    for b in range(nblocks):
+    for b, owner in enumerate(owners):
         chain: list[str] = []
         emitter.chain_entry = b
-        visited = {b}
         cur = b
         while True:
             blk = cfunc.blocks[cur]
@@ -1274,7 +1321,6 @@ def _render_block_loops(emitter: _Emitter, cfunc, fuel_stop
                 # could cross the stop boundary; the interpreter owns
                 # pauses (and any early branch out of the block).
                 chain.append(f"if ic + {n} > stop:")
-                chain.append("    " + _WB)
                 chain.append("    m.icount = ic")
                 chain += ["    " + line for line in fuel_stop(cur)]
             emitter.chain_next = None
@@ -1288,20 +1334,19 @@ def _render_block_loops(emitter: _Emitter, cfunc, fuel_stop
             if target == b:
                 chain.append("continue")
                 break
-            if target in visited or len(visited) >= _CHAIN_CAP:
+            if owner is not None or owners[target] != cur:
                 chain.append(f"{emitter.dispatch_var} = {target}")
                 chain.append("break")
                 break
-            visited.add(target)
             cur = target
         bodies[b] = ["while True:"] + ["    " + line for line in chain]
     return bodies
 
 
-def _render_resume(machine: Machine, cfunc, block_index: dict[str, int],
-                   b: int, entry: int, name: str, int_cells: bool) -> str:
+def _render_resume(machine: Machine, cfunc, b: int, entry: int,
+                   name: str, int_cells: bool) -> str:
     """A standalone segment for the post-``CALL`` suffix of a block."""
-    emitter = _Emitter(machine, cfunc.name, block_index, whole=False,
+    emitter = _Emitter(machine, cfunc.name, cfunc.block_index, whole=False,
                        int_cells=int_cells)
     body = emitter.emit_body(b, entry, cfunc.blocks[b].instrs,
                              len(cfunc.blocks))
@@ -1311,21 +1356,18 @@ def _render_resume(machine: Machine, cfunc, block_index: dict[str, int],
 def _compile_function(machine: Machine, cfunc, int_cells: bool,
                       summaries: dict):
     machine._current_function = cfunc.name
-    block_index = {blk.name: idx for idx, blk in enumerate(cfunc.blocks)}
     pieces: list[str] = []
     resume_specs: list[tuple[int, int, str, int]] = []
     count = 0
     try:
-        pieces.append(_render_driver(
-            machine, cfunc, block_index, int_cells, summaries))
+        pieces.append(_render_driver(machine, cfunc, int_cells, summaries))
         count += 1
         for b, blk in enumerate(cfunc.blocks):
             for j, instr in enumerate(blk.instrs):
                 if instr.op is Opcode.CALL and j + 1 < len(blk.instrs):
                     name = f"_resume_{b}_{j + 1}"
                     pieces.append(_render_resume(
-                        machine, cfunc, block_index, b, j + 1, name,
-                        int_cells))
+                        machine, cfunc, b, j + 1, name, int_cells))
                     resume_specs.append((b, j + 1, name,
                                          len(blk.instrs) - (j + 1)))
                     count += 1

@@ -17,6 +17,7 @@ from irgen import random_program
 from repro.faults import run_campaign
 from repro.isa import Function, IRBuilder, Program
 from repro.isa.program import HEAP_BASE
+from repro.lang import compile_source
 from repro.faults.injector import golden_run, run_with_fault
 from repro.faults.model import FaultSite, sample_sites
 from repro.faults.parallel import run_parallel_campaign
@@ -35,8 +36,9 @@ def _machine_pair(program, max_instructions=2_000_000):
 
 
 def _final_state(machine):
-    """Everything architectural a run leaves behind (positions hold
-    per-machine compiled-function objects, so compare by name)."""
+    """Everything architectural a run leaves behind (positions and call
+    frames hold per-machine compiled-function objects, so compare by
+    name)."""
     position = machine._position
     if position is not None:
         position = (position[0].name, position[1], position[2])
@@ -46,7 +48,7 @@ def _final_state(machine):
         list(machine.fregs),
         dict(machine.memory.cells),
         list(machine.output),
-        list(machine.call_stack),
+        [(frame[0].name, *frame[1:]) for frame in machine.call_stack],
         list(machine.arg_stack),
         machine.recoveries,
         machine.first_recovery_icount,
@@ -56,10 +58,12 @@ def _final_state(machine):
 
 
 def _binaries(seed):
-    """One random program as (virtual-register, protected-physical)."""
+    """One random program as (virtual-register, SWIFT-R-protected,
+    TRUMP-protected), the protected builds register-allocated."""
     program = random_program(seed, num_blocks=3, instrs_per_block=9)
-    protected = allocate_program(protect(program, Technique.SWIFTR))
-    return [program, protected]
+    return [program] + [allocate_program(protect(program, technique))
+                        for technique in (Technique.SWIFTR,
+                                          Technique.TRUMP)]
 
 
 # --------------------------------------------------------------- fuzz
@@ -163,6 +167,52 @@ def test_mid_block_injection_every_icount():
             completions.append(machine.run(None))
         assert completions[0] == completions[1], icount
         assert _final_state(jit_machine) == _final_state(ref_machine), icount
+
+
+_LEAF_SOURCE = """
+int data[6] = { 7, 1, 8, 2, 8, 1 };
+int mix(int x) {
+    int acc = x;
+    for (int i = 0; i < 6; i++) { acc = acc * 3 + data[i]; }
+    return acc & 65535;
+}
+int main() {
+    int total = 0;
+    for (int k = 0; k < 3; k++) { total += mix(total + k); }
+    print(total);
+    return 0;
+}
+"""
+
+
+def test_inlined_leaf_pause_at_every_icount():
+    """``mix`` is a leaf, so ``main``'s driver expands it in place.
+    Pausing at every dynamic instruction puts fuel stops inside the
+    inlined body (the ``-7 - block`` protocol: the callee's own driver
+    resumes there), and a register flip at each pause drives SWIFT-R
+    repairs whose blocks branch back to owned blocks, entered directly
+    through dispatch.  Every pause and completion matches the
+    interpreter."""
+    binary = allocate_program(protect(compile_source(_LEAF_SOURCE),
+                                      Technique.SWIFTR))
+    jit_machine, ref_machine = _machine_pair(binary)
+    assert "_cb = 0" in jit_program_for(jit_machine).sources["main"]
+    golden = golden_run(ref_machine)
+    assert golden_run(jit_machine) == golden
+    repaired = 0
+    for icount in range(golden.instructions):
+        for machine in (jit_machine, ref_machine):
+            machine.reset()
+            assert machine.run(icount).status.value == "paused"
+        assert _final_state(jit_machine) == _final_state(ref_machine), icount
+        completions = []
+        for machine in (jit_machine, ref_machine):
+            machine.flip_register_bit(5 + (icount % 3) * 4, (icount * 7) % 64)
+            completions.append(machine.run(None))
+        assert completions[0] == completions[1], icount
+        assert _final_state(jit_machine) == _final_state(ref_machine), icount
+        repaired += jit_machine.recoveries > 0
+    assert repaired
 
 
 # ------------------------------------------- snapshot/restore round trip
