@@ -56,6 +56,15 @@ def test_campaign_throughput():
     # The JIT modes are the same campaign too, trial for trial.
     assert results["jit_serial"] == serial
     assert results["jit"] == serial
+    # Every checkpointed mode splices the same trials -- except taint
+    # tracing, which keeps the exact-register convergence rule.
+    checkpointed = results["checkpointed"].fast_forwards
+    assert checkpointed > 0
+    for mode in ("parallel", "taint_off_recheck", "profile", "atlas",
+                 "jit"):
+        if mode in results:
+            assert results[mode].fast_forwards == checkpointed, mode
+    assert results["taint"].fast_forwards <= checkpointed
 
     write_bench("BENCH_campaign.json", "campaign_throughput", records,
                 seed=SEED, trials=TRIALS)

@@ -2,8 +2,10 @@
 
 Produces per-block live-in/live-out sets and, on demand, per-instruction
 live-out sets.  Used by the register allocator (live intervals), the MASK
-pass (insertion points for loop-carried invariants), and the evaluation
-tooling (live-register statistics for fault-site realism checks).
+pass (insertion points for loop-carried invariants), the evaluation
+tooling (live-register statistics for fault-site realism checks), and,
+through :func:`live_in_masks`, the fault injector's convergence test
+(which registers a paused machine's future can still read).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from ..isa.block import BasicBlock
 from ..isa.function import Function
 from ..isa.instruction import Instruction
+from ..isa.program import Program
 from ..isa.registers import Register
 from .cfg import CFG
 
@@ -24,22 +27,37 @@ def instruction_defs(instr: Instruction) -> set[Register]:
 
 
 class Liveness:
-    """Fixed-point live-variable analysis for one function."""
+    """Fixed-point live-variable analysis for one function.
 
-    def __init__(self, function: Function, cfg: CFG | None = None) -> None:
+    ``call_reads`` optionally maps a callee name to the registers that
+    callee reads; a ``CALL`` then reads those too, on top of its
+    arguments (see :func:`live_in_masks`).
+    """
+
+    def __init__(self, function: Function, cfg: CFG | None = None,
+                 call_reads: dict[str, frozenset[Register]] | None = None
+                 ) -> None:
         self.function = function
         self.cfg = cfg or CFG(function)
+        self.call_reads = call_reads or {}
         self.live_in: dict[str, frozenset[Register]] = {}
         self.live_out: dict[str, frozenset[Register]] = {}
         self._use: dict[str, frozenset[Register]] = {}
         self._def: dict[str, frozenset[Register]] = {}
         self._compute()
 
+    def uses(self, instr: Instruction) -> set[Register]:
+        """Registers ``instr`` reads, a call's callee reads included."""
+        uses = instruction_uses(instr)
+        if instr.is_call:
+            uses |= self.call_reads.get(instr.callee, frozenset())
+        return uses
+
     def _local_sets(self, block: BasicBlock) -> tuple[frozenset, frozenset]:
         upward_uses: set[Register] = set()
         defined: set[Register] = set()
         for instr in block.instructions:
-            for reg in instr.source_registers():
+            for reg in self.uses(instr):
                 if reg not in defined:
                     upward_uses.add(reg)
             if instr.dest is not None:
@@ -83,7 +101,7 @@ class Liveness:
             result[idx] = frozenset(live)
             if instr.dest is not None:
                 live.discard(instr.dest)
-            live.update(instr.source_registers())
+            live.update(self.uses(instr))
         return result
 
     def live_through_block(self, block: BasicBlock) -> frozenset[Register]:
@@ -92,3 +110,52 @@ class Liveness:
             (self.live_in[block.name] & self.live_out[block.name])
             - self._def[block.name]
         )
+
+
+def live_in_masks(program: Program) -> dict[str, list[tuple[list, list]]]:
+    """Per-position live-in register bitmasks of a physical-register program.
+
+    ``masks[fn][b]`` is ``(ints, floats)`` for block ``b`` of function
+    ``fn``: bit ``k`` of ``ints[i]`` (``floats[i]``) is set when ``rk``
+    (``fk``) is live just before instruction ``i``, and the extra entry
+    ``ints[len(block)]`` is the block's live-out.  A ``CALL`` reads
+    every register its callee reads, transitively -- the callee's entry
+    live-in, iterated to a fixed point over the call graph -- so a
+    register the callee's prologue saves (a ``STORE``, hence a read) is
+    live before the call.  Registers are never killed across a call
+    except its ``dest``: the summary over-approximates, which is the
+    safe direction for every consumer.
+    """
+    reads = {name: frozenset() for name in program.functions}
+    while True:
+        # Keep only each pass's entry summaries: holding every
+        # function's analysis at once would multiply the peak memory.
+        entries = {name: Liveness(function, call_reads=reads)
+                   .live_in[function.entry.name]
+                   for name, function in program.functions.items()}
+        if entries == reads:
+            break
+        reads = entries
+    shared: dict[int, int] = {}    # one int object per distinct mask
+
+    def masks(regs: frozenset[Register]) -> tuple[int, int]:
+        ints = floats = 0
+        for reg in regs:
+            if reg.is_float:
+                floats |= 1 << reg.index
+            else:
+                ints |= 1 << reg.index
+        return shared.setdefault(ints, ints), shared.setdefault(floats, floats)
+
+    table = {}
+    for name, function in program.functions.items():
+        analysis = Liveness(function, call_reads=reads)
+        blocks = []
+        for block in function.blocks:
+            pairs = [masks(regs) for regs in
+                     (analysis.live_in[block.name],
+                      *analysis.per_instruction_live_out(block))]
+            blocks.append(([ints for ints, _ in pairs],
+                           [floats for _, floats in pairs]))
+        table[name] = blocks
+    return table

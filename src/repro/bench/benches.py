@@ -48,6 +48,9 @@ def _timed(label, runner, *, workload, technique, verbose, repeat=1):
         "seconds": round(elapsed, 4),
         "trials_per_sec": round(result.trials / elapsed, 2),
     }
+    if result.config["checkpoint_interval"] != 0:
+        # Deterministic: how many trials the convergence splice cut short.
+        record["fast_forwards"] = result.fast_forwards
     if verbose:
         print(f"  {label:12s} {elapsed:7.3f}s  "
               f"{record['trials_per_sec']:8.1f} trials/s")
@@ -79,7 +82,9 @@ def measure_campaign_suite(trials: int = DEFAULT_TRIALS,
     the host has fewer cores than ``jobs``: there it would measure
     pool overhead, not parallelism.  The summary also records the
     suite cell's JIT codegen cost, ``jit_codegen_seconds`` and
-    ``jit_source_lines``, measured outside every trial timing.
+    ``jit_source_lines``, measured outside every trial timing.  Every
+    checkpointed mode's record carries its deterministic
+    ``fast_forwards`` count (trials spliced after convergence).
 
     Returns ``(records, results)``: JSONL-ready bench records (per-mode
     plus one ``campaign_bench_summary``) and the per-mode

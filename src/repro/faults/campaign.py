@@ -56,6 +56,11 @@ class CampaignResult:
     #: not change results, so it must not change a manifest hash --
     #: and is excluded from equality for the same reason as timings.
     config: dict = field(default_factory=dict, compare=False)
+    #: Trials whose result was spliced from the golden suffix (see
+    #: :class:`~repro.faults.injector.CheckpointStore`); 0 on the
+    #: full-replay path.  A deterministic perf counter, excluded from
+    #: equality and manifests like the timings.
+    fast_forwards: int = field(default=0, compare=False)
 
     @property
     def trials_per_sec(self) -> float:
@@ -137,6 +142,7 @@ class CampaignResult:
                                  or other.golden_instructions),
             recoveries=self.recoveries + other.recoveries,
             never_landed=self.never_landed + other.never_landed,
+            fast_forwards=self.fast_forwards + other.fast_forwards,
             # Shards ran concurrently, so summing their elapsed times
             # over-counts wall clock; the parallel runner overwrites
             # this with its own wall measurement after the last merge.
@@ -343,6 +349,8 @@ def _run_campaign_trials(machine, *, trials, seed, log,
         # Traced instructions execute in the taint loop, invisible to
         # the profiler; record how many trials that affected.
         profile.taint_trials += trials
+    if checkpoint_interval != 0:
+        result.fast_forwards = store.fast_forwards
     record_campaign_metrics(result, log, log_start)
     return result
 

@@ -17,10 +17,17 @@ Two execution strategies are provided:
   forward, cutting the average pre-fault replay to ``interval/2``.  On
   top of that, the post-fault run is resumed in checkpoint-sized slices
   and compared against the golden checkpoints: the moment the faulty
-  state re-converges with the golden state (the flipped bit was masked,
-  overwritten, or repaired by recovery code), the rest of the run is
+  state re-converges with the golden state, the rest of the run is
   provably identical to the golden run and its result is spliced in
-  instead of re-executed.  For recovery-protected binaries most trials
+  instead of re-executed.  Convergence ignores registers the rest of
+  the run cannot read (:meth:`Machine.state_matches`), so a flip into a
+  dead register converges at the next boundary.  A run that repair
+  code fixed usually trails the golden run by the repair block's
+  length; it single-steps up to :data:`MAX_SPLICE_SHIFT` instructions
+  to catch up with the checkpoint and is spliced with that offset
+  added to its instruction count.  Taint-traced trials splice only on
+  exact convergence and never shift: forensics classifies dead values
+  by running them out.  For recovery-protected binaries most trials
   converge within one or two intervals of the injection, which is where
   the bulk of the campaign speedup comes from.
 
@@ -43,6 +50,11 @@ MAX_CHECKPOINTS = 64
 #: Starting spacing for the auto-tuned interval; below this, restore
 #: overhead is comparable to simply executing the instructions.
 MIN_CHECKPOINT_INTERVAL = 512
+
+#: How far (in dynamic instructions) a repaired run may trail the golden
+#: run at a checkpoint and still be spliced: a SWIFT-R/TRUMP repair
+#: block delays the rejoined main flow by its own length.
+MAX_SPLICE_SHIFT = 256
 
 
 def run_with_fault(machine: Machine, site: FaultSite,
@@ -169,38 +181,75 @@ class CheckpointStore:
                 return machine.run(None)
             # Resume in checkpoint-sized slices; at each golden checkpoint
             # boundary, test whether the faulty state has re-converged.
+            # A run whose repair code fired since the last attempt may
+            # re-converge a few instructions late (the repair's length):
+            # it gets one shifted attempt per change in its recovery count.
+            tried = None
             next_index = target // self.interval + 1
             while next_index < len(self.snapshots):
                 snap = self.snapshots[next_index]
                 result = machine.run(snap.icount)
                 if result.status is not RunStatus.PAUSED:
                     return result
-                if machine.state_matches(snap):
-                    spliced = self._splice_golden(snap)
-                    if spliced is not None:
-                        self.fast_forwards += 1
-                        if taint is not None:
-                            taint.on_converged(snap.icount)
-                        return spliced
+                window = 0
+                if (taint is None
+                        and machine.recoveries not in (snap.recoveries,
+                                                       tried)):
+                    tried = machine.recoveries
+                    window = MAX_SPLICE_SHIFT
+                result = self._converge(snap, window)
+                if result is not None:
+                    return result
                 next_index += 1
             return machine.run(None)
         finally:
             machine.taint = None
 
-    def _splice_golden(self, snap: MachineSnapshot) -> RunResult | None:
-        """Final result of a faulty run that re-converged at ``snap``.
+    def _converge(self, snap: MachineSnapshot, window: int
+                  ) -> RunResult | None:
+        """Splice the golden suffix if the paused run re-converges with
+        ``snap`` within ``window`` more instructions.
 
-        From the convergence point on, execution is identical to the
-        golden run, so the terminal status, exit code and instruction
-        count are the golden run's, while the output and recovery
-        counters splice the faulty prefix onto the golden suffix.
-        Returns ``None`` when the recovery bookkeeping cannot be
-        reconstructed exactly (golden runs that themselves entered
-        repair blocks both before and after the checkpoint); the caller
-        then simply keeps executing.
+        Single-steps the machine until its state matches ``snap`` (at
+        the current icount first, so ``window=0`` is the plain boundary
+        test).  Returns the spliced result, the run's own result if it
+        ended while stepping, or ``None`` to keep executing.
+        """
+        machine = self.machine
+        stop = machine.icount + window
+        while not machine.state_matches(snap):
+            if machine.icount >= stop:
+                return None
+            result = machine.run(machine.icount + 1)
+            if result.status is not RunStatus.PAUSED:
+                return result
+        spliced = self._splice_golden(snap, machine.icount - snap.icount)
+        if spliced is not None:
+            self.fast_forwards += 1
+            if machine.taint is not None:
+                machine.taint.on_converged(snap.icount)
+        return spliced
+
+    def _splice_golden(self, snap: MachineSnapshot, delta: int
+                       ) -> RunResult | None:
+        """Final result of a faulty run that re-converged with ``snap``
+        ``delta`` instructions late.
+
+        From the convergence point on, execution is the golden run's
+        shifted by ``delta``, so the terminal status and exit code are
+        the golden run's, the instruction count and any suffix
+        first-recovery icount are shifted by ``delta``, and the output
+        and recovery counters splice the faulty prefix onto the golden
+        suffix.  Returns ``None`` when the shifted run would reach
+        ``max_instructions`` (it hangs instead), or when the recovery
+        bookkeeping cannot be reconstructed exactly (golden runs that
+        themselves entered repair blocks both before and after the
+        checkpoint); the caller then simply keeps executing.
         """
         machine = self.machine
         golden = self.golden
+        if golden.instructions + delta >= machine.max_instructions:
+            return None
         suffix_recoveries = golden.recoveries - snap.recoveries
         first_recovery = machine.first_recovery_icount
         if first_recovery is None and suffix_recoveries:
@@ -208,14 +257,14 @@ class CheckpointStore:
                 # The golden suffix recovers but its first-recovery
                 # icount is hidden behind an earlier golden recovery.
                 return None
-            first_recovery = golden.first_recovery_icount
+            first_recovery = golden.first_recovery_icount + delta
         return RunResult(
             golden.status,
             exit_code=golden.exit_code,
             trap_kind=golden.trap_kind,
             trap_detail=golden.trap_detail,
             output=machine.output + golden.output[len(snap.output):],
-            instructions=golden.instructions,
+            instructions=golden.instructions + delta,
             recoveries=machine.recoveries + suffix_recoveries,
             first_recovery_icount=first_recovery,
         )

@@ -134,6 +134,8 @@ def _run_shard(task: tuple[int, int, list[FaultSite], str | None]
         profiler = SimProfiler()
         store.machine.profile = profiler
     result = CampaignResult(golden_instructions=golden.instructions)
+    # A pool process may run several shards against one store.
+    fast_forwards = store.fast_forwards
     log = (CampaignLog() if record_path is not None or atlas_on
            else None)
     try:
@@ -152,6 +154,7 @@ def _run_shard(task: tuple[int, int, list[FaultSite], str | None]
     finally:
         if profiler is not None:
             store.machine.profile = None
+    result.fast_forwards = store.fast_forwards - fast_forwards
     if profiler is not None and taint:
         profiler.taint_trials += len(sites)
     atlas = None

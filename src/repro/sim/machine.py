@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..analysis.liveness import live_in_masks
 from ..errors import SimulationError
 from ..isa.instruction import Instruction, Role
 from ..isa.opcodes import Opcode, OpKind
@@ -171,6 +172,9 @@ class Machine:
         # Taint and profile take precedence: their mirror loops must
         # observe every instruction.
         self.jit = None
+        # Per-position live-register bitmasks, built on demand by
+        # state_matches (see repro.analysis.liveness.live_in_masks).
+        self._live_masks = None
         self.reset()
 
     # ------------------------------------------------------------ register map
@@ -806,20 +810,56 @@ class Machine:
         """Does future execution from here equal execution from ``snap``?
 
         Compares exactly the state that determines the remainder of the
-        run: resume position, register files, call/argument stacks, and
-        memory.  Counters (icount, recoveries) and already-produced
-        output are excluded -- they record the past, not the future.
-        The caller is responsible for comparing at matching icounts.
-        Cheap fields are compared first so diverged states bail early.
+        run: resume position, call/argument stacks and memory exactly,
+        and the register files on their *live* slots -- a register the
+        rest of the run overwrites before reading cannot change it.  The
+        live set is the current position's live-in plus, for every
+        call-stack frame, the live-in at its return point minus the
+        frame's ``dest`` (see :func:`repro.analysis.liveness.live_in_masks`;
+        the table is built on the first register-only mismatch and kept
+        for the machine's lifetime).  Registers are compared exactly
+        while a taint tracker is attached (forensics tells dead values
+        apart by running them out) and for code that still holds
+        virtual registers.  Counters (icount, recoveries) and
+        already-produced output are excluded -- they record the past,
+        not the future.  The caller decides which icount offset the
+        match implies.  Cheap fields are compared first so diverged
+        states bail early.
         """
-        return (
-            self._position == snap.position
-            and self.regs == snap.regs
-            and self.call_stack == snap.call_stack
-            and self.arg_stack == snap.arg_stack
-            and self.fregs == snap.fregs
-            and self.memory.cells == snap.cells
-        )
+        if (self._position != snap.position
+                or self.call_stack != snap.call_stack
+                or self.arg_stack != snap.arg_stack):
+            return False
+        if ((self.regs != snap.regs or self.fregs != snap.fregs)
+                and not self._live_registers_match(snap)):
+            return False
+        return self.memory.cells == snap.cells
+
+    def _live_registers_match(self, snap: MachineSnapshot) -> bool:
+        """Do the register files agree on every live slot?"""
+        if (self.taint is not None or self._next_virtual_slot > NUM_GPRS
+                or self._fnext_virtual_slot > NUM_GPRS):
+            return False
+        if self._live_masks is None:
+            self._live_masks = live_in_masks(self.program)
+        masks = self._live_masks
+        func, block_idx, i = self._position
+        ints, floats = masks[func.name][block_idx]
+        live, flive = ints[i], floats[i]
+        for frame_func, frame_block, resume, dest, dest_float \
+                in self.call_stack:
+            ints, floats = masks[frame_func.name][frame_block]
+            frame_live, frame_flive = ints[resume], floats[resume]
+            if dest >= 0:
+                # The return overwrites ``dest`` before the frame reads it.
+                if dest_float:
+                    frame_flive &= ~(1 << dest)
+                else:
+                    frame_live &= ~(1 << dest)
+            live |= frame_live
+            flive |= frame_flive
+        return (_agree(self.regs, snap.regs, live)
+                and _agree(self.fregs, snap.fregs, flive))
 
     # ----------------------------------------------------------- fault support
     def flip_register_bit(self, reg_index: int, bit: int) -> None:
@@ -1013,6 +1053,14 @@ class Machine:
         if instr.role in (Role.RECOVERY, Role.VOTE):
             return _count_recovery(step, instr)
         return step
+
+
+def _agree(mine: list, theirs: list, live: int) -> bool:
+    """Are two register files equal on every slot set in ``live``?"""
+    for slot, (a, b) in enumerate(zip(mine, theirs)):
+        if a is not b and a != b and live >> slot & 1:
+            return False
+    return True
 
 
 def _count_recovery(step, instr: Instruction):

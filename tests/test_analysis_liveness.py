@@ -99,3 +99,67 @@ def test_dependence_webs():
     assert not webs.same_web(a, d)
     groups = webs.webs()
     assert any({a, bb} <= g for g in groups)
+
+
+#: ``save`` spills r27 in its prologue although ``main`` never reads r27
+#: again; ``main`` reads the call's dest r26 right after the call, and
+#: r25, which ``save`` never touches, after that.
+CALLEE_SAVE_ASM = """
+func save(0):
+entry:
+    sub r1, r1, 8
+    store [r1 + 0], r27
+    li r27, 5
+    add r29, r27, 2
+    load r27, [r1 + 0]
+    add r1, r1, 8
+    ret r29
+
+func main(0):
+entry:
+    li r27, 9
+    li r25, 6
+    li r26, 4
+    call r26, save()
+    print r26
+    print r25
+    ret
+"""
+
+
+def test_call_reads_callee_saved_register():
+    from repro.analysis.liveness import live_in_masks
+    from repro.isa import parse_program
+
+    program = parse_program(CALLEE_SAVE_ASM)
+    ints, _floats = live_in_masks(program)["main"][0]
+    call = 3
+    # The callee's prologue stores r27 -- a read -- so r27 is live
+    # before the call even though main itself never reads it again.
+    assert ints[call] >> 27 & 1
+    assert not ints[call] >> 26 & 1     # the call overwrites r26
+    assert ints[call + 1] >> 26 & 1     # print reads the call's result
+    assert not ints[call + 1] >> 27 & 1
+
+
+def test_paused_state_liveness_follows_call_frames():
+    """At the call, a flipped r27 still matters; inside the callee, the
+    frame's dest r26 does not (the return overwrites it first), but the
+    caller's r25 does."""
+    from repro.isa import parse_program
+    from repro.sim import Machine
+
+    machine = Machine(parse_program(CALLEE_SAVE_ASM))
+    machine.run(3)                       # paused at the call
+    snap = machine.snapshot()
+    machine.flip_register_bit(27, 0)
+    assert not machine.state_matches(snap)
+    machine.restore(snap)
+    machine.run(5)                       # inside save, before its spill
+    snap = machine.snapshot()
+    machine.flip_register_bit(26, 3)
+    assert machine.state_matches(snap)
+    for reg in (27, 25):                 # spilled here; read by main
+        machine.restore(snap)
+        machine.flip_register_bit(reg, 0)
+        assert not machine.state_matches(snap)

@@ -19,7 +19,9 @@ from repro.faults import (
 from repro.lang import compile_source
 from repro.obs.campaign_log import CampaignLog
 from repro.sim import Machine, RunStatus
+from repro.sim.jit import attach_jit
 from repro.transform import Technique, allocate_program, protect
+from repro.transform.protect import PAPER_TECHNIQUES
 
 #: A float-register and memory-mutation workload: FP accumulation in
 #: registers plus an in-place integer array reversal, SWIFT-R
@@ -97,16 +99,127 @@ def test_auto_interval_caps_checkpoint_count():
 
 
 # ------------------------------------------- checkpointed == full replay
-@pytest.mark.parametrize("technique", [Technique.NOFT, Technique.SWIFTR])
-def test_checkpointed_trials_match_full_replay(technique):
-    program = _protected(FLOAT_MEM_SOURCE, technique)
-    machine = Machine(program)
-    golden = golden_run(machine)
-    store = build_checkpoints(machine, interval=128)
-    for site in sample_sites(3, golden.instructions, 80):
-        checkpointed = store.run_with_fault(site)
-        full = run_with_fault(machine, site)
-        _results_identical(checkpointed, full)
+def _stratified_sites(golden_instructions, trials, seed):
+    """One site per equal slice of the golden run, so every phase of
+    the program (and both convergence kinds) gets faults."""
+    import random
+
+    from repro.faults.model import INJECTABLE_GPRS
+
+    rng = random.Random(seed)
+    sites = []
+    for k in range(trials):
+        low = k * golden_instructions // trials
+        high = max((k + 1) * golden_instructions // trials, low + 1)
+        sites.append(FaultSite(dynamic_index=rng.randrange(low, high),
+                               reg_index=rng.choice(INJECTABLE_GPRS),
+                               bit=rng.randrange(64)))
+    return sites
+
+
+def _recording_splices(store):
+    """Wrap ``store._splice_golden`` to log each splice's kind:
+    ``"shifted"`` (delta > 0), ``"dead"`` (registers differ from the
+    checkpoint on dead slots only) or ``"exact"``."""
+    kinds = []
+    splice = store._splice_golden
+
+    def recording(snap, delta):
+        spliced = splice(snap, delta)
+        if spliced is not None:
+            machine = store.machine
+            if delta:
+                kinds.append("shifted")
+            elif (machine.regs != snap.regs
+                    or machine.fregs != snap.fregs):
+                kinds.append("dead")
+            else:
+                kinds.append("exact")
+        return spliced
+    store._splice_golden = recording
+    return kinds
+
+
+#: Every paper technique on crc32, plus TRUMP and SWIFT-R on a
+#: memory-bound and an FP workload: (workload, technique, trials).
+#: ``None`` is the float/memory micro-program above, at a 128-instruction
+#: checkpoint interval instead of the auto-tuned one.
+_REPLAY_CELLS = [
+    (None, Technique.NOFT, 80),
+    (None, Technique.SWIFTR, 80),
+    *[("crc32", technique, 40) for technique in PAPER_TECHNIQUES],
+    ("mcf", Technique.TRUMP, 40),
+    ("equake", Technique.SWIFTR, 40),
+]
+
+
+def _cell_id(cell):
+    workload, technique, _ = cell
+    return str(technique) if workload is None \
+        else f"{workload}-{technique.value}"
+
+
+@pytest.mark.parametrize("cell", _REPLAY_CELLS, ids=_cell_id)
+def test_checkpointed_trials_match_full_replay(cell):
+    """Checkpointed trials, on both engines, equal full replay-from-zero
+    on every result field, and each convergence rule actually splices:
+    dead-register matches everywhere, shifted ones wherever repair code
+    runs (TRUMP and SWIFT-R)."""
+    workload, technique, trials = cell
+    if workload is None:
+        program = _protected(FLOAT_MEM_SOURCE, technique)
+        interval = 128
+    else:
+        from repro.workloads import build
+
+        program = allocate_program(protect(build(workload), technique))
+        interval = None
+    reference = Machine(program)
+    attach_jit(reference)
+    golden = golden_run(reference)
+    if workload is None:
+        sites = sample_sites(3, golden.instructions, trials)
+    else:
+        sites = _stratified_sites(golden.instructions, trials, seed=13)
+    full = [run_with_fault(reference, site) for site in sites]
+    for jit in (False, True):
+        machine = Machine(program)
+        if jit:
+            attach_jit(machine)
+        store = build_checkpoints(machine, interval=interval)
+        kinds = _recording_splices(store)
+        for site, expected in zip(sites, full):
+            _results_identical(store.run_with_fault(site), expected)
+        assert "dead" in kinds
+        if technique not in (Technique.NOFT, Technique.MASK):
+            assert "shifted" in kinds       # repair code delays rejoining
+
+
+def test_shifted_splice_refuses_past_max_instructions():
+    """A repaired run that trails the golden run by more than the
+    instruction budget's margin hangs; the shifted splice must not
+    turn it into a clean exit."""
+    from repro.workloads import build
+
+    program = allocate_program(protect(build("crc32"), Technique.SWIFTR))
+    roomy = Machine(program)
+    golden = golden_run(roomy)
+    store = build_checkpoints(roomy)
+    kinds = _recording_splices(store)
+    margin = 2
+    for site in _stratified_sites(golden.instructions, 40, seed=13):
+        before = len(kinds)
+        result = store.run_with_fault(site)
+        if kinds[before:] == ["shifted"] \
+                and result.instructions > golden.instructions + margin:
+            break
+    else:
+        pytest.fail("no shifted splice longer than the margin")
+    tight = Machine(program,
+                    max_instructions=golden.instructions + margin)
+    checkpointed = build_checkpoints(tight).run_with_fault(site)
+    assert checkpointed.status is RunStatus.HANG
+    _results_identical(checkpointed, run_with_fault(tight, site))
 
 
 def test_checkpointed_campaign_matches_serial(simple_program):
