@@ -19,11 +19,11 @@ from ..obs.spans import enabled as obs_enabled, span
 from ..sim.events import RunStatus
 from ..sim.jit import attach_jit
 from ..sim.machine import Machine
-from ..sim.taint import TaintTracker
 from .injector import (
     CheckpointStore,
     fault_landed,
     golden_run,
+    run_in_site_order,
     run_with_fault,
 )
 from .model import FaultSite, sample_fault_site
@@ -326,25 +326,17 @@ def _run_campaign_trials(machine, *, trials, seed, log,
     if monitor is not None:
         monitor.begin(total=trials)
     with span("campaign", trials=trials, seed=seed):
-        if log is None and monitor is None:
-            for site in sites:
-                faulty = run_trial(site)
-                result.record(classify(golden, faulty),
-                              recovered=faulty.recoveries > 0,
-                              landed=fault_landed(site, faulty))
-        else:
-            for trial, site in enumerate(sites):
-                tracker = TaintTracker() if taint else None
-                faulty = run_trial(site, taint=tracker)
-                outcome = classify(golden, faulty)
-                result.record(outcome, recovered=faulty.recoveries > 0,
-                              landed=fault_landed(site, faulty))
-                if log is not None:
-                    log.record_trial(trial, site, outcome, faulty)
-                    if tracker is not None:
-                        log.record_taint(trial, tracker)
-                if monitor is not None:
-                    monitor.trial_done(trial + 1)
+        runs = run_in_site_order(
+            run_trial, sites, taint=taint,
+            tick=monitor.trial_done if monitor is not None else None)
+        for trial, (site, (faulty, tracker)) in enumerate(zip(sites, runs)):
+            outcome = classify(golden, faulty)
+            result.record(outcome, recovered=faulty.recoveries > 0,
+                          landed=fault_landed(site, faulty))
+            if log is not None:
+                log.record_trial(trial, site, outcome, faulty)
+                if tracker is not None:
+                    log.record_taint(trial, tracker)
     if profile is not None and taint:
         # Traced instructions execute in the taint loop, invisible to
         # the profiler; record how many trials that affected.

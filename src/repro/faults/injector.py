@@ -13,19 +13,22 @@ Two execution strategies are provided:
 * :class:`CheckpointStore` -- replay-from-checkpoint.  The golden run
   is executed once, pausing every ``interval`` dynamic instructions to
   snapshot the complete architectural state.  Each trial then restores
-  the nearest checkpoint at or before the injection point and runs
-  forward, cutting the average pre-fault replay to ``interval/2``.  On
-  top of that, the post-fault run is resumed in checkpoint-sized slices
+  the nearest checkpoint at or before the injection point -- or the
+  previous trial's site, when that is closer (campaigns run their sites
+  in ascending order for this) -- and runs forward, cutting the
+  average pre-fault replay to ``interval/2`` or less.  The
+  faulty state is first compared with the golden state at the site
+  itself, then the post-fault run is resumed in checkpoint-sized slices
   and compared against the golden checkpoints: the moment the faulty
   state re-converges with the golden state, the rest of the run is
   provably identical to the golden run and its result is spliced in
   instead of re-executed.  Convergence ignores registers the rest of
   the run cannot read (:meth:`Machine.state_matches`), so a flip into a
-  dead register converges at the next boundary.  A run that repair
-  code fixed usually trails the golden run by the repair block's
-  length; it single-steps up to :data:`MAX_SPLICE_SHIFT` instructions
-  to catch up with the checkpoint and is spliced with that offset
-  added to its instruction count.  Taint-traced trials splice only on
+  dead register converges at once.  A run that repair code fixed
+  usually trails the golden run by the repair block's length; it
+  single-steps up to :data:`MAX_SPLICE_SHIFT` instructions to catch up
+  with the checkpoint and is spliced with that offset added to its
+  instruction count.  Taint-traced trials splice only on
   exact convergence and never shift: forensics classifies dead values
   by running them out.  For recovery-protected binaries most trials
   converge within one or two intervals of the injection, which is where
@@ -40,6 +43,7 @@ from __future__ import annotations
 from ..errors import SimulationError
 from ..sim.events import RunResult, RunStatus
 from ..sim.machine import Machine, MachineSnapshot
+from ..sim.taint import TaintTracker
 from .model import FaultSite
 
 #: Checkpoint-count ceiling for the auto-tuned interval.  Each
@@ -99,6 +103,30 @@ def fault_landed(site: FaultSite, faulty: RunResult) -> bool:
     return faulty.instructions > site.dynamic_index
 
 
+def run_in_site_order(run_trial, sites: list[FaultSite], taint: bool = False,
+                      tick=None) -> list:
+    """Run ``run_trial(site, taint=tracker)`` once per site, in ascending
+    order of injection point, and return the ``(faulty, tracker)`` pairs
+    in the order of ``sites``.
+
+    A trial's result does not depend on which trials ran before it, so
+    every campaign loop runs its trials through here and then records
+    outcomes and telemetry in trial order.  Ascending sites let a
+    :class:`CheckpointStore` replay only the gap since the previous
+    trial's site (its cursor).  ``taint=True`` gives each trial a fresh
+    :class:`~repro.sim.taint.TaintTracker`; ``tick(n)`` is called after
+    the ``n``-th trial to finish.
+    """
+    runs: list = [None] * len(sites)
+    order = sorted(range(len(sites)), key=lambda i: sites[i].dynamic_index)
+    for done, i in enumerate(order, 1):
+        tracker = TaintTracker() if taint else None
+        runs[i] = (run_trial(sites[i], taint=tracker), tracker)
+        if tick is not None:
+            tick(done)
+    return runs
+
+
 class CheckpointStore:
     """Periodic golden-run checkpoints plus checkpointed trial replay.
 
@@ -115,6 +143,9 @@ class CheckpointStore:
         self.fast_forward = fast_forward
         self.snapshots: list[MachineSnapshot] = []
         self.golden: RunResult | None = None
+        #: Golden state at the last landed trial's site (see
+        #: :meth:`run_with_fault`).
+        self.cursor: MachineSnapshot | None = None
         #: Trials whose result was spliced from the golden suffix after
         #: state re-convergence (perf counter, exposed by benches).
         self.fast_forwards = 0
@@ -137,6 +168,7 @@ class CheckpointStore:
         if auto:
             self.interval = MIN_CHECKPOINT_INTERVAL
         machine.reset()
+        self.cursor = None
         self.snapshots = [machine.snapshot()]
         limit = self.interval
         while True:
@@ -156,7 +188,21 @@ class CheckpointStore:
 
     # ----------------------------------------------------------------- trials
     def run_with_fault(self, site: FaultSite, taint=None) -> RunResult:
-        """One SEU trial, replaying from the nearest checkpoint.
+        """One SEU trial, replaying from the nearest golden state.
+
+        The pre-fault replay starts at the nearest checkpoint, or at the
+        previous trial's site (the *cursor*, a golden snapshot taken
+        there before its flip) when that lies between the checkpoint
+        and this site, so ascending sites replay only the gap between
+        consecutive sites (campaigns run theirs through
+        :func:`run_in_site_order`).  The cursor is skipped while a
+        profiler is attached: profile counts are executed work, and
+        must not depend on which trials ran before (shards see
+        different ones).
+
+        The site itself is the first convergence point: a flip into a
+        register that is dead there splices the golden suffix before
+        any faulty instruction runs.
 
         With a :class:`~repro.sim.taint.TaintTracker` in ``taint``, the
         tracker observes the faulty suffix exactly as in the serial
@@ -170,15 +216,24 @@ class CheckpointStore:
         machine = self.machine
         target = site.dynamic_index
         index = min(target // self.interval, len(self.snapshots) - 1)
-        machine.restore(self.snapshots[index])
+        start = self.snapshots[index]
+        cursor = self.cursor
+        if (cursor is not None and start.icount < cursor.icount <= target
+                and machine.profile is None):
+            start = cursor
+        machine.restore(start)
         first = machine.run(target)
         if first.status is not RunStatus.PAUSED:
             return first                      # fault never landed
+        self.cursor = cursor = machine.snapshot()
         machine.taint = taint
         try:
             machine.flip_register_bit(site.reg_index, site.bit)
             if not self.fast_forward:
                 return machine.run(None)
+            result = self._converge(cursor, 0)
+            if result is not None:
+                return result
             # Resume in checkpoint-sized slices; at each golden checkpoint
             # boundary, test whether the faulty state has re-converged.
             # A run whose repair code fired since the last attempt may

@@ -49,9 +49,9 @@ from ..obs.spans import span
 from ..sim.events import RunStatus
 from ..sim.jit import attach_jit
 from ..sim.machine import Machine
-from ..sim.taint import TaintTracker
 from .campaign import CampaignResult, record_campaign_metrics, run_campaign
-from .injector import CheckpointStore, fault_landed, golden_run
+from .injector import (CheckpointStore, fault_landed, golden_run,
+                       run_in_site_order)
 from .model import FaultSite, sample_fault_site
 from .outcomes import classify
 
@@ -139,21 +139,20 @@ def _run_shard(task: tuple[int, int, list[FaultSite], str | None]
     log = (CampaignLog() if record_path is not None or atlas_on
            else None)
     try:
-        for offset, site in enumerate(sites):
-            tracker = TaintTracker() if taint else None
-            faulty = store.run_with_fault(site, taint=tracker)
-            outcome = classify(golden, faulty)
-            result.record(outcome, recovered=faulty.recoveries > 0,
-                          landed=fault_landed(site, faulty))
-            if log is not None:
-                log.record_trial(first_trial + offset, site, outcome, faulty)
-                if tracker is not None:
-                    log.record_taint(first_trial + offset, tracker)
-            if heartbeat is not None:
-                heartbeat.tick(offset + 1)
+        runs = run_in_site_order(
+            store.run_with_fault, sites, taint=taint,
+            tick=heartbeat.tick if heartbeat is not None else None)
     finally:
         if profiler is not None:
             store.machine.profile = None
+    for offset, (site, (faulty, tracker)) in enumerate(zip(sites, runs)):
+        outcome = classify(golden, faulty)
+        result.record(outcome, recovered=faulty.recoveries > 0,
+                      landed=fault_landed(site, faulty))
+        if log is not None:
+            log.record_trial(first_trial + offset, site, outcome, faulty)
+            if tracker is not None:
+                log.record_taint(first_trial + offset, tracker)
     result.fast_forwards = store.fast_forwards - fast_forwards
     if profiler is not None and taint:
         profiler.taint_trials += len(sites)

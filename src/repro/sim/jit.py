@@ -5,7 +5,9 @@ closure per dynamic instruction.  That per-instruction dispatch -- a
 list index, a call, an action check -- dominates campaign runtime now
 that checkpointing and adaptive stopping have squeezed out redundant
 *trials*.  This module removes it: every function is rendered into one
-generated Python driver via opcode templates -- registers held in
+generated Python driver via opcode templates (the one-expression
+formats, shared with the interpreter, live in
+:mod:`repro.sim.semantics`) -- registers held in
 Python locals across basic-block transitions, the instruction counter
 carried as a local, block-to-block control flow as a binary-dispatch
 ``while`` loop -- then ``compile()``d once and cached per *program
@@ -74,6 +76,18 @@ from ..isa.registers import Register
 from .events import GuestTrap, TrapKind
 from .machine import Machine, _fop_div
 from .memory import bits_to_float, float_to_bits
+from .semantics import (
+    BRANCHES,
+    FLOAT_BINOPS,
+    FLOAT_COMPARES,
+    FLOAT_UNOPS,
+    INT_BINOPS,
+    INT_UNOPS,
+    RAW,
+    SEXT,
+    imm_operand,
+    reg_operand,
+)
 
 _TWO63 = 1 << 63
 _TWO64 = 1 << 64
@@ -274,28 +288,12 @@ class _Emitter:
         self.float_writes.add(slot)
         return f"f{slot}"
 
-    def int_expr(self, operand) -> str:
+    def operand(self, operand, mode: str = RAW) -> str:
+        """An integer operand read in ``mode`` (see
+        :mod:`repro.sim.semantics`): a literal or a register expression."""
         if isinstance(operand, Imm):
-            return repr(operand.value)
-        return self.ireg(operand)
-
-    def signed_expr(self, operand) -> str:
-        if isinstance(operand, Imm):
-            return repr(to_signed(operand.value))
-        v = self.ireg(operand)
-        return f"(({v} - {_TWO64}) if {v} >= {_TWO63} else {v})"
-
-    def biased_expr(self, operand) -> str:
-        """Signed-order-preserving unsigned expression.
-
-        ``(a ^ 2**63) < (b ^ 2**63)`` over the raw 64-bit values orders
-        exactly like the signed comparison -- one XOR per operand
-        instead of a sign-extension ternary.  Only valid for
-        comparisons (the bias shifts values, preserving order only).
-        """
-        if isinstance(operand, Imm):
-            return repr((operand.value & MASK64) ^ _TWO63)
-        return f"({self.ireg(operand)} ^ {_TWO63})"
+            return repr(imm_operand(operand.value, mode))
+        return reg_operand(self.ireg(operand), mode)
 
     def float_expr(self, operand) -> str:
         if isinstance(operand, FImm):
@@ -578,24 +576,11 @@ class _Emitter:
 # the body.  ``delta`` counts instructions retired through (and
 # including) this one, relative to the body's first instruction.
 
-def _emit_binop(expr_fmt, signed=False):
-    # ``signed`` may be True (both operands two's-complement: signed
-    # compares use the order-preserving XOR bias, which is cheaper than
-    # sign-extending each operand) or "a" (first operand only -- SRA's
-    # value is signed but its shift count is raw; the shifted value
-    # needs true sign extension, not a bias).
+def _emit_binop(fmt: str, modes: tuple[str, str]):
     def emit(e: _Emitter, instr: Instruction, delta: int) -> bool:
-        srcs = instr.srcs
-        if signed is True:
-            a = e.biased_expr(srcs[0])
-            b = e.biased_expr(srcs[1])
-        elif signed == "a":
-            a = e.signed_expr(srcs[0])
-            b = e.int_expr(srcs[1])
-        else:
-            a = e.int_expr(srcs[0])
-            b = e.int_expr(srcs[1])
-        e.emit(expr_fmt.format(d=e.iwrite(instr.dest), a=a, b=b, M=MASK64))
+        a = e.operand(instr.srcs[0], modes[0])
+        b = e.operand(instr.srcs[1], modes[1])
+        e.emit(f"{e.iwrite(instr.dest)} = {fmt.format(a=a, b=b, M=MASK64)}")
         return False
     return emit
 
@@ -620,7 +605,7 @@ def _emit_divrem(is_rem: bool):
             # forms; for a negative one, negate through the identity
             # trunc(x/b) = -((-x)//b), x rem b = -((-x) mod b).
             bval = to_signed(divisor.value)
-            e.emit(f"_x = {e.int_expr(instr.srcs[0])}")
+            e.emit(f"_x = {e.operand(instr.srcs[0])}")
             e.emit(f"if _x < {_TWO63}:")
             op = "%" if is_rem else "//"
             e.emit(f"    {d} = _x {op} {bval}")
@@ -632,8 +617,8 @@ def _emit_divrem(is_rem: bool):
             e.emit(f"if {e.ireg(divisor)} == 0:")
             e.emit_trap_point(delta, indent="    ")
             e.emit(f"    raise _GT(_TK_DIVZ, 'integer {word} by zero')")
-        e.emit(f"_x = {e.signed_expr(instr.srcs[0])}")
-        e.emit(f"_y = {e.signed_expr(divisor)}")
+        e.emit(f"_x = {e.operand(instr.srcs[0], SEXT)}")
+        e.emit(f"_y = {e.operand(divisor, SEXT)}")
         e.emit("_q = abs(_x) // abs(_y)")
         e.emit("if (_x < 0) != (_y < 0):")
         e.emit("    _q = -_q")
@@ -645,10 +630,10 @@ def _emit_divrem(is_rem: bool):
     return emit
 
 
-def _emit_unop(expr_fmt):
+def _emit_unop(fmt: str):
     def emit(e: _Emitter, instr: Instruction, delta: int) -> bool:
-        a = e.int_expr(instr.srcs[0])
-        e.emit(expr_fmt.format(d=e.iwrite(instr.dest), a=a, M=MASK64))
+        a = e.operand(instr.srcs[0])
+        e.emit(f"{e.iwrite(instr.dest)} = {fmt.format(a=a, M=MASK64)}")
         return False
     return emit
 
@@ -732,33 +717,20 @@ def _emit_store(e, instr, delta):
     return False
 
 
-_TESTS = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    ">=": lambda a, b: a >= b,
-}
-
-
-def _emit_branch(cmp_op, signed=False):
+def _emit_branch(cond: str, modes: tuple[str, str]):
     def emit(e: _Emitter, instr: Instruction, delta: int) -> bool:
         target = e.block_index[instr.label]
-        srcs = instr.srcs
-        if isinstance(srcs[0], Imm) and isinstance(srcs[1], Imm):
-            # Constant branch: the interpreter folds it at compile time
-            # (signedness is irrelevant for ==/!= and applied for </>=).
-            a, b = to_signed(srcs[0].value), to_signed(srcs[1].value)
-            if _TESTS[cmp_op](a, b):
+        a_src, b_src = instr.srcs[0], instr.srcs[1]
+        a = e.operand(a_src, modes[0])
+        b = e.operand(b_src, modes[1])
+        if isinstance(a_src, Imm) and isinstance(b_src, Imm):
+            # Constant branch: decided now, on the operand literals.
+            taken = eval(cond.format(a=a, b=b), {"__builtins__": {}})
+            if taken:
                 e.emit_transfer(delta, target)
                 return True
             return False
-        if signed:
-            a = e.biased_expr(srcs[0])
-            b = e.biased_expr(srcs[1])
-        else:
-            a = e.int_expr(srcs[0])
-            b = e.int_expr(srcs[1])
-        e.emit(f"if {a} {cmp_op} {b}:")
+        e.emit(f"if {cond.format(a=a, b=b)}:")
         e.emit_transfer(delta, target, indent="    ")
         return False
     return emit
@@ -950,7 +922,7 @@ def _emit_print(e, instr, delta):
     if isinstance(src, Imm):
         e.emit(f"m.output.append({src.signed!r})")
     else:
-        e.emit(f"m.output.append({e.signed_expr(src)})")
+        e.emit(f"m.output.append({e.operand(src, SEXT)})")
     return False
 
 
@@ -968,7 +940,7 @@ def _emit_exit_op(e, instr, delta):
     if isinstance(src, Imm):
         e.emit(f"m.exit_code = {src.signed!r}")
     else:
-        e.emit(f"m.exit_code = {e.signed_expr(src)}")
+        e.emit(f"m.exit_code = {e.operand(src, SEXT)}")
     e.emit_exit(delta, "-3")
     return True
 
@@ -982,20 +954,28 @@ def _emit_nop(e, instr, delta):
     return False
 
 
-def _emit_fbinop(op_fmt):
+def _emit_fbinop(fmt: str):
     def emit(e: _Emitter, instr: Instruction, delta: int) -> bool:
         a = e.float_expr(instr.srcs[0])
         b = e.float_expr(instr.srcs[1])
-        e.emit(op_fmt.format(d=e.fwrite(instr.dest), a=a, b=b))
+        e.emit(f"{e.fwrite(instr.dest)} = {fmt.format(a=a, b=b)}")
         return False
     return emit
 
 
-def _emit_fcmp(cmp_op):
+def _emit_funop(fmt: str):
+    def emit(e: _Emitter, instr: Instruction, delta: int) -> bool:
+        a = e.freg(instr.srcs[0])
+        e.emit(f"{e.fwrite(instr.dest)} = {fmt.format(a=a)}")
+        return False
+    return emit
+
+
+def _emit_fcmp(fmt: str):
     def emit(e: _Emitter, instr: Instruction, delta: int) -> bool:
         a = e.freg(instr.srcs[0])
         b = e.freg(instr.srcs[1])
-        e.emit(f"{e.iwrite(instr.dest)} = 1 if {a} {cmp_op} {b} else 0")
+        e.emit(f"{e.iwrite(instr.dest)} = {fmt.format(a=a, b=b)}")
         return False
     return emit
 
@@ -1010,11 +990,6 @@ def _emit_fmov(e, instr, delta):
     if isinstance(src, FImm):
         return _emit_fli(e, instr, delta)
     e.emit(f"{e.fwrite(instr.dest)} = {e.freg(src)}")
-    return False
-
-
-def _emit_fneg(e, instr, delta):
-    e.emit(f"{e.fwrite(instr.dest)} = -{e.freg(instr.srcs[0])}")
     return False
 
 
@@ -1046,7 +1021,7 @@ def _emit_cvtif(e, instr, delta):
     if isinstance(src, Imm):
         e.emit(f"{e.fwrite(instr.dest)} = {_flit(float(src.signed))}")
     else:
-        e.emit(f"{e.fwrite(instr.dest)} = float({e.signed_expr(src)})")
+        e.emit(f"{e.fwrite(instr.dest)} = float({e.operand(src, SEXT)})")
     return False
 
 
@@ -1060,36 +1035,20 @@ def _emit_cvtfi(e, instr, delta):
 
 
 _EMITTERS = {
-    Opcode.ADD: _emit_binop("{d} = ({a} + {b}) & {M}"),
-    Opcode.SUB: _emit_binop("{d} = ({a} - {b}) & {M}"),
-    Opcode.MUL: _emit_binop("{d} = ({a} * {b}) & {M}"),
+    **{op: _emit_binop(fmt, modes)
+       for op, (fmt, modes) in INT_BINOPS.items()},
+    **{op: _emit_unop(fmt) for op, fmt in INT_UNOPS.items()},
+    **{op: _emit_branch(cond, modes)
+       for op, (cond, modes) in BRANCHES.items()},
+    **{op: _emit_fbinop(fmt) for op, fmt in FLOAT_BINOPS.items()},
+    **{op: _emit_funop(fmt) for op, fmt in FLOAT_UNOPS.items()},
+    **{op: _emit_fcmp(fmt) for op, fmt in FLOAT_COMPARES.items()},
     Opcode.DIV: _emit_divrem(False),
     Opcode.REM: _emit_divrem(True),
-    Opcode.AND: _emit_binop("{d} = {a} & {b}"),
-    Opcode.OR: _emit_binop("{d} = {a} | {b}"),
-    Opcode.XOR: _emit_binop("{d} = {a} ^ {b}"),
-    Opcode.SHL: _emit_binop("{d} = ({a} << ({b} & 63)) & {M}"),
-    Opcode.SHR: _emit_binop("{d} = {a} >> ({b} & 63)"),
-    Opcode.SRA: _emit_binop("{d} = ({a} >> ({b} & 63)) & {M}",
-                            signed="a"),
-    Opcode.CMPEQ: _emit_binop("{d} = 1 if {a} == {b} else 0"),
-    Opcode.CMPNE: _emit_binop("{d} = 1 if {a} != {b} else 0"),
-    Opcode.CMPLT: _emit_binop("{d} = 1 if {a} < {b} else 0", signed=True),
-    Opcode.CMPLE: _emit_binop("{d} = 1 if {a} <= {b} else 0", signed=True),
-    Opcode.CMPGT: _emit_binop("{d} = 1 if {a} > {b} else 0", signed=True),
-    Opcode.CMPGE: _emit_binop("{d} = 1 if {a} >= {b} else 0", signed=True),
-    Opcode.CMPLTU: _emit_binop("{d} = 1 if {a} < {b} else 0"),
-    Opcode.CMPGEU: _emit_binop("{d} = 1 if {a} >= {b} else 0"),
-    Opcode.NEG: _emit_unop("{d} = (-{a}) & {M}"),
-    Opcode.NOT: _emit_unop("{d} = (~{a}) & {M}"),
     Opcode.LI: _emit_li,
     Opcode.MOV: _emit_mov,
     Opcode.LOAD: _emit_load,
     Opcode.STORE: _emit_store,
-    Opcode.BEQ: _emit_branch("=="),
-    Opcode.BNE: _emit_branch("!="),
-    Opcode.BLT: _emit_branch("<", signed=True),
-    Opcode.BGE: _emit_branch(">=", signed=True),
     Opcode.JMP: _emit_jmp,
     Opcode.CALL: _emit_call,
     Opcode.RET: _emit_ret,
@@ -1099,18 +1058,10 @@ _EMITTERS = {
     Opcode.EXIT: _emit_exit_op,
     Opcode.DETECT: _emit_detect,
     Opcode.NOP: _emit_nop,
-    Opcode.FADD: _emit_fbinop("{d} = {a} + {b}"),
-    Opcode.FSUB: _emit_fbinop("{d} = {a} - {b}"),
-    Opcode.FMUL: _emit_fbinop("{d} = {a} * {b}"),
-    Opcode.FDIV: _emit_fbinop("{d} = _fdiv({a}, {b})"),
-    Opcode.FNEG: _emit_fneg,
     Opcode.FMOV: _emit_fmov,
     Opcode.FLI: _emit_fli,
     Opcode.FLOAD: _emit_fload,
     Opcode.FSTORE: _emit_fstore,
-    Opcode.FCMPEQ: _emit_fcmp("=="),
-    Opcode.FCMPLT: _emit_fcmp("<"),
-    Opcode.FCMPLE: _emit_fcmp("<="),
     Opcode.CVTIF: _emit_cvtif,
     Opcode.CVTFI: _emit_cvtfi,
 }

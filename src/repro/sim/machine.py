@@ -1,7 +1,10 @@
 """The functional architectural simulator.
 
 Programs are compiled once into per-instruction Python closures over the
-machine's register lists, then executed by a tight run loop.  The design
+machine's register lists, then executed by a tight run loop.  Opcodes
+whose meaning is one expression get closures rendered at import time
+from the table the JIT also renders from (:mod:`repro.sim.semantics`),
+one factory per operand shape.  The design
 goals, in order: exact 64-bit two's-complement semantics, fast repeated
 execution (fault-injection campaigns run thousands of trials), and
 precise pause/resume so a fault can be injected between two dynamic
@@ -28,6 +31,7 @@ Closure protocol: each step returns
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from ..analysis.liveness import live_in_masks
 from ..errors import SimulationError
@@ -39,6 +43,17 @@ from ..isa.registers import NUM_GPRS, Register
 from ..obs.spans import span
 from .events import GuestTrap, RunResult, RunStatus, TrapKind
 from .memory import Memory, bits_to_float, float_to_bits
+from .semantics import (
+    BRANCHES,
+    FLOAT_BINOPS,
+    FLOAT_COMPARES,
+    FLOAT_UNOPS,
+    INT_BINOPS,
+    INT_UNOPS,
+    RAW,
+    imm_operand,
+    reg_operand,
+)
 
 ACT_CALL = -2
 ACT_EXIT = -3
@@ -1085,48 +1100,6 @@ def _recovery_entry_step(m):
 # Per-opcode closure factories.  Each returns step(machine) -> action.
 # --------------------------------------------------------------------------
 
-def _binop_factory(pyfunc):
-    def compile_(machine: Machine, instr: Instruction, _index):
-        dest = machine.slot_of(instr.dest)
-        a_is_reg, a = machine._int_operand(instr.srcs[0])
-        b_is_reg, b = machine._int_operand(instr.srcs[1])
-        if a_is_reg and b_is_reg:
-            def step(m, d=dest, ai=a, bi=b, f=pyfunc):
-                r = m.regs
-                r[d] = f(r[ai], r[bi])
-                return None
-        elif a_is_reg:
-            def step(m, d=dest, ai=a, bv=b, f=pyfunc):
-                r = m.regs
-                r[d] = f(r[ai], bv)
-                return None
-        elif b_is_reg:
-            def step(m, d=dest, av=a, bi=b, f=pyfunc):
-                r = m.regs
-                r[d] = f(av, r[bi])
-                return None
-        else:
-            value = pyfunc(a, b)
-
-            def step(m, d=dest, v=value):
-                m.regs[d] = v
-                return None
-        return step
-    return compile_
-
-
-def _op_add(a, b):
-    return (a + b) & MASK64
-
-
-def _op_sub(a, b):
-    return (a - b) & MASK64
-
-
-def _op_mul(a, b):
-    return (a * b) & MASK64
-
-
 def _op_div(a, b):
     if b == 0:
         raise GuestTrap(TrapKind.DIV_BY_ZERO, "integer division by zero")
@@ -1147,79 +1120,96 @@ def _op_rem(a, b):
     return (sa - q * sb) & MASK64
 
 
-def _op_and(a, b):
-    return a & b
+#: Opcodes whose semantics are one expression, rendered into step
+#: closures from :mod:`repro.sim.semantics`, as
+#: ``(opcode, lead, statement, readers, modes)``.  ``lead`` is the
+#: step's first bound value (``d`` the destination slot, ``t`` a
+#: branch's target block).  ``readers`` has one letter per source:
+#: ``r`` an integer register or immediate, ``f`` a float register or
+#: immediate, ``F`` a float register only.
+_TEMPLATED = (
+    *((op, "d", "r[d] = " + fmt, "rr", modes)
+      for op, (fmt, modes) in INT_BINOPS.items()),
+    (Opcode.DIV, "d", "r[d] = _op_div({a}, {b})", "rr", (RAW, RAW)),
+    (Opcode.REM, "d", "r[d] = _op_rem({a}, {b})", "rr", (RAW, RAW)),
+    *((op, "d", "r[d] = " + fmt, "r", (RAW,))
+      for op, fmt in INT_UNOPS.items()),
+    *((op, "t", f"return t if {cond} else None", "rr", modes)
+      for op, (cond, modes) in BRANCHES.items()),
+    *((op, "d", "fr[d] = " + fmt, "ff", (RAW, RAW))
+      for op, fmt in FLOAT_BINOPS.items()),
+    *((op, "d", "fr[d] = " + fmt, "F", (RAW,))
+      for op, fmt in FLOAT_UNOPS.items()),
+    *((op, "d", "r[d] = " + fmt, "FF", (RAW, RAW))
+      for op, fmt in FLOAT_COMPARES.items()),
+)
 
 
-def _op_or(a, b):
-    return a | b
+def _render_step_factories() -> dict:
+    """Compile one step factory per templated opcode and operand shape.
+
+    Returns ``{opcode: (lead, readers, modes, factories)}`` where
+    ``factories[shape](lead, a[, b])`` builds the step closure.  A shape
+    holds one is-register flag per source.  Slots and immediates are
+    bound as default arguments (local loads, the cheapest reads CPython
+    has), and each register file the step touches is loaded once into
+    ``r`` (integer) or ``fr`` (float).
+    """
+    lines: list[str] = []
+    shapes_of: dict = {}
+    for op, lead, stmt, readers, modes in _TEMPLATED:
+        names = "ab"[:len(readers)]
+        params = ", ".join((lead, *names))
+        bound = ", ".join(f"{p}={p}" for p in (lead, *names))
+        shapes_of[op] = []
+        for shape in product(*((True,) if r == "F" else (True, False)
+                               for r in readers)):
+            fields = {name: (reg_operand(f"{'r' if r == 'r' else 'fr'}"
+                                         f"[{name}]", mode)
+                             if is_reg else name)
+                      for name, r, mode, is_reg
+                      in zip(names, readers, modes, shape)}
+            body = stmt.format(M=MASK64, **fields)
+            files = {"r" if reader == "r" else "fr"
+                     for reader, is_reg in zip(readers, shape) if is_reg}
+            if lead == "d":
+                files.add(stmt.partition("[")[0])
+            setup = [f"{file} = m.{'regs' if file == 'r' else 'fregs'}"
+                     for file in sorted(files)]
+            name = f"_{op.name}_{''.join('ri'[not f] for f in shape)}"
+            shapes_of[op].append((shape, name))
+            lines += [f"def {name}({params}):",
+                      f"    def step(m, {bound}):",
+                      *(f"        {line}" for line in (*setup, body)),
+                      "    return step"]
+    namespace = {"_op_div": _op_div, "_op_rem": _op_rem, "_fdiv": _fop_div}
+    exec(compile("\n".join(lines), "<sim.steps>", "exec"),  # noqa: S102
+         namespace)
+    return {op: (lead, readers, modes,
+                 {shape: namespace[name] for shape, name in shapes_of[op]})
+            for op, lead, _stmt, readers, modes in _TEMPLATED}
 
 
-def _op_xor(a, b):
-    return a ^ b
-
-
-def _op_shl(a, b):
-    return (a << (b & 63)) & MASK64
-
-
-def _op_shr(a, b):
-    return a >> (b & 63)
-
-
-def _op_sra(a, b):
-    return (_signed(a) >> (b & 63)) & MASK64
-
-
-def _op_cmpeq(a, b):
-    return 1 if a == b else 0
-
-
-def _op_cmpne(a, b):
-    return 1 if a != b else 0
-
-
-def _op_cmplt(a, b):
-    return 1 if _signed(a) < _signed(b) else 0
-
-
-def _op_cmple(a, b):
-    return 1 if _signed(a) <= _signed(b) else 0
-
-
-def _op_cmpgt(a, b):
-    return 1 if _signed(a) > _signed(b) else 0
-
-
-def _op_cmpge(a, b):
-    return 1 if _signed(a) >= _signed(b) else 0
-
-
-def _op_cmpltu(a, b):
-    return 1 if a < b else 0
-
-
-def _op_cmpgeu(a, b):
-    return 1 if a >= b else 0
-
-
-def _compile_unop(pyfunc):
-    def compile_(machine: Machine, instr: Instruction, _index):
-        dest = machine.slot_of(instr.dest)
-        is_reg, a = machine._int_operand(instr.srcs[0])
-        if is_reg:
-            def step(m, d=dest, ai=a, f=pyfunc):
-                r = m.regs
-                r[d] = f(r[ai])
-                return None
+def _compile_templated(machine: Machine, instr: Instruction, block_index):
+    """Bind one instruction's slots and immediates into the step
+    factory for its operand shape."""
+    lead, readers, modes, factories = _STEP_FACTORIES[instr.op]
+    values = [block_index[instr.label] if lead == "t"
+              else machine.slot_of(instr.dest)]
+    shape = []
+    for k, (reader, mode) in enumerate(zip(readers, modes)):
+        operand = instr.srcs[k]
+        if reader == "r":
+            is_reg, value = machine._int_operand(operand)
+            if not is_reg:
+                value = imm_operand(value, mode)
+        elif reader == "f" and isinstance(operand, FImm):
+            is_reg, value = False, operand.value
         else:
-            value = pyfunc(a)
-
-            def step(m, d=dest, v=value):
-                m.regs[d] = v
-                return None
-        return step
-    return compile_
+            is_reg, value = True, machine.slot_of(operand)
+        shape.append(is_reg)
+        values.append(value)
+    return factories[tuple(shape)](*values)
 
 
 def _compile_li(machine: Machine, instr: Instruction, _index):
@@ -1253,79 +1243,44 @@ def _compile_load(machine: Machine, instr: Instruction, _index):
 
     def step(m, d=dest, b=base, off=offset):
         addr = (m.regs[b] + off) & MASK64
-        mem = m.memory
-        mem.check(addr)
-        value = mem.cells.get(addr, 0)
+        # ``cells`` holds exactly the data image plus validly stored
+        # words, so a hit proves the address valid: only a miss needs
+        # the check, and a valid miss reads 0 (the JIT's rule too).
+        try:
+            value = m.memory.cells[addr]
+        except KeyError:
+            m.memory.check(addr)
+            value = 0
         if type(value) is float:
             value = float_to_bits(value)
         m.regs[d] = value
-        return None
     return step
 
 
 def _compile_store(machine: Machine, instr: Instruction, _index):
+    """Only an address not yet in ``cells`` is checked: one already
+    there was checked by whoever stored it first (see
+    :func:`_compile_load`)."""
     base = machine.slot_of(instr.srcs[0])
     offset = instr.srcs[1].signed
     value_operand = instr.srcs[2]
     if isinstance(value_operand, Imm):
-        imm = value_operand.value
-
-        def step(m, b=base, off=offset, v=imm):
+        def step(m, b=base, off=offset, v=value_operand.value):
             addr = (m.regs[b] + off) & MASK64
-            mem = m.memory
-            mem.check(addr)
-            mem.cells[addr] = v
-            return None
+            cells = m.memory.cells
+            if addr not in cells:
+                m.memory.check(addr)
+            cells[addr] = v
         return step
     src = machine.slot_of(value_operand)
 
     def step(m, b=base, off=offset, s=src):
         addr = (m.regs[b] + off) & MASK64
-        mem = m.memory
-        mem.check(addr)
-        mem.cells[addr] = m.regs[s]
-        return None
+        cells = m.memory.cells
+        if addr not in cells:
+            m.memory.check(addr)
+        cells[addr] = m.regs[s]
     return step
-
-
-def _branch_factory(test):
-    def compile_(machine: Machine, instr: Instruction, block_index):
-        target = block_index[instr.label]
-        a_is_reg, a = machine._int_operand(instr.srcs[0])
-        b_is_reg, b = machine._int_operand(instr.srcs[1])
-        if a_is_reg and b_is_reg:
-            def step(m, ai=a, bi=b, t=target, f=test):
-                r = m.regs
-                return t if f(r[ai], r[bi]) else None
-        elif a_is_reg:
-            def step(m, ai=a, bv=b, t=target, f=test):
-                return t if f(m.regs[ai], bv) else None
-        elif b_is_reg:
-            def step(m, av=a, bi=b, t=target, f=test):
-                return t if f(av, m.regs[bi]) else None
-        else:
-            taken = test(a, b)
-
-            def step(m, t=target if taken else None):
-                return t
-        return step
-    return compile_
-
-
-def _test_eq(a, b):
-    return a == b
-
-
-def _test_ne(a, b):
-    return a != b
-
-
-def _test_lt(a, b):
-    return _signed(a) < _signed(b)
-
-
-def _test_ge(a, b):
-    return _signed(a) >= _signed(b)
 
 
 def _compile_jmp(machine: Machine, instr: Instruction, block_index):
@@ -1480,39 +1435,6 @@ def _compile_nop(machine: Machine, instr: Instruction, _index):
 
 
 # ----------------------------------------------------------------- FP ops
-def _fbinop_factory(pyfunc):
-    def compile_(machine: Machine, instr: Instruction, _index):
-        dest = machine.slot_of(instr.dest)
-        slots = []
-        for src in instr.srcs:
-            if isinstance(src, FImm):
-                slots.append((False, src.value))
-            else:
-                slots.append((True, machine.slot_of(src)))
-        (a_reg, a), (b_reg, b) = slots
-
-        def step(m, d=dest, ar=a_reg, av=a, br=b_reg, bv=b, f=pyfunc):
-            fr = m.fregs
-            x = fr[av] if ar else av
-            y = fr[bv] if br else bv
-            fr[d] = f(x, y)
-            return None
-        return step
-    return compile_
-
-
-def _fop_add(a, b):
-    return a + b
-
-
-def _fop_sub(a, b):
-    return a - b
-
-
-def _fop_mul(a, b):
-    return a * b
-
-
 def _fop_div(a, b):
     # Emulate IEEE-754 semantics, which Python's ``/`` turns into
     # ``ZeroDivisionError``: x/0 is +/-inf, 0/0 and nan/0 are nan.
@@ -1521,20 +1443,6 @@ def _fop_div(a, b):
             return float("nan")
         return float("inf") if a > 0 else float("-inf")
     return a / b
-
-
-def _fcmp_factory(pyfunc):
-    def compile_(machine: Machine, instr: Instruction, _index):
-        dest = machine.slot_of(instr.dest)
-        a = machine.slot_of(instr.srcs[0])
-        b = machine.slot_of(instr.srcs[1])
-
-        def step(m, d=dest, ai=a, bi=b, f=pyfunc):
-            fr = m.fregs
-            m.regs[d] = 1 if f(fr[ai], fr[bi]) else 0
-            return None
-        return step
-    return compile_
 
 
 def _compile_fli(machine: Machine, instr: Instruction, _index):
@@ -1561,17 +1469,6 @@ def _compile_fmov(machine: Machine, instr: Instruction, _index):
     return step
 
 
-def _compile_fneg(machine: Machine, instr: Instruction, _index):
-    dest = machine.slot_of(instr.dest)
-    slot = machine.slot_of(instr.srcs[0])
-
-    def step(m, d=dest, s=slot):
-        fr = m.fregs
-        fr[d] = -fr[s]
-        return None
-    return step
-
-
 def _compile_fload(machine: Machine, instr: Instruction, _index):
     dest = machine.slot_of(instr.dest)
     base = machine.slot_of(instr.srcs[0])
@@ -1579,38 +1476,38 @@ def _compile_fload(machine: Machine, instr: Instruction, _index):
 
     def step(m, d=dest, b=base, off=offset):
         addr = (m.regs[b] + off) & MASK64
-        mem = m.memory
-        mem.check(addr)
-        value = mem.cells.get(addr, 0)
+        try:
+            value = m.memory.cells[addr]
+        except KeyError:
+            m.memory.check(addr)
+            value = 0
         if type(value) is not float:
             value = bits_to_float(value)
         m.fregs[d] = value
-        return None
     return step
 
 
 def _compile_fstore(machine: Machine, instr: Instruction, _index):
+    """Checks the address as :func:`_compile_store` does."""
     base = machine.slot_of(instr.srcs[0])
     offset = instr.srcs[1].signed
     value_operand = instr.srcs[2]
     if isinstance(value_operand, FImm):
-        imm = float(value_operand.value)
-
-        def step(m, b=base, off=offset, v=imm):
+        def step(m, b=base, off=offset, v=float(value_operand.value)):
             addr = (m.regs[b] + off) & MASK64
-            mem = m.memory
-            mem.check(addr)
-            mem.cells[addr] = v
-            return None
+            cells = m.memory.cells
+            if addr not in cells:
+                m.memory.check(addr)
+            cells[addr] = v
         return step
     src = machine.slot_of(value_operand)
 
     def step(m, b=base, off=offset, s=src):
         addr = (m.regs[b] + off) & MASK64
-        mem = m.memory
-        mem.check(addr)
-        mem.cells[addr] = m.fregs[s]
-        return None
+        cells = m.memory.cells
+        if addr not in cells:
+            m.memory.check(addr)
+        cells[addr] = m.fregs[s]
     return step
 
 
@@ -1646,36 +1543,14 @@ def _compile_cvtfi(machine: Machine, instr: Instruction, _index):
     return step
 
 
+_STEP_FACTORIES = _render_step_factories()
+
 _COMPILERS = {
-    Opcode.ADD: _binop_factory(_op_add),
-    Opcode.SUB: _binop_factory(_op_sub),
-    Opcode.MUL: _binop_factory(_op_mul),
-    Opcode.DIV: _binop_factory(_op_div),
-    Opcode.REM: _binop_factory(_op_rem),
-    Opcode.AND: _binop_factory(_op_and),
-    Opcode.OR: _binop_factory(_op_or),
-    Opcode.XOR: _binop_factory(_op_xor),
-    Opcode.SHL: _binop_factory(_op_shl),
-    Opcode.SHR: _binop_factory(_op_shr),
-    Opcode.SRA: _binop_factory(_op_sra),
-    Opcode.CMPEQ: _binop_factory(_op_cmpeq),
-    Opcode.CMPNE: _binop_factory(_op_cmpne),
-    Opcode.CMPLT: _binop_factory(_op_cmplt),
-    Opcode.CMPLE: _binop_factory(_op_cmple),
-    Opcode.CMPGT: _binop_factory(_op_cmpgt),
-    Opcode.CMPGE: _binop_factory(_op_cmpge),
-    Opcode.CMPLTU: _binop_factory(_op_cmpltu),
-    Opcode.CMPGEU: _binop_factory(_op_cmpgeu),
-    Opcode.NEG: _compile_unop(lambda a: (-a) & MASK64),
-    Opcode.NOT: _compile_unop(lambda a: (~a) & MASK64),
+    **{op: _compile_templated for op in _STEP_FACTORIES},
     Opcode.LI: _compile_li,
     Opcode.MOV: _compile_mov,
     Opcode.LOAD: _compile_load,
     Opcode.STORE: _compile_store,
-    Opcode.BEQ: _branch_factory(_test_eq),
-    Opcode.BNE: _branch_factory(_test_ne),
-    Opcode.BLT: _branch_factory(_test_lt),
-    Opcode.BGE: _branch_factory(_test_ge),
     Opcode.JMP: _compile_jmp,
     Opcode.CALL: _compile_call,
     Opcode.RET: _compile_ret,
@@ -1685,18 +1560,10 @@ _COMPILERS = {
     Opcode.EXIT: _compile_exit,
     Opcode.DETECT: _compile_detect,
     Opcode.NOP: _compile_nop,
-    Opcode.FADD: _fbinop_factory(_fop_add),
-    Opcode.FSUB: _fbinop_factory(_fop_sub),
-    Opcode.FMUL: _fbinop_factory(_fop_mul),
-    Opcode.FDIV: _fbinop_factory(_fop_div),
-    Opcode.FNEG: _compile_fneg,
     Opcode.FMOV: _compile_fmov,
     Opcode.FLI: _compile_fli,
     Opcode.FLOAD: _compile_fload,
     Opcode.FSTORE: _compile_fstore,
-    Opcode.FCMPEQ: _fcmp_factory(lambda a, b: a == b),
-    Opcode.FCMPLT: _fcmp_factory(lambda a, b: a < b),
-    Opcode.FCMPLE: _fcmp_factory(lambda a, b: a <= b),
     Opcode.CVTIF: _compile_cvtif,
     Opcode.CVTFI: _compile_cvtfi,
 }

@@ -32,7 +32,7 @@ from time import perf_counter
 
 from ..errors import SimulationError
 from ..faults.campaign import CampaignResult
-from ..faults.injector import CheckpointStore, fault_landed
+from ..faults.injector import CheckpointStore, fault_landed, run_in_site_order
 from ..faults.outcomes import Outcome, classify
 from ..faults.parallel import run_parallel_campaign
 from ..isa.program import Program
@@ -363,8 +363,8 @@ class _Arm:
 
     def _run_serial(self, sites, strata) -> list[Outcome]:
         outcomes = []
-        for site, stratum in zip(sites, strata):
-            faulty = self.store.run_with_fault(site)
+        runs = run_in_site_order(self.store.run_with_fault, sites)
+        for site, stratum, (faulty, _) in zip(sites, strata, runs):
             outcome = classify(self.golden, faulty)
             self.result.record(outcome, recovered=faulty.recoveries > 0,
                                landed=fault_landed(site, faulty))

@@ -1,11 +1,15 @@
 """Checkpointed campaign execution: snapshot fidelity, convergence
 fast-forward correctness, and never-landed accounting."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
+from repro.faults.injector import run_in_site_order
 from repro.faults import (
     CampaignResult,
+    CheckpointStore,
     FaultSite,
     Outcome,
     build_checkpoints,
@@ -20,6 +24,7 @@ from repro.lang import compile_source
 from repro.obs.campaign_log import CampaignLog
 from repro.sim import Machine, RunStatus
 from repro.sim.jit import attach_jit
+from repro.sim.taint import TaintTracker
 from repro.transform import Technique, allocate_program, protect
 from repro.transform.protect import PAPER_TECHNIQUES
 
@@ -159,13 +164,13 @@ def _cell_id(cell):
         else f"{workload}-{technique.value}"
 
 
-@pytest.mark.parametrize("cell", _REPLAY_CELLS, ids=_cell_id)
-def test_checkpointed_trials_match_full_replay(cell):
-    """Checkpointed trials, on both engines, equal full replay-from-zero
-    on every result field, and each convergence rule actually splices:
-    dead-register matches everywhere, shifted ones wherever repair code
-    runs (TRUMP and SWIFT-R)."""
-    workload, technique, trials = cell
+@pytest.fixture(scope="module", params=_REPLAY_CELLS, ids=_cell_id)
+def replay_cell(request):
+    """``(technique, program, interval, sites, full)`` for one
+    ``_REPLAY_CELLS`` cell, shared by the tests that take it (pytest
+    runs them cell by cell): ``full(site)`` is the site's result under
+    full replay from instruction 0, computed once."""
+    workload, technique, trials = request.param
     if workload is None:
         program = _protected(FLOAT_MEM_SOURCE, technique)
         interval = 128
@@ -181,18 +186,67 @@ def test_checkpointed_trials_match_full_replay(cell):
         sites = sample_sites(3, golden.instructions, trials)
     else:
         sites = _stratified_sites(golden.instructions, trials, seed=13)
-    full = [run_with_fault(reference, site) for site in sites]
+    results = {}
+
+    def full(site):
+        if site not in results:
+            results[site] = run_with_fault(reference, site)
+        return results[site]
+    return technique, program, interval, sites, full
+
+
+def test_checkpointed_trials_match_full_replay(replay_cell):
+    """Checkpointed trials, on both engines, equal full replay-from-zero
+    on every result field, and each convergence rule actually splices:
+    dead-register matches everywhere, shifted ones wherever repair code
+    runs (TRUMP and SWIFT-R)."""
+    technique, program, interval, sites, full = replay_cell
     for jit in (False, True):
         machine = Machine(program)
         if jit:
             attach_jit(machine)
         store = build_checkpoints(machine, interval=interval)
         kinds = _recording_splices(store)
-        for site, expected in zip(sites, full):
-            _results_identical(store.run_with_fault(site), expected)
+        for site in sites:
+            _results_identical(store.run_with_fault(site), full(site))
         assert "dead" in kinds
         if technique not in (Technique.NOFT, Technique.MASK):
             assert "shifted" in kinds       # repair code delays rejoining
+
+
+def test_cursor_orders_match_full_replay(replay_cell):
+    """Replaying from the previous trial's site (the golden cursor)
+    changes no result: the cell's sites shuffled, reversed and repeated,
+    plus one at icount 0 and one on a checkpoint boundary, equal full
+    replay on every field on both engines, and a site past the golden
+    end still returns the clean golden run."""
+    _technique, program, interval, sites, full = replay_cell
+    shuffled = list(sites)
+    random.Random(29).shuffle(shuffled)
+    repeated = [site for site in sites[::4] for _ in range(2)]
+    for jit in (False, True):
+        machine = Machine(program)
+        if jit:
+            attach_jit(machine)
+        store = build_checkpoints(machine, interval=interval)
+        boundary = store.snapshots[len(store.snapshots) // 2].icount
+        edges = [FaultSite(0, sites[0].reg_index, sites[0].bit),
+                 FaultSite(boundary, sites[1].reg_index, sites[1].bit)]
+        restored = []
+
+        def recording_restore(snap, restore=machine.restore):
+            restored.append(snap)
+            restore(snap)
+        machine.restore = recording_restore
+        for site in [*shuffled, *reversed(sites), *repeated, *edges,
+                     *sites]:
+            assert store.run_with_fault(site) == full(site), site
+        # Some trials started from the cursor, not a checkpoint.
+        assert any(all(snap is not s for s in store.snapshots)
+                   for snap in restored)
+        assert store.cursor is not None
+        past = FaultSite(store.golden.instructions + 5, 5, 3)
+        assert store.run_with_fault(past) == store.golden
 
 
 def test_shifted_splice_refuses_past_max_instructions():
@@ -222,6 +276,57 @@ def test_shifted_splice_refuses_past_max_instructions():
     _results_identical(checkpointed, run_with_fault(tight, site))
 
 
+def _dead_site_after_last_checkpoint(store):
+    """A fault site past the store's last checkpoint whose register is
+    dead there: flipping it leaves a state that matches the golden one
+    at the same icount."""
+    from repro.faults.model import INJECTABLE_GPRS
+
+    machine = store.machine
+    last = store.snapshots[-1]
+    for icount in range(last.icount + 1, store.golden.instructions):
+        machine.restore(last)
+        machine.run(icount)
+        paused = machine.snapshot()
+        for reg in INJECTABLE_GPRS:
+            machine.restore(paused)
+            machine.flip_register_bit(reg, 9)
+            if machine.state_matches(paused):
+                return FaultSite(icount, reg, 9)
+    pytest.fail("no dead register after the last checkpoint")
+
+
+def test_dead_register_flip_splices_at_the_site():
+    """The site is a convergence point: a flip into a register dead
+    there splices before any faulty instruction runs.  Under taint the
+    compare is exact, so the same trial runs out (no checkpoint follows
+    it) without reporting convergence; a store built without
+    fast-forward never splices.  All three equal full replay."""
+    program = _protected(FLOAT_MEM_SOURCE)
+    machine = Machine(program)
+    store = build_checkpoints(machine, interval=128)
+    site = _dead_site_after_last_checkpoint(store)
+    expected = run_with_fault(Machine(program), site)
+
+    assert store.run_with_fault(site) == expected
+    assert machine.icount == site.dynamic_index
+    assert store.fast_forwards == 1
+
+    tracker = TaintTracker()
+    assert store.run_with_fault(site, taint=tracker) == expected
+    assert machine.icount == expected.instructions
+    assert tracker.converged_at is None
+    assert store.fast_forwards == 1
+
+    plain = CheckpointStore(Machine(program), interval=128,
+                            fast_forward=False)
+    golden = plain.build()
+    for other in [site, *sample_sites(1, golden.instructions, 30)]:
+        assert plain.run_with_fault(other) == run_with_fault(
+            Machine(program), other)
+    assert plain.fast_forwards == 0
+
+
 def test_checkpointed_campaign_matches_serial(simple_program):
     log_serial, log_ckpt = CampaignLog(), CampaignLog()
     serial = run_campaign(simple_program, trials=60, seed=11,
@@ -230,6 +335,54 @@ def test_checkpointed_campaign_matches_serial(simple_program):
                         log=log_ckpt, checkpoint_interval=16)
     assert serial == ckpt
     assert log_serial.records == log_ckpt.records
+
+
+def test_campaign_runs_sites_in_ascending_order(simple_program,
+                                               monkeypatch):
+    """A seeded campaign draws sites in random order but runs them
+    ascending, so trials restore from the cursor, while its counts and
+    trial records stay in trial order and equal full replay's."""
+    calls, restored = [], []
+    run, restore = CheckpointStore.run_with_fault, Machine.restore
+
+    def recording_run(store, site, taint=None):
+        calls.append(site.dynamic_index)
+        return run(store, site, taint)
+
+    def recording_restore(machine, snap):
+        restored.append(snap)
+        restore(machine, snap)
+    monkeypatch.setattr(CheckpointStore, "run_with_fault", recording_run)
+    monkeypatch.setattr(Machine, "restore", recording_restore)
+    log = CampaignLog()
+    result = run_campaign(simple_program, trials=60, seed=11, log=log,
+                          checkpoint_interval=16)
+    assert calls == sorted(calls) != [r.dynamic_index for r in log.records]
+    assert [r.trial for r in log.records] == list(range(60))
+    assert sum(snap.icount % 16 != 0 for snap in restored) > 30
+
+    reference = CampaignLog()
+    assert result == run_campaign(simple_program, trials=60, seed=11,
+                                  log=reference, checkpoint_interval=0)
+    assert log.records == reference.records
+
+
+def test_run_in_site_order_ticks_and_returns_in_trial_order():
+    sites = [FaultSite(i, 3, 1) for i in (40, 7, 40, 0, 12)]
+    ran, ticks = [], []
+
+    def run_trial(site, taint=None):
+        ran.append(site.dynamic_index)
+        return site.dynamic_index * 2
+
+    runs = run_in_site_order(run_trial, sites, taint=True,
+                             tick=ticks.append)
+    assert ran == [0, 7, 12, 40, 40]
+    assert [faulty for faulty, _ in runs] == [80, 14, 80, 0, 24]
+    trackers = [tracker for _, tracker in runs]
+    assert all(isinstance(t, TaintTracker) for t in trackers)
+    assert len(set(map(id, trackers))) == len(sites)
+    assert ticks == [1, 2, 3, 4, 5]
 
 
 def test_fast_forward_engages_on_protected_code():

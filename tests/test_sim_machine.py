@@ -1,9 +1,12 @@
 """Functional simulator semantics: opcode by opcode, plus control flow,
 pause/resume, traps, and fault flipping."""
 
+import math
+
 import pytest
 
 from repro.isa import (
+    FImm,
     Function,
     IRBuilder,
     Imm,
@@ -11,7 +14,12 @@ from repro.isa import (
     Program,
     parse_program,
 )
+from repro.isa.instruction import Instruction
+from repro.isa.opcodes import Opcode
+from repro.isa.operands import to_signed
+from repro.isa.program import HEAP_BASE
 from repro.sim import Machine, RunStatus, TrapKind, run_program
+from repro.sim.jit import attach_jit
 
 
 def run_main(body_builder):
@@ -333,3 +341,278 @@ def test_main_return_ends_program(simple_program):
     result = run_program(simple_program)
     assert result.status is RunStatus.EXITED
     assert result.exit_code == 0
+
+
+# ------------------------------------- opcode semantics, both engines
+# The interpreter and the JIT render their opcodes from one template
+# table (repro.sim.semantics), so differential tests between them
+# cannot catch a wrong template.  These check every templated opcode
+# against meanings written out here, on signed Python ints, independent
+# of the templates.
+
+INT_MAX = (1 << 63) - 1
+EDGES = (0, 1, -1, INT_MIN, INT_MAX)
+SHIFT_COUNTS = (0, 63, 64, -1)
+
+
+def _wrap(value):
+    """``value`` mod 2**64, in the signed view PRINT reports."""
+    return to_signed(value)
+
+
+def _trunc_div(a, b):
+    quotient = a // b
+    if quotient < 0 and quotient * b != a:
+        quotient += 1                   # C rounds toward zero, not down
+    return quotient
+
+
+def _ieee_div(a, b):
+    if b:
+        return a / b
+    return math.copysign(math.inf, a) if a else math.nan  # b is +0.0
+
+
+#: Opcode -> meaning on signed operands.  Shift counts use their low
+#: six bits (the ISA's rule); SHR and the unsigned compares view their
+#: operands as unsigned.
+REFERENCE = {
+    Opcode.ADD: lambda a, b: _wrap(a + b),
+    Opcode.SUB: lambda a, b: _wrap(a - b),
+    Opcode.MUL: lambda a, b: _wrap(a * b),
+    Opcode.DIV: lambda a, b: _wrap(_trunc_div(a, b)),
+    Opcode.REM: lambda a, b: _wrap(a - b * _trunc_div(a, b)),
+    Opcode.AND: lambda a, b: a & b,
+    Opcode.OR: lambda a, b: a | b,
+    Opcode.XOR: lambda a, b: a ^ b,
+    Opcode.SHL: lambda a, b: _wrap(a << b % 64),
+    Opcode.SHR: lambda a, b: _wrap(a % 2 ** 64 >> b % 64),
+    Opcode.SRA: lambda a, b: a >> b % 64,
+    Opcode.CMPEQ: lambda a, b: int(a == b),
+    Opcode.CMPNE: lambda a, b: int(a != b),
+    Opcode.CMPLT: lambda a, b: int(a < b),
+    Opcode.CMPLE: lambda a, b: int(a <= b),
+    Opcode.CMPGT: lambda a, b: int(a > b),
+    Opcode.CMPGE: lambda a, b: int(a >= b),
+    Opcode.CMPLTU: lambda a, b: int(a % 2 ** 64 < b % 2 ** 64),
+    Opcode.CMPGEU: lambda a, b: int(a % 2 ** 64 >= b % 2 ** 64),
+    Opcode.NEG: lambda a: _wrap(-a),
+    Opcode.NOT: lambda a: ~a,
+    Opcode.BEQ: lambda a, b: a == b,
+    Opcode.BNE: lambda a, b: a != b,
+    Opcode.BLT: lambda a, b: a < b,
+    Opcode.BGE: lambda a, b: a >= b,
+    Opcode.FADD: lambda a, b: a + b,
+    Opcode.FSUB: lambda a, b: a - b,
+    Opcode.FMUL: lambda a, b: a * b,
+    Opcode.FDIV: lambda a, b: _ieee_div(a, b),
+    Opcode.FNEG: lambda a: -a,
+    Opcode.FCMPEQ: lambda a, b: int(a == b),
+    Opcode.FCMPLT: lambda a, b: int(a < b),
+    Opcode.FCMPLE: lambda a, b: int(a <= b),
+}
+
+_SHIFTS = (Opcode.SHL, Opcode.SHR, Opcode.SRA)
+_BRANCHES = (Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE)
+_FLOAT_BINOPS = (Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV)
+_FLOAT_COMPARES = (Opcode.FCMPEQ, Opcode.FCMPLT, Opcode.FCMPLE)
+FLOATS = (0.0, 1.5, -2.0, math.inf)
+
+
+@pytest.mark.parametrize("op,a,b,expected", [
+    (Opcode.SHL, 1, 63, INT_MIN),
+    (Opcode.SHL, 1, 64, 1),
+    (Opcode.SHL, 1, -1, INT_MIN),
+    (Opcode.SHR, -1, 0, -1),
+    (Opcode.SHR, -1, 63, 1),
+    (Opcode.SHR, INT_MIN, -1, 1),
+    (Opcode.SRA, INT_MIN, 63, -1),
+    (Opcode.SRA, INT_MIN, 64, INT_MIN),
+    (Opcode.SRA, INT_MAX, -1, 0),
+    (Opcode.ADD, INT_MAX, 1, INT_MIN),
+    (Opcode.SUB, INT_MIN, 1, INT_MAX),
+    (Opcode.MUL, INT_MIN, -1, INT_MIN),
+    (Opcode.DIV, INT_MIN, -1, INT_MIN),
+    (Opcode.DIV, -7, 2, -3),
+    (Opcode.REM, -7, 2, -1),
+    (Opcode.REM, INT_MIN, -1, 0),
+    (Opcode.NOT, INT_MIN, None, INT_MAX),
+    (Opcode.NEG, INT_MIN, None, INT_MIN),
+    (Opcode.CMPLT, INT_MIN, INT_MAX, 1),
+    (Opcode.CMPLTU, INT_MIN, INT_MAX, 0),
+    (Opcode.CMPGEU, -1, INT_MAX, 1),
+    (Opcode.BLT, -1, 0, True),
+    (Opcode.BGE, INT_MIN, INT_MAX, False),
+    (Opcode.BGE, INT_MAX, INT_MIN, True),
+])
+def test_reference_semantics_edges(op, a, b, expected):
+    """Pin the reference table on the edges it is used for."""
+    args = (a,) if b is None else (a, b)
+    assert REFERENCE[op](*args) == expected
+
+
+def test_reference_covers_every_templated_opcode():
+    from repro.sim.machine import _STEP_FACTORIES
+
+    assert set(REFERENCE) == set(_STEP_FACTORIES)
+
+
+def _int_cases(op):
+    counts = SHIFT_COUNTS if op in _SHIFTS else EDGES
+    return [(a, b) for a in EDGES for b in counts
+            if not (op in (Opcode.DIV, Opcode.REM) and b == 0)]
+
+
+def _semantics_program():
+    """Every templated opcode in every operand shape it has, each
+    result printed; returns the program and the expected output."""
+    program = Program()
+    fn = Function("main")
+    program.add_function(fn)
+    b = IRBuilder(fn)
+    b.start_block("entry")
+    x, y, r = b.new_reg(), b.new_reg(), b.new_reg()
+    fx, fy, fr = b.new_freg(), b.new_freg(), b.new_freg()
+    expected = []
+
+    def operands(a, bv, shape, fl=False):
+        load = b.fli if fl else b.li
+        left = load(a, dest=fx if fl else x) if shape[0] == "r" else a
+        right = load(bv, dest=fy if fl else y) if shape[1] == "r" else bv
+        return left, right
+
+    for op in REFERENCE:
+        if op in (*_BRANCHES, Opcode.NEG, Opcode.NOT, Opcode.FNEG):
+            continue
+        fl = op in _FLOAT_BINOPS or op in _FLOAT_COMPARES
+        cases = ([(a, c) for a in FLOATS for c in FLOATS] if fl
+                 else _int_cases(op))
+        shapes = ("rr",) if op in _FLOAT_COMPARES else ("rr", "ri", "ir")
+        for shape in shapes:
+            for a, c in cases:
+                left, right = operands(a, c, shape, fl)
+                if op in _FLOAT_BINOPS:
+                    b._binop(op, left, right, fr, is_float=True)
+                    b.fprint(fr)
+                else:
+                    b._binop(op, left, right, r)
+                    b.print_(r)
+                expected.append(REFERENCE[op](a, c))
+    for op in (Opcode.NEG, Opcode.NOT):
+        for a in EDGES:
+            b.emit(Instruction(op, dest=r, srcs=(b.li(a, dest=x),)))
+            b.print_(r)
+            b.emit(Instruction(op, dest=r, srcs=(Imm(a),)))
+            b.print_(r)
+            expected += [REFERENCE[op](a)] * 2
+    for a in FLOATS:
+        b.fneg(b.fli(a, dest=fx), dest=fr)
+        b.fprint(fr)
+        expected.append(-a)
+    for k, (op, shape, a, c) in enumerate(
+            (op, shape, a, c) for op in _BRANCHES
+            for shape in ("rr", "ri", "ir")
+            for a in EDGES for c in EDGES):
+        left, right = operands(a, c, shape)
+        b.li(0, dest=r)
+        b.emit(Instruction(op, srcs=(b._operand(left), b._operand(right)),
+                           label=f"taken{k}"))
+        b.start_block(f"fall{k}")
+        b.jmp(f"join{k}")
+        b.start_block(f"taken{k}")
+        b.li(1, dest=r)
+        b.start_block(f"join{k}")
+        b.print_(r)
+        expected.append(int(REFERENCE[op](a, c)))
+    b.ret()
+    return program, expected
+
+
+def _same(got, want):
+    return got == want or (got != got and want != want)
+
+
+@pytest.mark.parametrize("jit", [False, True], ids=["interp", "jit"])
+def test_templated_opcodes_match_reference(jit):
+    program, expected = _semantics_program()
+    machine = Machine(program)
+    if jit:
+        driver, _resumes = attach_jit(machine).tables("main")
+        assert driver is not None
+    result = machine.run()
+    assert result.status is RunStatus.EXITED
+    assert len(result.output) == len(expected)
+    wrong = [(k, got, want) for k, (got, want)
+             in enumerate(zip(result.output, expected))
+             if not _same(got, want)]
+    assert not wrong
+
+
+def _memory_program(body):
+    program = Program()
+    fn = Function("main")
+    program.add_function(fn)
+    b = IRBuilder(fn)
+    b.start_block("entry")
+    body(b)
+    b.ret()
+    return program
+
+
+def _store_int(b, base):
+    b.store(base, b.li(7))
+
+
+def _store_imm(b, base):
+    b.emit(Instruction(Opcode.STORE, srcs=(base, Imm(0), Imm(7))))
+
+
+def _store_float(b, base):
+    b.fstore(base, b.fli(1.5))
+
+
+def _store_float_imm(b, base):
+    b.emit(Instruction(Opcode.FSTORE, srcs=(base, Imm(0), FImm(1.5))))
+
+
+@pytest.mark.parametrize("jit", [False, True], ids=["interp", "jit"])
+@pytest.mark.parametrize("addr", [0xDEAD0000, HEAP_BASE + 4],
+                         ids=["unmapped", "misaligned"])
+@pytest.mark.parametrize("store", [_store_int, _store_imm, _store_float,
+                                   _store_float_imm],
+                         ids=["int", "imm", "float", "float-imm"])
+def test_bad_store_traps_before_writing(jit, addr, store):
+    def body(b):
+        store(b, b.li(addr))
+        b.print_(b.li(1))
+
+    program = _memory_program(body)
+    instrs = program.functions["main"].blocks[0].instructions
+    stored_at = next(k for k, instr in enumerate(instrs)
+                     if instr.op in (Opcode.STORE, Opcode.FSTORE))
+    machine = Machine(program)
+    if jit:
+        attach_jit(machine)
+    result = machine.run()
+    assert result.status is RunStatus.TRAPPED
+    assert result.trap_kind is TrapKind.SEGFAULT
+    assert result.instructions == stored_at + 1
+    assert addr not in machine.memory.cells
+    assert result.output == []
+
+
+@pytest.mark.parametrize("jit", [False, True], ids=["interp", "jit"])
+def test_load_miss_on_valid_address_reads_zero(jit):
+    def body(b):
+        base = b.li(HEAP_BASE + 64)
+        b.print_(b.load(base))
+        b.fprint(b.fload(base, 8))
+        b.store(base, b.li(5), 16)
+        b.print_(b.load(base, 16))
+
+    machine = Machine(_memory_program(body))
+    if jit:
+        attach_jit(machine)
+    result = machine.run()
+    assert result.status is RunStatus.EXITED
+    assert result.output == [0, 0.0, 5]
