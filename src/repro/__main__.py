@@ -54,6 +54,7 @@ import argparse
 import sys
 
 from . import __version__
+from .errors import CodegenError, ParseError, SemanticError
 from .faults import run_campaign
 from .lang import compile_source
 from .sim import Machine, TimingSimulator, run_program
@@ -1174,6 +1175,21 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # Output truncated by a closed pipe (e.g. `repro asm ... | head`).
         return 0
+    except OSError as exc:
+        # A missing or unreadable file; anything else is not an input
+        # error and keeps its traceback.
+        if exc.filename is None:
+            raise
+        return _input_error(f"{exc.filename}: {exc.strerror or exc}")
+    except (ParseError, SemanticError, CodegenError) as exc:
+        source = getattr(args, "file", None)
+        return _input_error(f"{source}: {exc}" if source else str(exc))
+
+
+def _input_error(message: str) -> int:
+    """Report a bad input as one line on stderr, exit status 2."""
+    print(f"repro: error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -158,63 +158,68 @@ class KnownBits:
         self._compute()
 
     def _apply_block(self, block, state: State) -> State:
+        """Out-state of ``block`` from in-state ``state`` (not modified),
+        recording each integer destination's mask in ``dest_kz``."""
         state = dict(state)
+        dest_kz = self.dest_kz
         for instr in block.instructions:
-            kz = transfer(instr, state)
-            if instr.dest is not None and instr.dest.is_int:
-                state[instr.dest] = kz if kz is not None else NOTHING
+            dest = instr.dest
+            if dest is not None and dest.is_int:
+                kz = transfer(instr, state)
+                state[dest] = dest_kz[instr] = (
+                    kz if kz is not None else NOTHING)
         return state
 
     @staticmethod
     def _join(a: State, b: State) -> State:
         # Registers missing from a state have mask NOTHING there, so a
         # register is only known in the join if known in both.
-        return {
-            reg: a[reg] & b[reg]
-            for reg in a.keys() & b.keys()
-            if a[reg] & b[reg]
-        }
+        joined = {}
+        for reg in a.keys() & b.keys():
+            mask = a[reg] & b[reg]
+            if mask:
+                joined[reg] = mask
+        return joined
 
     def _compute(self) -> None:
         rpo = self.cfg.reverse_postorder()
-        names_reachable = {blk.name for blk in rpo}
+        entry = self.function.entry.name
+        predecessors = self.cfg.predecessors
+        successors = self.cfg.successors
         self.block_in = {blk.name: {} for blk in self.function.blocks}
         block_out: dict[str, State] = {}
-        # Optimistic initialisation: unknown (absent) means "not yet
-        # computed", so first-visit joins take the incoming state as-is.
-        pending = set(names_reachable)
-        iterations = 0
-        while pending and iterations < 100:
-            iterations += 1
-            changed: set[str] = set()
+        # Round-robin in reverse postorder.  Optimistic initialisation:
+        # unknown (absent) means "not yet computed", so first-visit
+        # joins take the incoming state as-is.  A block is re-evaluated
+        # only when a predecessor's out-state has changed since its own
+        # last evaluation: any other evaluation would return the states
+        # it already has.  So the states, the round count and the cap
+        # are those of re-evaluating every block in every round, even
+        # where a transfer (MUL's) is not monotone.  ``dest_kz`` keeps
+        # each block's last evaluation, which read its final in-state.
+        dirty = {blk.name for blk in rpo}
+        for _ in range(100):
+            changed = False
             for blk in rpo:
-                preds = [
-                    p for p in self.cfg.predecessors[blk.name]
-                    if p in block_out
-                ]
-                if blk.name == self.function.entry.name:
+                name = blk.name
+                if name not in dirty:
+                    continue
+                dirty.discard(name)
+                preds = [p for p in predecessors[name] if p in block_out]
+                if name == entry or not preds:
                     in_state: State = {}
-                elif not preds:
-                    in_state = {}
                 else:
                     in_state = dict(block_out[preds[0]])
                     for pred in preds[1:]:
                         in_state = self._join(in_state, block_out[pred])
                 out_state = self._apply_block(blk, in_state)
-                if blk.name not in block_out or block_out[blk.name] != out_state:
-                    block_out[blk.name] = out_state
-                    changed.add(blk.name)
-                self.block_in[blk.name] = in_state
-            pending = changed
-        # Final pass: record per-destination masks with converged states.
-        for blk in rpo:
-            state = dict(self.block_in[blk.name])
-            for instr in blk.instructions:
-                kz = transfer(instr, state)
-                if instr.dest is not None and instr.dest.is_int:
-                    mask = kz if kz is not None else NOTHING
-                    state[instr.dest] = mask
-                    self.dest_kz[instr] = mask
+                if name not in block_out or block_out[name] != out_state:
+                    block_out[name] = out_state
+                    changed = True
+                    dirty.update(successors[name])
+                self.block_in[name] = in_state
+            if not changed:
+                break
 
     def known_zero_at_entry(self, block_name: str, reg: Register) -> int:
         """Known-zero mask of ``reg`` at entry to the named block."""

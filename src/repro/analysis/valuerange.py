@@ -192,22 +192,37 @@ class ValueBounds:
         return UNBOUNDED
 
     def _fixed_point(self) -> None:
+        # Round-robin over ``_defs`` in order, updating in place.  A
+        # register is re-evaluated only when a register its definitions
+        # read has changed since its own last evaluation: any other
+        # evaluation would return its current value.  So the bounds, the
+        # round count and the widening below are those of re-evaluating
+        # every register in every round.
         self.bits = dict(self._pinned)
+        order = [reg for reg in self._defs if reg not in self._pinned]
+        readers: dict[Register, list[Register]] = {}
+        for reg in order:
+            for src in dict.fromkeys(src for d in self._defs[reg]
+                                     for src in d.srcs
+                                     if isinstance(src, Register)):
+                readers.setdefault(src, []).append(reg)
+        dirty = set(order)
         for _ in range(80):
             changed = False
-            for reg, defs in self._defs.items():
-                if reg in self._pinned:
+            for reg in order:
+                if reg not in dirty:
                     continue
-                new_bits = max(self._transfer(d) for d in defs)
+                dirty.discard(reg)
+                new_bits = max(self._transfer(d) for d in self._defs[reg])
                 if new_bits != self.bits.get(reg, 0):
                     self.bits[reg] = new_bits
                     changed = True
+                    dirty.update(readers.get(reg, ()))
             if not changed:
                 return
         # Did not converge: widen every non-pinned register to unbounded.
-        for reg in self._defs:
-            if reg not in self._pinned:
-                self.bits[reg] = UNBOUNDED
+        for reg in order:
+            self.bits[reg] = UNBOUNDED
 
     # ---------------------------------------------------------------- queries
     def magnitude_bits(self, reg: Register) -> int:

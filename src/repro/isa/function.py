@@ -64,8 +64,9 @@ class Function:
     def add_block(self, name: str | None = None) -> BasicBlock:
         if name is None:
             name = self.new_label()
-        if any(blk.name == name for blk in self.blocks):
-            raise IRError(f"duplicate block name {name} in {self.name}")
+        for blk in self.blocks:
+            if blk.name == name:
+                raise IRError(f"duplicate block name {name} in {self.name}")
         blk = BasicBlock(name)
         self.blocks.append(blk)
         return blk

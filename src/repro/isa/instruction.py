@@ -13,9 +13,8 @@ stack and is exempt).
 from __future__ import annotations
 
 import enum
-from typing import Iterator
 
-from .opcodes import Opcode, OpKind
+from .opcodes import TERMINATOR_OPS, Opcode, OpKind
 from .operands import FImm, Imm, Operand
 from .registers import Register
 
@@ -94,22 +93,21 @@ class Instruction:
         self.source_line = source_line
 
     # ------------------------------------------------------------------ reads
-    def source_registers(self) -> Iterator[Register]:
+    def source_registers(self) -> list[Register]:
         """Registers read by this instruction."""
-        for src in self.srcs:
-            if isinstance(src, Register):
-                yield src
+        return [src for src in self.srcs if isinstance(src, Register)]
 
-    def registers(self) -> Iterator[Register]:
+    def registers(self) -> list[Register]:
         """All registers mentioned (sources first, then dest)."""
-        yield from self.source_registers()
+        regs = [src for src in self.srcs if isinstance(src, Register)]
         if self.dest is not None:
-            yield self.dest
+            regs.append(self.dest)
+        return regs
 
     # ------------------------------------------------------------- predicates
     @property
     def is_terminator(self) -> bool:
-        return self.op.info.is_terminator
+        return self.op in TERMINATOR_OPS
 
     @property
     def is_branch(self) -> bool:
@@ -177,10 +175,9 @@ class Instruction:
             and self.callee == other.callee
         )
 
-    def __hash__(self) -> int:
-        # Identity hashing: instructions are mutable nodes in the IR, and
-        # analyses key maps by *instruction instance*, not by structure.
-        return id(self)
+    # Identity hashing: instructions are mutable nodes in the IR, and
+    # analyses key maps by *instruction instance*, not by structure.
+    __hash__ = object.__hash__
 
 
 def make_mov(dest: Register, src: Register, role: Role) -> Instruction:

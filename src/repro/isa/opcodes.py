@@ -93,7 +93,13 @@ class OpInfo:
 
 
 class Opcode(enum.Enum):
-    """All opcodes of the virtual ISA."""
+    """All opcodes of the virtual ISA.
+
+    Members are singletons: they compare and hash by identity, in C
+    (``Enum``'s own ``__hash__`` is a Python call that hashes the
+    member's name).  Their static metadata is read from plain member
+    attributes, ``info`` and ``kind``, set once at import.
+    """
 
     # --- integer arithmetic -------------------------------------------------
     ADD = "add"
@@ -158,13 +164,12 @@ class Opcode(enum.Enum):
     # --- misc -----------------------------------------------------------------
     NOP = "nop"
 
-    @property
-    def info(self) -> OpInfo:
-        return _OP_INFO[self]
+    __hash__ = object.__hash__
 
-    @property
-    def kind(self) -> OpKind:
-        return _OP_INFO[self].kind
+    #: Static metadata (:class:`OpInfo`) and its ``kind``, set from
+    #: ``_OP_INFO`` below.
+    info: OpInfo
+    kind: OpKind
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Opcode.{self.name}"
@@ -227,6 +232,14 @@ _OP_INFO: dict[Opcode, OpInfo] = {
     Opcode.CVTFI: OpInfo("cvtfi", _K.FP, 1, True, 4),
     Opcode.NOP: OpInfo("nop", _K.NOP, 0, False, 1),
 }
+
+for _op, _info in _OP_INFO.items():
+    _op.info = _info
+    _op.kind = _info.kind
+del _op, _info
+
+#: Opcodes that end a basic block (``OpInfo.is_terminator``).
+TERMINATOR_OPS = frozenset(op for op in Opcode if op.info.is_terminator)
 
 #: Mapping from mnemonic text back to opcode, used by the assembly parser.
 MNEMONIC_TO_OPCODE: dict[str, Opcode] = {

@@ -6,9 +6,14 @@ protection passes, which run before register allocation exactly as in the
 paper) and a *physical* flavour (``r0``..``r31`` / ``f0``..``f31``,
 produced by the linear-scan allocator and executed by the simulator).
 
-Register objects are interned: ``gpr(3) is gpr(3)``, so identity can be
-used for equality and registers can key dictionaries cheaply in the hot
-paths of the simulator and the dataflow analyses.
+Register objects are interned: ``gpr(3) is gpr(3)``, so one register is
+one object.  :class:`Register` therefore keeps ``object``'s identity
+equality and identity hash: both run in C, so registers key dictionaries
+and sets cheaply in the hot paths of the simulator, the dataflow
+analyses and the register allocator.  The hash is an address, so the
+iteration order of a *set* of registers can differ between runs; no
+output may depend on it (a build-determinism test checks that printed
+binaries do not).
 
 Convention (mirroring the paper's PPC970 setup):
 
@@ -33,9 +38,15 @@ STACK_POINTER_INDEX = 1
 
 
 class Register:
-    """A single (class, flavour, index) register, interned."""
+    """A single (class, flavour, index) register, interned.
 
-    __slots__ = ("cls", "is_virtual", "index", "_name")
+    Every other attribute is derived once, when the register is first
+    made, and stored: registers are immutable, so reading ``is_float``
+    or ``name`` costs no call.
+    """
+
+    __slots__ = ("cls", "is_virtual", "index", "name", "is_int", "is_float",
+                 "is_physical", "is_stack_pointer")
 
     _interned: dict[tuple[str, bool, int], "Register"] = {}
 
@@ -51,45 +62,20 @@ class Register:
         self.cls = reg_class
         self.is_virtual = is_virtual
         self.index = index
-        if reg_class == cls.GPR_CLASS:
-            self._name = (f"v{index}" if is_virtual else f"r{index}")
+        self.is_int = reg_class == cls.GPR_CLASS
+        self.is_float = reg_class == cls.FPR_CLASS
+        self.is_physical = not is_virtual
+        self.is_stack_pointer = (self.is_int and not is_virtual
+                                 and index == STACK_POINTER_INDEX)
+        if self.is_int:
+            self.name = (f"v{index}" if is_virtual else f"r{index}")
         else:
-            self._name = (f"fv{index}" if is_virtual else f"f{index}")
+            self.name = (f"fv{index}" if is_virtual else f"f{index}")
         cls._interned[key] = self
         return self
 
-    @property
-    def name(self) -> str:
-        return self._name
-
-    @property
-    def is_int(self) -> bool:
-        return self.cls == Register.GPR_CLASS
-
-    @property
-    def is_float(self) -> bool:
-        return self.cls == Register.FPR_CLASS
-
-    @property
-    def is_physical(self) -> bool:
-        return not self.is_virtual
-
-    @property
-    def is_stack_pointer(self) -> bool:
-        return (
-            not self.is_virtual
-            and self.cls == Register.GPR_CLASS
-            and self.index == STACK_POINTER_INDEX
-        )
-
     def __repr__(self) -> str:
-        return self._name
-
-    def __hash__(self) -> int:
-        return hash((self.cls, self.is_virtual, self.index))
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
+        return self.name
 
     # Interned objects survive deepcopy as themselves.
     def __deepcopy__(self, memo: dict) -> "Register":

@@ -83,23 +83,14 @@ def _build_intervals(function: Function) -> list[_Interval]:
     position = 0
     intervals: dict[Register, _Interval] = {}
 
-    def touch(reg: Register, pos: int, weight: float = 0.0) -> None:
+    def first_touch(reg: Register, pos: int, weight: float) -> None:
         if not reg.is_virtual:
             if reg is not SP:
                 raise RegisterAllocationError(
                     f"{function.name}: physical register {reg} in pre-RA code"
                 )
             return
-        interval = intervals.get(reg)
-        if interval is None:
-            interval = _Interval(reg, pos, pos)
-            intervals[reg] = interval
-        else:
-            if pos < interval.start:
-                interval.start = pos
-            if pos > interval.end:
-                interval.end = pos
-        interval.weight += weight
+        intervals[reg] = _Interval(reg, pos, pos, weight=weight)
 
     for blk in function.blocks:
         block_start = position
@@ -109,13 +100,26 @@ def _build_intervals(function: Function) -> list[_Interval]:
         occurrence_weight = 10.0 ** min(depths.get(blk.name, 0), 6)
         for instr in blk.instructions:
             for reg in instr.registers():
-                touch(reg, position, occurrence_weight)
+                interval = intervals.get(reg)
+                if interval is None:
+                    first_touch(reg, position, occurrence_weight)
+                else:
+                    # No earlier touch lies past this position.
+                    interval.end = position
+                    interval.weight += occurrence_weight
             position += 2
         block_end = position - 2 if blk.instructions else block_start
-        for reg in liveness.live_in[blk.name]:
-            touch(reg, block_start)
-        for reg in liveness.live_out[blk.name]:
-            touch(reg, block_end)
+        # Liveness stretches an interval over the block but adds no weight.
+        for regs, pos in ((liveness.live_in[blk.name], block_start),
+                          (liveness.live_out[blk.name], block_end)):
+            for reg in regs:
+                interval = intervals.get(reg)
+                if interval is None:
+                    first_touch(reg, pos, 0.0)
+                elif pos < interval.start:
+                    interval.start = pos
+                elif pos > interval.end:
+                    interval.end = pos
     return sorted(intervals.values(), key=lambda iv: (iv.start, iv.end))
 
 
@@ -367,7 +371,6 @@ def allocate_function(function: Function, program: Program | None = None
     from .base import clone_function
 
     function = clone_function(function)
-    function.renumber_pool()
     _ensure_entry_not_targeted(function)
     intervals = _build_intervals(function)
     spill_slots = _linear_scan(intervals)

@@ -1,8 +1,11 @@
 """The telemetry layer: spans, metrics, campaign logs, sinks, CLI."""
 
 import json
+import re
 
 import pytest
+
+from repro.eval.pipeline import build_binary
 
 from repro.faults import FaultSite, run_campaign, run_with_fault
 from repro.faults.campaign import CampaignResult
@@ -136,9 +139,19 @@ def test_span_nesting_records_parent():
 
 def test_pipeline_emits_spans(simple_program):
     spans.enable()
-    allocate_program(protect(simple_program, Technique.SWIFTR))
-    names = {s.name for s in spans.collector().drain()}
-    assert {"protect", "regalloc"} <= names
+    build_binary(simple_program, Technique.SWIFTR)
+    collected = spans.collector().drain()
+    names = {s.name for s in collected}
+    assert {"protect", "regalloc", "verify"} <= names
+    # Every build layer shows up in ``obs summarize``: each pass's output
+    # is verified inside ``protect`` and ``regalloc``, and the binary once
+    # more after allocation.
+    verifies = [s for s in collected if s.name == "verify"]
+    assert {s.parent for s in verifies} == {"protect", "regalloc", None}
+    assert all(s.attrs["functions"] == len(simple_program.functions)
+               for s in verifies)
+    summary = summarize_records([s.to_dict() for s in collected])
+    assert re.search(r"^\s*verify\s+\d+", summary, re.M)
 
 
 # ------------------------------------------------- campaign log + latencies

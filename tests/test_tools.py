@@ -158,6 +158,52 @@ def test_cli_run_propagates_exit_code(tmp_path):
     assert cli_main(["run", str(source)]) == 4
 
 
+def _one_line_error(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("repro: error: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize("command", ["run", "asm", "campaign"])
+def test_cli_missing_input_is_one_line_error(tmp_path, capsys, command):
+    missing = tmp_path / "missing.c"
+    assert cli_main([command, str(missing)]) == 2
+    assert _one_line_error(capsys) == \
+        f"repro: error: {missing}: No such file or directory"
+    # A directory is an unreadable input too.
+    assert cli_main([command, str(tmp_path)]) == 2
+    assert str(tmp_path) in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("text,detail", [
+    ("int main( {", "line 1:11: expected a type"),        # ParseError
+    ("int main() { return x; }", "line 1: undefined name 'x'"),  # Semantic
+])
+def test_cli_bad_source_is_one_line_error(tmp_path, capsys, text, detail):
+    source = tmp_path / "bad.c"
+    source.write_text(text)
+    for command in ("run", "campaign"):
+        assert cli_main([command, str(source)]) == 2
+        assert _one_line_error(capsys).startswith(
+            f"repro: error: {source}: {detail}")
+
+
+def test_cli_codegen_error_is_one_line_error(tmp_path, capsys, monkeypatch):
+    from repro import __main__ as cli
+    from repro.errors import CodegenError
+
+    def fail(source):
+        raise CodegenError("unhandled statement")
+
+    monkeypatch.setattr(cli, "compile_source", fail)
+    source = _smoke(tmp_path)
+    assert cli_main(["asm", str(source)]) == 2
+    assert _one_line_error(capsys) == \
+        f"repro: error: {source}: unhandled statement"
+
+
 # ------------------------------------------------- atlas / convergence CLI
 SMOKE_SOURCE = (
     "int data[8] = { 3, 1, 4, 1, 5, 9, 2, 6 };\n"
