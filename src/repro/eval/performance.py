@@ -16,6 +16,7 @@ import argparse
 import sys
 from dataclasses import dataclass, field
 
+from ..faults.injector import golden_run
 from ..obs.sink import JsonlSink
 from ..obs.spans import span
 from ..sim.timing import TimingConfig, TimingResult, TimingSimulator
@@ -100,7 +101,7 @@ def evaluate_performance(
                 profiler = SimProfiler()
                 golden = prepare_machine(bench, tech, options)
                 golden.profile = profiler
-                golden.run()
+                golden_run(golden)
                 profile_records.extend(profiler.to_records(
                     context={"benchmark": bench,
                              "technique": tech.value,

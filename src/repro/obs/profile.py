@@ -24,9 +24,11 @@ collects, per ``(function, block)``:
   carry the ranking.
 
 The profiler attaches to a machine exactly like the taint tracker:
-``machine.profile = SimProfiler()`` switches :meth:`Machine.run` onto a
-mirrored counting loop; ``machine.profile = None`` (the default) keeps
-the fast loop untouched -- the only cost of the feature existing is one
+``machine.profile = SimProfiler()`` switches :meth:`Machine.run` onto
+the ``profile`` variant of the shared run loop (``PROFILE`` in
+:mod:`repro.sim.loop`, with the hooks below rendered in);
+``machine.profile = None`` (the default) runs the plain variant, which
+holds no profiler code -- the only cost of the feature existing is one
 attribute check per ``run()`` call, not per instruction.
 """
 

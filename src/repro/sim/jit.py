@@ -16,36 +16,36 @@ every trial of every campaign on that binary.
 
 Execution model ("side exits"):
 
-* ``Machine.run`` gains a ``jit`` gate with the same zero-cost-when-off
-  contract as ``taint``/``profile``: one attribute check per ``run()``
-  call.  When a :class:`JitProgram` is attached,
-  ``Machine._run_jit`` calls the current function's compiled driver,
-  which executes whole blocks fused (no per-instruction dispatch) and
-  returns the interpreter's action protocol at every event the
-  interpreter must own: calls, returns, program exit, detection.
+* The JIT is the ``jit`` variant of the shared run loop
+  (:mod:`repro.sim.loop`), selected by the ``Machine.jit`` gate: one
+  attribute check per ``run()`` call.  Its ``dispatch`` hook calls the
+  current function's compiled driver at every block boundary; the
+  driver executes whole blocks fused (no per-instruction dispatch) and
+  returns the loop's action protocol at every event the loop must own:
+  calls, returns, program exit, detection.
 * **Pause safety (fault injection, hangs):** the driver checks, at
   every block entry, that the whole block fits under ``stop_at``
   (``ic + len(block) <= stop``).  If not it returns with control at
-  that block boundary and ``Machine._run_jit`` interprets
-  instruction-by-instruction -- so the pause at a fault site's exact
-  dynamic icount, the instruction-budget hang, and snapshot boundaries
-  are always taken by the interpreter loop, bit-identically.
+  that block boundary and the loop interprets that block instruction
+  by instruction -- so the pause at a fault site's exact dynamic
+  icount, the instruction-budget hang, and snapshot boundaries are
+  always taken by the interpreted loop, bit-identically.
 * **Mid-block entry:** a ``CALL`` side-exits the driver (pushing its
   return frame directly); the post-call suffix of the block is
   compiled as a separate *resume segment* keyed ``(block, index)``.
   Restores into any other mid-block position (checkpoint restore,
-  opcode-fault stepping) fall back to the interpreter until the next
-  control transfer, then splice back into compiled dispatch.
+  opcode-fault stepping) are interpreted until the next control
+  transfer, then splice back into compiled dispatch.
 * **Traps:** trapping templates (memory access, DIV/REM, CVTFI,
   PARAM) record the exact retired count before any side effect, and
   the interpreter's trapping steps never mutate state before raising,
   so a compiled trap re-raises with bit-identical ``RunResult``
   accounting.
 * Taint tracing and profiling take precedence over the JIT in
-  ``Machine.run`` -- their mirror loops observe every instruction, so
-  compiled execution is bypassed while either is attached (the
-  profiler still *simulates* the dispatch predicate to measure JIT
-  coverage; see :mod:`repro.obs.profile`).
+  ``Machine.run``: their hooks must see every instruction, so compiled
+  execution is bypassed while either is attached (the profiler still
+  *simulates* the dispatch predicate to measure JIT coverage; see
+  :mod:`repro.obs.profile`).
 
 Code size stays linear in program size.  A fallthrough/JMP successor
 is fused into the current block's straight-line chain only when the

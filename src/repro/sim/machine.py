@@ -36,12 +36,24 @@ from itertools import product
 from ..analysis.liveness import live_in_masks
 from ..errors import SimulationError
 from ..isa.instruction import Instruction, Role
-from ..isa.opcodes import Opcode, OpKind
+from ..isa.opcodes import Opcode
 from ..isa.operands import FImm, Imm, MASK64
 from ..isa.program import Program, STACK_TOP
 from ..isa.registers import NUM_GPRS, Register
 from ..obs.spans import span
 from .events import GuestTrap, RunResult, RunStatus, TrapKind
+from .loop import (
+    ACT_CALL,
+    ACT_DETECT,
+    ACT_EXIT,
+    ACT_RECOVER,
+    ACT_RET,
+    exec_source,
+    run_jit,
+    run_plain,
+    run_profile,
+    run_taint,
+)
 from .memory import Memory, bits_to_float, float_to_bits
 from .semantics import (
     BRANCHES,
@@ -55,11 +67,6 @@ from .semantics import (
     reg_operand,
 )
 
-ACT_CALL = -2
-ACT_EXIT = -3
-ACT_RET = -4
-ACT_DETECT = -5
-ACT_RECOVER = -6
 
 _TWO63 = 1 << 63
 _TWO64 = 1 << 64
@@ -73,7 +80,7 @@ class CompiledBlock:
     """Executable form of one basic block.
 
     ``meta`` is a per-instruction tuple list consumed by the timing
-    model: ``(kind, dest_slot, src_slots, latency, mem, role)``.
+    model: ``(is_load, dest_slot, src_slots, latency, mem, role)``.
     """
 
     __slots__ = ("name", "steps", "instrs", "meta")
@@ -170,22 +177,16 @@ class Machine:
         self.ret_value: int | float | None = None
         self._position: tuple[CompiledFunction, int, int] | None = None
         self._finished: RunResult | None = None
-        # Fault-provenance hook: a repro.sim.taint.TaintTracker, or None.
-        # With None (the default) run() takes the original tight loop and
-        # pays nothing; the injector attaches a tracker around the flip.
+        # Engine hooks.  Each is None (the default) or the object that
+        # selects its variant of the run loop (repro.sim.loop): a
+        # repro.sim.taint.TaintTracker, a repro.obs.profile.SimProfiler,
+        # a repro.sim.jit.JitProgram.  run() reads each gate once per
+        # call, never per instruction, and a hook that is off renders no
+        # code into the loop that runs, so execution is bit-identical
+        # and costs nothing extra either way.  Taint and profile take
+        # precedence over the JIT: their hooks must see every step.
         self.taint = None
-        # Hot-path profiler hook: a repro.obs.profile.SimProfiler, or
-        # None.  Same gating contract as ``taint``: one attribute check
-        # per run() call, never per instruction, and bit-identical
-        # execution either way.
         self.profile = None
-        # Block-JIT hook: a repro.sim.jit.JitProgram, or None.  Same
-        # gating contract again -- one attribute check per run() call.
-        # Attached, run() executes compiled basic-block segments and
-        # side-exits into the interpreter for pauses, hangs, mid-block
-        # resumes, and uncompiled positions (see repro.sim.jit).
-        # Taint and profile take precedence: their mirror loops must
-        # observe every instruction.
         self.jit = None
         # Per-position live-register bitmasks, built on demand by
         # state_matches (see repro.analysis.liveness.live_in_masks).
@@ -241,108 +242,24 @@ class Machine:
 
         Returns a PAUSED result when the limit interrupts execution; call
         ``run`` again to continue.  A fault injector uses this to stop at
-        a precise dynamic instruction, flip a bit, and resume.
+        a precise dynamic instruction, flip a bit, and resume.  Each
+        attached hook selects its variant of the one run loop
+        (:mod:`repro.sim.loop`), in the order taint, profile, JIT.
         """
         if self._finished is not None:
             return self._finished
         if self._position is None:
             raise SimulationError("machine not reset")
-        if self.taint is not None and not self.taint.exhausted:
-            return self._run_traced(limit)
-        if self.profile is not None:
-            return self._run_profiled(limit)
-        if self.jit is not None:
-            return self._run_jit(limit)
-        hard_limit = self.max_instructions
-        stop_at = hard_limit if limit is None else min(limit, hard_limit)
-        func, block_idx, i = self._position
-        icount = self.icount
-        try:
-            while True:
-                block = func.blocks[block_idx]
-                steps = block.steps
-                n = len(steps)
-                advanced = False
-                while i < n:
-                    if icount >= stop_at:
-                        self.icount = icount
-                        self._position = (func, block_idx, i)
-                        if icount >= hard_limit:
-                            return self._finish(RunStatus.HANG)
-                        return RunResult(RunStatus.PAUSED,
-                                         instructions=icount)
-                    icount += 1
-                    act = steps[i](self)
-                    if act is None:
-                        i += 1
-                        continue
-                    if act >= 0:
-                        block_idx = act
-                        i = 0
-                        advanced = True
-                        break
-                    if act == ACT_CALL:
-                        self.call_stack.append(
-                            (func, block_idx, i + 1,
-                             self.pending_dest, self.pending_dest_float)
-                        )
-                        func = self.pending_callee
-                        block_idx = 0
-                        i = 0
-                        advanced = True
-                        break
-                    if act == ACT_RET:
-                        if not self.call_stack:
-                            self.icount = icount
-                            return self._finish(RunStatus.EXITED)
-                        func, block_idx, i, dest, dest_float = (
-                            self.call_stack.pop()
-                        )
-                        self.arg_stack.pop()
-                        if dest >= 0:
-                            value = self.ret_value
-                            if dest_float:
-                                self.fregs[dest] = (
-                                    float(value) if value is not None else 0.0
-                                )
-                            else:
-                                self.regs[dest] = (
-                                    int(value) & MASK64
-                                    if value is not None else 0
-                                )
-                        advanced = True
-                        break
-                    if act == ACT_EXIT:
-                        self.icount = icount
-                        return self._finish(RunStatus.EXITED)
-                    if act == ACT_DETECT:
-                        self.icount = icount
-                        return self._finish(RunStatus.DETECTED)
-                    if act == ACT_RECOVER:
-                        # Repair-block entry: counted here, in the run
-                        # loop, because only the loop knows the exact
-                        # dynamic icount (detection-latency telemetry).
-                        self.recoveries += 1
-                        if self.first_recovery_icount is None:
-                            self.first_recovery_icount = icount
-                        i += 1
-                        continue
-                    raise SimulationError(f"bad step action {act}")
-                if not advanced:
-                    # Fell off the end of the block: fallthrough in layout.
-                    block_idx += 1
-                    i = 0
-                    if block_idx >= len(func.blocks):
-                        # Unreachable for verified code; reachable when an
-                        # injected opcode fault destroys a terminator --
-                        # that is a wild PC, i.e. a crash in the guest.
-                        raise GuestTrap(
-                            TrapKind.SEGFAULT,
-                            f"control fell off the end of {func.name}",
-                        )
-        except GuestTrap as trap:
-            self.icount = icount
-            return self._finish(RunStatus.TRAPPED, trap)
+        taint = self.taint
+        if taint is not None and not taint.exhausted:
+            return run_taint(self, limit, taint)
+        profile = self.profile
+        if profile is not None:
+            return run_profile(self, limit, profile)
+        jit = self.jit
+        if jit is not None:
+            return run_jit(self, limit, jit)
+        return run_plain(self, limit, None)
 
     def _finish(self, status: RunStatus, trap: GuestTrap | None = None
                 ) -> RunResult:
@@ -360,413 +277,23 @@ class Machine:
         self._position = None
         return result
 
+    def _return(self) -> tuple:
+        """Pop the innermost call frame, write the callee's return value
+        into the frame's destination register, and return the frame."""
+        frame = self.call_stack.pop()
+        self.arg_stack.pop()
+        dest = frame[3]
+        if dest >= 0:
+            value = self.ret_value
+            if frame[4]:
+                self.fregs[dest] = float(value) if value is not None else 0.0
+            else:
+                self.regs[dest] = (int(value) & MASK64
+                                   if value is not None else 0)
+        return frame
+
     def run_to_completion(self) -> RunResult:
         return self.run(None)
-
-    def _run_traced(self, limit: int | None = None) -> RunResult:
-        """The :meth:`run` loop with per-instruction taint hooks.
-
-        Mirrors the fast loop action for action (pause/limit handling,
-        call/return bookkeeping, trap conversion) but consults the block's
-        ``instrs`` alongside its compiled ``steps`` so the attached
-        :class:`~repro.sim.taint.TaintTracker` can observe every dynamic
-        instruction before it executes.  When the tracker's step budget
-        runs out mid-run, control transfers back to the fast loop at the
-        exact same architectural state.
-        """
-        taint = self.taint
-        hard_limit = self.max_instructions
-        stop_at = hard_limit if limit is None else min(limit, hard_limit)
-        func, block_idx, i = self._position
-        self._current_function = func.name
-        icount = self.icount
-        try:
-            while True:
-                block = func.blocks[block_idx]
-                steps = block.steps
-                instrs = block.instrs
-                name = block.name
-                n = len(steps)
-                advanced = False
-                while i < n:
-                    if icount >= stop_at:
-                        self.icount = icount
-                        self._position = (func, block_idx, i)
-                        if icount >= hard_limit:
-                            return self._finish(RunStatus.HANG)
-                        return RunResult(RunStatus.PAUSED,
-                                         instructions=icount)
-                    if taint.exhausted:
-                        # Step budget spent: hand the rest of the run to
-                        # the fast loop (identical results, no tracing).
-                        self.icount = icount
-                        self._position = (func, block_idx, i)
-                        return self.run(limit)
-                    icount += 1
-                    loc = (func.name, name, i)
-                    taint.before_step(self, instrs[i], icount, loc)
-                    act = steps[i](self)
-                    if act is None:
-                        i += 1
-                        continue
-                    if act >= 0:
-                        block_idx = act
-                        i = 0
-                        advanced = True
-                        break
-                    if act == ACT_CALL:
-                        self.call_stack.append(
-                            (func, block_idx, i + 1,
-                             self.pending_dest, self.pending_dest_float)
-                        )
-                        taint.on_call()
-                        func = self.pending_callee
-                        self._current_function = func.name
-                        block_idx = 0
-                        i = 0
-                        advanced = True
-                        break
-                    if act == ACT_RET:
-                        if not self.call_stack:
-                            self.icount = icount
-                            return self._finish(RunStatus.EXITED)
-                        func, block_idx, i, dest, dest_float = (
-                            self.call_stack.pop()
-                        )
-                        self.arg_stack.pop()
-                        if dest >= 0:
-                            value = self.ret_value
-                            if dest_float:
-                                self.fregs[dest] = (
-                                    float(value) if value is not None else 0.0
-                                )
-                            else:
-                                self.regs[dest] = (
-                                    int(value) & MASK64
-                                    if value is not None else 0
-                                )
-                        taint.on_ret(dest, dest_float)
-                        self._current_function = func.name
-                        advanced = True
-                        break
-                    if act == ACT_EXIT:
-                        self.icount = icount
-                        return self._finish(RunStatus.EXITED)
-                    if act == ACT_DETECT:
-                        taint.on_detect(icount, loc)
-                        self.icount = icount
-                        return self._finish(RunStatus.DETECTED)
-                    if act == ACT_RECOVER:
-                        taint.on_recovery(icount, loc)
-                        self.recoveries += 1
-                        if self.first_recovery_icount is None:
-                            self.first_recovery_icount = icount
-                        i += 1
-                        continue
-                    raise SimulationError(f"bad step action {act}")
-                if not advanced:
-                    block_idx += 1
-                    i = 0
-                    if block_idx >= len(func.blocks):
-                        raise GuestTrap(
-                            TrapKind.SEGFAULT,
-                            f"control fell off the end of {func.name}",
-                        )
-        except GuestTrap as trap:
-            self.icount = icount
-            return self._finish(RunStatus.TRAPPED, trap)
-
-    def _run_profiled(self, limit: int | None = None) -> RunResult:
-        """The :meth:`run` loop with per-block profiling hooks.
-
-        Mirrors the fast loop action for action (pause/limit handling,
-        call/return bookkeeping, trap conversion), so execution is
-        bit-identical with or without an attached
-        :class:`~repro.obs.profile.SimProfiler`.  Per instruction the
-        only extra work is one list-element increment into the current
-        block's count vector; block lookup, side-exit recording, and
-        the wall-clock sampler run once per block activation.
-        """
-        prof = self.profile
-        index_counts = prof.index_counts
-        hard_limit = self.max_instructions
-        stop_at = hard_limit if limit is None else min(limit, hard_limit)
-        func, block_idx, i = self._position
-        icount = self.icount
-        key = None
-        try:
-            while True:
-                block = func.blocks[block_idx]
-                steps = block.steps
-                n = len(steps)
-                key = (func.name, block.name)
-                counts = index_counts.get(key)
-                if counts is None:
-                    counts = prof.register_block(key, block)
-                prof.block_tick(key, n)
-                advanced = False
-                while i < n:
-                    if icount >= stop_at:
-                        self.icount = icount
-                        self._position = (func, block_idx, i)
-                        if icount >= hard_limit:
-                            prof.record_exit(key, "hang")
-                            return self._finish(RunStatus.HANG)
-                        return RunResult(RunStatus.PAUSED,
-                                         instructions=icount)
-                    icount += 1
-                    counts[i] += 1
-                    act = steps[i](self)
-                    if act is None:
-                        i += 1
-                        continue
-                    if act >= 0:
-                        prof.record_exit(key, "branch")
-                        block_idx = act
-                        i = 0
-                        advanced = True
-                        break
-                    if act == ACT_CALL:
-                        prof.record_exit(key, "call")
-                        self.call_stack.append(
-                            (func, block_idx, i + 1,
-                             self.pending_dest, self.pending_dest_float)
-                        )
-                        func = self.pending_callee
-                        block_idx = 0
-                        i = 0
-                        advanced = True
-                        break
-                    if act == ACT_RET:
-                        prof.record_exit(key, "ret")
-                        if not self.call_stack:
-                            self.icount = icount
-                            return self._finish(RunStatus.EXITED)
-                        func, block_idx, i, dest, dest_float = (
-                            self.call_stack.pop()
-                        )
-                        self.arg_stack.pop()
-                        if dest >= 0:
-                            value = self.ret_value
-                            if dest_float:
-                                self.fregs[dest] = (
-                                    float(value) if value is not None else 0.0
-                                )
-                            else:
-                                self.regs[dest] = (
-                                    int(value) & MASK64
-                                    if value is not None else 0
-                                )
-                        advanced = True
-                        break
-                    if act == ACT_EXIT:
-                        prof.record_exit(key, "exit")
-                        self.icount = icount
-                        return self._finish(RunStatus.EXITED)
-                    if act == ACT_DETECT:
-                        prof.record_exit(key, "detect")
-                        self.icount = icount
-                        return self._finish(RunStatus.DETECTED)
-                    if act == ACT_RECOVER:
-                        prof.record_recovery(key)
-                        self.recoveries += 1
-                        if self.first_recovery_icount is None:
-                            self.first_recovery_icount = icount
-                        i += 1
-                        continue
-                    raise SimulationError(f"bad step action {act}")
-                if not advanced:
-                    block_idx += 1
-                    i = 0
-                    if block_idx >= len(func.blocks):
-                        raise GuestTrap(
-                            TrapKind.SEGFAULT,
-                            f"control fell off the end of {func.name}",
-                        )
-                    prof.record_exit(key, "fall")
-        except GuestTrap as trap:
-            if key is not None:
-                prof.record_exit(key, "trap")
-            self.icount = icount
-            return self._finish(RunStatus.TRAPPED, trap)
-
-    def _run_jit(self, limit: int | None = None) -> RunResult:
-        """The :meth:`run` loop at compiled-function granularity.
-
-        At every block boundary (``i == 0``) the dispatcher enters the
-        current function's compiled driver, which executes whole blocks
-        with registers in Python locals and only returns at true side
-        exits (call/ret/exit/detect) or when the next block could cross
-        ``stop_at`` -- in which case it returns that block's index and
-        the interpreter fallback below runs it instruction by
-        instruction, taking the pause/hang at the exact icount.
-        Mid-block positions use the per-resume-point segment table
-        (post-``CALL`` suffixes) or the interpreter.  Compiled ``CALL``
-        code pushes its return frame itself, so the dispatcher only
-        swaps in the callee.  Bit-identical to the fast loop by
-        construction; ``tests/test_jit.py`` fuzzes the claim.
-        """
-        jit = self.jit
-        hard_limit = self.max_instructions
-        stop_at = hard_limit if limit is None else min(limit, hard_limit)
-        func, block_idx, i = self._position
-        driver, resumes = jit.tables(func.name)
-        icount = self.icount
-        try:
-            while True:
-                # ------------------------------ compiled dispatch
-                ran = False
-                if i == 0:
-                    if driver is not None:
-                        act = driver(self, icount, stop_at, block_idx)
-                        icount = self.icount
-                        if act >= 0:
-                            # Fuel stop: block ``act`` cannot complete
-                            # before stop_at; the interpreter owns the
-                            # pause (and any early branch out).
-                            block_idx = act
-                        else:
-                            ran = True
-                else:
-                    entry = resumes.get((block_idx, i))
-                    if entry is not None and icount + entry[1] <= stop_at:
-                        act = entry[0](self, icount)
-                        icount = self.icount
-                        ran = True
-                if ran:
-                    if act >= 0:
-                        block_idx = act
-                        i = 0
-                        continue
-                    if act == ACT_CALL:
-                        # The compiled CALL already pushed its frame.
-                        func = self.pending_callee
-                        driver, resumes = jit.tables(func.name)
-                        block_idx = 0
-                        i = 0
-                        continue
-                    if act == ACT_RET:
-                        if not self.call_stack:
-                            return self._finish(RunStatus.EXITED)
-                        func, block_idx, i, dest, dest_float = (
-                            self.call_stack.pop()
-                        )
-                        self.arg_stack.pop()
-                        if dest >= 0:
-                            value = self.ret_value
-                            if dest_float:
-                                self.fregs[dest] = (
-                                    float(value) if value is not None
-                                    else 0.0
-                                )
-                            else:
-                                self.regs[dest] = (
-                                    int(value) & MASK64
-                                    if value is not None else 0
-                                )
-                        driver, resumes = jit.tables(func.name)
-                        continue
-                    if act == ACT_EXIT:
-                        return self._finish(RunStatus.EXITED)
-                    if act == ACT_DETECT:
-                        return self._finish(RunStatus.DETECTED)
-                    if act <= -7:
-                        # Fuel stop inside an inline-called leaf: the
-                        # caller already pushed its frame and wrote its
-                        # state back; resume the callee (pending) at
-                        # block ``-7 - act``, where the fuel check
-                        # will hand the pause to the interpreter.
-                        func = self.pending_callee
-                        driver, resumes = jit.tables(func.name)
-                        block_idx = -7 - act
-                        i = 0
-                        continue
-                    raise SimulationError(f"bad jit action {act}")
-                # ------------------------------ interpreter side exit
-                block = func.blocks[block_idx]
-                steps = block.steps
-                n = len(steps)
-                advanced = False
-                while i < n:
-                    if icount >= stop_at:
-                        self.icount = icount
-                        self._position = (func, block_idx, i)
-                        if icount >= hard_limit:
-                            return self._finish(RunStatus.HANG)
-                        return RunResult(RunStatus.PAUSED,
-                                         instructions=icount)
-                    icount += 1
-                    act = steps[i](self)
-                    if act is None:
-                        i += 1
-                        continue
-                    if act >= 0:
-                        block_idx = act
-                        i = 0
-                        advanced = True
-                        break
-                    if act == ACT_CALL:
-                        self.call_stack.append(
-                            (func, block_idx, i + 1,
-                             self.pending_dest, self.pending_dest_float)
-                        )
-                        func = self.pending_callee
-                        driver, resumes = jit.tables(func.name)
-                        block_idx = 0
-                        i = 0
-                        advanced = True
-                        break
-                    if act == ACT_RET:
-                        if not self.call_stack:
-                            self.icount = icount
-                            return self._finish(RunStatus.EXITED)
-                        func, block_idx, i, dest, dest_float = (
-                            self.call_stack.pop()
-                        )
-                        self.arg_stack.pop()
-                        if dest >= 0:
-                            value = self.ret_value
-                            if dest_float:
-                                self.fregs[dest] = (
-                                    float(value) if value is not None
-                                    else 0.0
-                                )
-                            else:
-                                self.regs[dest] = (
-                                    int(value) & MASK64
-                                    if value is not None else 0
-                                )
-                        driver, resumes = jit.tables(func.name)
-                        advanced = True
-                        break
-                    if act == ACT_EXIT:
-                        self.icount = icount
-                        return self._finish(RunStatus.EXITED)
-                    if act == ACT_DETECT:
-                        self.icount = icount
-                        return self._finish(RunStatus.DETECTED)
-                    if act == ACT_RECOVER:
-                        self.recoveries += 1
-                        if self.first_recovery_icount is None:
-                            self.first_recovery_icount = icount
-                        i += 1
-                        continue
-                    raise SimulationError(f"bad step action {act}")
-                if not advanced:
-                    block_idx += 1
-                    i = 0
-                    if block_idx >= len(func.blocks):
-                        raise GuestTrap(
-                            TrapKind.SEGFAULT,
-                            f"control fell off the end of {func.name}",
-                        )
-        except GuestTrap as trap:
-            # Compiled segments report their exact retired count into
-            # self.icount before re-raising; the interpreter path's
-            # count lives in the local.  Whichever ran last is larger.
-            if icount > self.icount:
-                self.icount = icount
-            return self._finish(RunStatus.TRAPPED, trap)
 
     # ----------------------------------------------------- checkpoint/restore
     def snapshot(self) -> MachineSnapshot:
@@ -929,9 +456,10 @@ class Machine:
 
         Models an opcode-bit fault: the corrupted instruction executes
         for exactly one dynamic instance, then the original code
-        resumes.  Returns a final :class:`RunResult` when the injected
-        instruction terminates the run, else ``None`` (call ``run`` to
-        continue).
+        resumes.  The plain run loop executes it, swapped in for the
+        pending step for one instruction.  Returns a final
+        :class:`RunResult` when the injected instruction terminates the
+        run, else ``None`` (call ``run`` to continue).
         """
         if self._finished is not None:
             return self._finished
@@ -939,65 +467,25 @@ class Machine:
             raise SimulationError("machine not paused")
         func, block_idx, i = self._position
         self._current_function = func.name
-        self.icount += 1
-        try:
-            step = self._compile_instruction(instr, func.block_index)
-            act = step(self)
-        except GuestTrap as trap:
-            return self._finish(RunStatus.TRAPPED, trap)
-        except (AttributeError, TypeError, KeyError, IndexError) as exc:
-            # A mutated encoding slipped past decode validation into an
-            # operand combination the pipeline cannot execute: on real
-            # hardware this is undefined behaviour; model it as a trap.
-            return self._finish(
-                RunStatus.TRAPPED,
-                GuestTrap(TrapKind.ILLEGAL, f"unexecutable mutation: {exc}"),
-            )
-        if act is None:
-            self._position = (func, block_idx, i + 1)
-        elif act >= 0:
-            self._position = (func, act, 0)
-        elif act == ACT_CALL:
-            self.call_stack.append(
-                (func, block_idx, i + 1,
-                 self.pending_dest, self.pending_dest_float)
-            )
-            self._position = (self.pending_callee, 0, 0)
-        elif act == ACT_RET:
-            if not self.call_stack:
-                return self._finish(RunStatus.EXITED)
-            func, block_idx, i, dest, dest_float = self.call_stack.pop()
-            self.arg_stack.pop()
-            if dest >= 0:
-                value = self.ret_value
-                if dest_float:
-                    self.fregs[dest] = (float(value) if value is not None
-                                        else 0.0)
-                else:
-                    self.regs[dest] = (int(value) & MASK64
-                                       if value is not None else 0)
-            self._position = (func, block_idx, i)
-        elif act == ACT_EXIT:
-            return self._finish(RunStatus.EXITED)
-        elif act == ACT_DETECT:
-            return self._finish(RunStatus.DETECTED)
-        elif act == ACT_RECOVER:
-            self.recoveries += 1
-            if self.first_recovery_icount is None:
-                self.first_recovery_icount = self.icount
-            self._position = (func, block_idx, i + 1)
-        else:
-            raise SimulationError(f"bad step action {act}")
-        return None
 
-    def skip_next_instruction(self) -> None:
-        """Advance past the pending instruction without executing it
-        (models a fetch dropped by a corrupted-to-NOP encoding)."""
-        if self._position is None:
-            raise SimulationError("machine not paused")
-        func, block_idx, i = self._position
-        self.icount += 1
-        self._position = (func, block_idx, i + 1)
+        def injected(m):
+            try:
+                return self._compile_instruction(instr, func.block_index)(m)
+            except (AttributeError, TypeError, KeyError, IndexError) as exc:
+                # A mutated encoding slipped past decode validation into
+                # an operand combination the pipeline cannot execute: on
+                # real hardware this is undefined behaviour; model it as
+                # a trap.
+                raise GuestTrap(TrapKind.ILLEGAL,
+                                f"unexecutable mutation: {exc}") from None
+
+        steps = func.blocks[block_idx].steps
+        original, steps[i] = steps[i], injected
+        try:
+            result = run_plain(self, self.icount + 1, None)
+        finally:
+            steps[i] = original
+        return None if result.status is RunStatus.PAUSED else result
 
     # -------------------------------------------------------------- compilation
     def _compile_function(self, fn) -> CompiledFunction:
@@ -1013,14 +501,12 @@ class Machine:
             )
         return CompiledFunction(fn.name, blocks, fn.num_params)
 
-    # Timing-model metadata kinds (see repro.sim.timing).
-    _PLAIN, _LOAD, _STORE, _BRANCH, _JUMP, _CALL, _RET = range(7)
+    # Offset of float-register slots in the timing model's ready map.
     _FLOAT_SLOT_BASE = 1 << 20
 
     def _instruction_meta(self, instr: Instruction) -> tuple:
-        """(kind, dest_slot|-1, src_slots, latency, mem|None, role)."""
+        """(is_load, dest_slot|-1, src_slots, latency, mem|None, role)."""
         op = instr.op
-        info = op.info
         srcs = []
         for operand in instr.srcs:
             if isinstance(operand, Register):
@@ -1033,23 +519,11 @@ class Machine:
             dest = self.slot_of(instr.dest)
             if instr.dest.is_float:
                 dest += self._FLOAT_SLOT_BASE
-        kind = self._PLAIN
         mem = None
-        if op in (Opcode.LOAD, Opcode.FLOAD):
-            kind = self._LOAD
+        if op in (Opcode.LOAD, Opcode.FLOAD, Opcode.STORE, Opcode.FSTORE):
             mem = (self.slot_of(instr.srcs[0]), instr.srcs[1].signed)
-        elif op in (Opcode.STORE, Opcode.FSTORE):
-            kind = self._STORE
-            mem = (self.slot_of(instr.srcs[0]), instr.srcs[1].signed)
-        elif op.kind == OpKind.BRANCH:
-            kind = self._BRANCH
-        elif op.kind == OpKind.JUMP:
-            kind = self._JUMP
-        elif op.kind == OpKind.CALL:
-            kind = self._CALL
-        elif op.kind == OpKind.RET:
-            kind = self._RET
-        return (kind, dest, tuple(srcs), info.latency, mem, instr.role.value)
+        return (op in (Opcode.LOAD, Opcode.FLOAD), dest, tuple(srcs),
+                op.info.latency, mem, instr.role.value)
 
     def _int_operand(self, operand):
         """(is_reg, slot_or_value) for an integer-file operand."""
@@ -1182,9 +656,9 @@ def _render_step_factories() -> dict:
                       f"    def step(m, {bound}):",
                       *(f"        {line}" for line in (*setup, body)),
                       "    return step"]
-    namespace = {"_op_div": _op_div, "_op_rem": _op_rem, "_fdiv": _fop_div}
-    exec(compile("\n".join(lines), "<sim.steps>", "exec"),  # noqa: S102
-         namespace)
+    namespace = exec_source("\n".join(lines) + "\n", "<sim.steps>",
+                            {"_op_div": _op_div, "_op_rem": _op_rem,
+                             "_fdiv": _fop_div})
     return {op: (lead, readers, modes,
                  {shape: namespace[name] for shape, name in shapes_of[op]})
             for op, lead, _stmt, readers, modes in _TEMPLATED}

@@ -10,10 +10,12 @@ call/argument stacks, emitting a bounded per-trial event stream that
 
 Design constraints, in order:
 
-* **Zero cost when off.**  The tracker hooks the run loop only through
-  ``Machine.taint``; with the attribute ``None`` (the default) the
-  machine executes its original tight loop, so campaigns without
-  ``--taint`` are bit- and speed-identical to before.
+* **Zero cost when off.**  The tracker's hooks are rendered into their
+  own variant of the shared run loop (``TAINT`` in
+  :mod:`repro.sim.loop`), selected through ``Machine.taint``; with the
+  attribute ``None`` (the default) the machine runs the plain variant,
+  which holds no taint code, so campaigns without ``--taint`` are bit-
+  and speed-identical to before.
 * **Sound over-approximation.**  Taint is a per-register 64-bit *mask*
   of possibly-wrong bits.  Every rule over-approximates the set of bits
   that can differ from the fault-free execution, so real corruption is

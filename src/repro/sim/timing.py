@@ -13,30 +13,21 @@ scoreboard approximation:
 * loads hit a direct-mapped data cache or pay ``miss_penalty``;
 * taken branches and calls/returns insert small front-end bubbles.
 
-The timing executor re-runs the functional closures of a compiled
-:class:`~repro.sim.machine.Machine` while keeping the scoreboard, so
-cycle counts always correspond to the real executed path.  It is used
-fault-free only (the paper's performance runs inject no faults).
+The timing executor runs the functional closures of a compiled
+:class:`~repro.sim.machine.Machine` through the shared run loop, with
+the scoreboard rendered into its hook slots, so cycle counts always
+correspond to the real executed path.  It is used fault-free only (the
+paper's performance runs inject no faults).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import SimulationError
-from ..isa.instruction import Role
-from ..isa.opcodes import Opcode, OpKind
-from ..isa.operands import Imm, MASK64
-from ..isa.registers import Register
-from .events import GuestTrap, RunStatus, TrapKind
-from .machine import (
-    ACT_CALL,
-    ACT_DETECT,
-    ACT_EXIT,
-    ACT_RECOVER,
-    ACT_RET,
-    Machine,
-)
+from ..isa.operands import MASK64
+from .events import RunStatus
+from .loop import hooks, merge, render
+from .machine import Machine
 
 
 @dataclass(frozen=True)
@@ -80,11 +71,99 @@ class TimingResult:
         return self.load_misses / self.loads if self.loads else 0.0
 
 
-# Metadata kinds (must match Machine._PLAIN .. Machine._RET).
-_PLAIN, _LOAD, _STORE, _BRANCH, _JUMP, _CALL, _RET = range(7)
+#: The cycle model as hooks on the shared run loop (:mod:`repro.sim.loop`).
+#: Before each step: scoreboard issue, role count, data cache, result
+#: latency.  Taken branches, calls and returns add front-end bubbles, and
+#: a return's value is ready one cycle after it lands.
+_TIMED = hooks(
+    setup="""
+        config = tm.config
+        width = config.width
+        miss_penalty = config.miss_penalty
+        line_shift = config.line_bytes.bit_length() - 1
+        num_sets = config.cache_sets
+        ready, tags, role_counts = tm.ready, tm.tags, tm.role_counts
+        cycle, used, loads, misses = tm.cycle, tm.used, tm.loads, tm.misses
+    """,
+    enter_block="metas = block.meta",
+    before_step="""
+        is_load, out, srcs, latency, mem, role = metas[i]
+        earliest = cycle
+        for slot in srcs:
+            t = ready.get(slot, 0)
+            if t > earliest:
+                earliest = t
+        if earliest > cycle:
+            cycle = earliest
+            used = 0
+        elif used >= width:
+            cycle += 1
+            used = 0
+        used += 1
+        role_counts[role] = role_counts.get(role, 0) + 1
+        if mem is not None:
+            base, offset = mem
+            line = ((self.regs[base] + offset) & MASK64) >> line_shift
+            set_idx = line % num_sets
+            if is_load:
+                loads += 1
+                if tags.get(set_idx) != line:
+                    latency = miss_penalty
+                    misses += 1
+                else:
+                    latency = config.load_hit_latency
+            tags[set_idx] = line
+        if out >= 0:
+            ready[out] = cycle + latency
+    """,
+    on_branch="""
+        cycle += config.taken_branch_penalty
+        used = 0
+    """,
+    on_call="""
+        cycle += config.call_penalty
+        used = 0
+    """,
+    after_ret="""
+        if dest >= 0:
+            slot = dest + self._FLOAT_SLOT_BASE if dest_float else dest
+            ready[slot] = cycle + 1
+        cycle += config.call_penalty
+        used = 0
+    """,
+    on_leave="""
+        tm.cycle, tm.used = cycle, used
+        tm.loads, tm.misses = loads, misses
+    """,
+)
 
-#: Offset distinguishing float-register slots in the ready map.
-_FLOAT_SLOT_BASE = Machine._FLOAT_SLOT_BASE
+#: ``run(profile=True)``: also attribute issue cycles to functions.
+_ATTRIBUTED = merge(_TIMED, hooks(
+    setup="""
+        fn_cycles, fn_instrs = tm.function_cycles, tm.function_instructions
+        last_cycle = tm.last_cycle
+    """,
+    before_step="""
+        fname = func.name
+        fn_cycles[fname] = fn_cycles.get(fname, 0) + cycle - last_cycle
+        fn_instrs[fname] = fn_instrs.get(fname, 0) + 1
+        last_cycle = cycle
+    """,
+    on_leave="tm.last_cycle = last_cycle",
+))
+
+_run_timed = render("timed", "tm", _TIMED, {"MASK64": MASK64})
+_run_attributed = render("attributed", "tm", _ATTRIBUTED, {"MASK64": MASK64})
+
+
+class _Scoreboard:
+    """The cycle model's state across one timing run (the loop's hook)."""
+
+    def __init__(self, config: TimingConfig) -> None:
+        self.config = config
+        self.ready, self.tags, self.role_counts = {}, {}, {}
+        self.function_cycles, self.function_instructions = {}, {}
+        self.cycle = self.used = self.loads = self.misses = self.last_cycle = 0
 
 
 class TimingSimulator:
@@ -95,167 +174,22 @@ class TimingSimulator:
         self.config = config or TimingConfig()
 
     def run(self, profile: bool = False) -> TimingResult:
+        """Time one run from reset; the machine ends as ``run()`` ends it."""
         machine = self.machine
         machine.reset()
-        fn_cycles: dict[str, int] = {}
-        fn_instrs: dict[str, int] = {}
-        last_cycle = 0
-        config = self.config
-        width = config.width
-        miss_penalty = config.miss_penalty
-        line_shift = config.line_bytes.bit_length() - 1
-        num_sets = config.cache_sets
-        tags: dict[int, int] = {}
-
-        ready: dict[int, int] = {}
-        cycle = 0
-        used = 0
-        loads = 0
-        misses = 0
-        role_counts: dict[str, int] = {}
-        status = RunStatus.EXITED
-
-        func = machine.entry
-        block_idx = 0
-        i = 0
-        icount = 0
-        hard_limit = machine.max_instructions
-        try:
-            while True:
-                block = func.blocks[block_idx]
-                steps = block.steps
-                metas = block.meta
-                n = len(steps)
-                advanced = False
-                while i < n:
-                    if icount >= hard_limit:
-                        status = RunStatus.HANG
-                        raise _Done()
-                    icount += 1
-                    kind, dest, srcs, latency, mem, role = metas[i]
-                    # --- scoreboard: earliest issue cycle -------------------
-                    earliest = cycle
-                    for slot in srcs:
-                        t = ready.get(slot, 0)
-                        if t > earliest:
-                            earliest = t
-                    if earliest > cycle:
-                        cycle = earliest
-                        used = 0
-                    elif used >= width:
-                        cycle += 1
-                        used = 0
-                    used += 1
-                    role_counts[role] = role_counts.get(role, 0) + 1
-                    if profile:
-                        name = func.name
-                        fn_cycles[name] = (fn_cycles.get(name, 0)
-                                           + cycle - last_cycle)
-                        fn_instrs[name] = fn_instrs.get(name, 0) + 1
-                        last_cycle = cycle
-                    # --- cache ----------------------------------------------
-                    if mem is not None:
-                        base_slot, offset = mem
-                        addr = (machine.regs[base_slot] + offset) & MASK64
-                        line = addr >> line_shift
-                        set_idx = line % num_sets
-                        if kind == _LOAD:
-                            loads += 1
-                            if tags.get(set_idx) != line:
-                                latency = miss_penalty
-                                misses += 1
-                            else:
-                                latency = config.load_hit_latency
-                        tags[set_idx] = line
-                    if dest >= 0:
-                        ready[dest] = cycle + latency
-                    # --- execute functionally --------------------------------
-                    act = steps[i](machine)
-                    if act is None:
-                        i += 1
-                        continue
-                    if act >= 0:
-                        block_idx = act
-                        i = 0
-                        advanced = True
-                        cycle += config.taken_branch_penalty
-                        used = 0
-                        break
-                    if act == ACT_CALL:
-                        machine.call_stack.append(
-                            (func, block_idx, i + 1,
-                             machine.pending_dest, machine.pending_dest_float)
-                        )
-                        func = machine.pending_callee
-                        block_idx = 0
-                        i = 0
-                        advanced = True
-                        cycle += config.call_penalty
-                        used = 0
-                        break
-                    if act == ACT_RET:
-                        if not machine.call_stack:
-                            raise _Done()
-                        func, block_idx, i, dest_slot, dest_float = (
-                            machine.call_stack.pop()
-                        )
-                        machine.arg_stack.pop()
-                        if dest_slot >= 0:
-                            value = machine.ret_value
-                            if dest_float:
-                                machine.fregs[dest_slot] = (
-                                    float(value) if value is not None else 0.0
-                                )
-                                ready[dest_slot + _FLOAT_SLOT_BASE] = cycle + 1
-                            else:
-                                machine.regs[dest_slot] = (
-                                    int(value) & MASK64
-                                    if value is not None else 0
-                                )
-                                ready[dest_slot] = cycle + 1
-                        advanced = True
-                        cycle += config.call_penalty
-                        used = 0
-                        break
-                    if act == ACT_EXIT:
-                        raise _Done()
-                    if act == ACT_DETECT:
-                        status = RunStatus.DETECTED
-                        raise _Done()
-                    if act == ACT_RECOVER:
-                        machine.recoveries += 1
-                        if machine.first_recovery_icount is None:
-                            machine.first_recovery_icount = icount
-                        i += 1
-                        continue
-                    raise SimulationError(f"bad step action {act}")
-                if not advanced:
-                    block_idx += 1
-                    i = 0
-                    if block_idx >= len(func.blocks):
-                        raise GuestTrap(
-                            TrapKind.SEGFAULT,
-                            f"control fell off the end of {func.name}",
-                        )
-        except _Done:
-            pass
-        except GuestTrap:
-            status = RunStatus.TRAPPED
-        machine.icount = icount
+        board = _Scoreboard(self.config)
+        loop = _run_attributed if profile else _run_timed
+        result = loop(machine, None, board)
         return TimingResult(
-            cycles=max(cycle, 1),
-            instructions=icount,
-            loads=loads,
-            load_misses=misses,
-            status=status,
-            role_counts=role_counts,
-            function_cycles=fn_cycles,
-            function_instructions=fn_instrs,
+            cycles=max(board.cycle, 1),
+            instructions=result.instructions,
+            loads=board.loads,
+            load_misses=board.misses,
+            status=result.status,
+            role_counts=board.role_counts,
+            function_cycles=board.function_cycles,
+            function_instructions=board.function_instructions,
         )
-
-
-class _Done(Exception):
-    """Internal: terminate the timing loop."""
 
 
 def measure_cycles(program, config: TimingConfig | None = None,
