@@ -70,10 +70,10 @@ class SimProfiler:
         #: Trials that ran (partly) in the taint-traced loop, whose
         #: instructions this profiler therefore did not see.
         self.taint_trials = 0
-        #: function name -> whether the block JIT compiled it (None
+        #: (function, block) pairs the block JIT runs compiled (None
         #: until :meth:`annotate_jit` runs; profiled execution itself
         #: always uses the counting interpreter loop).
-        self.jit_functions: dict[str, bool] | None = None
+        self.jit_blocks: set[tuple[str, str]] | None = None
         self._countdown = self.sample_every
         self._last_sample = perf_counter()
 
@@ -106,25 +106,28 @@ class SimProfiler:
         self.recoveries[key] = self.recoveries.get(key, 0) + 1
 
     def annotate_jit(self, machine) -> None:
-        """Record which of ``machine``'s functions the block JIT
+        """Record which of ``machine``'s blocks the block JIT runs
         compiled, so the hotspot report can show what fraction of the
         profiled dynamic instructions a ``--jit`` campaign executes in
-        compiled code rather than interpreter fallback.
+        compiled code rather than in the interpreter.
 
-        This is the JIT's *static* compile decision per function
-        (uncompilable functions fall back whole); the rare dynamic
-        side exits -- injection pauses, mid-block resumes -- re-enter
-        compiled code immediately, so function granularity is the
-        honest approximation.  Profiled execution itself always runs
-        the counting interpreter loop; this only annotates.
+        This is the JIT's *static* decision per block: every block of
+        an uncompilable function, and every SWIFT-R/TRUMP repair block,
+        is interpreted (``JitProgram.interpreted``).  The rare dynamic
+        exits -- injection pauses, mid-block resumes, bails -- re-enter
+        compiled code at the next block, so block granularity is the
+        honest approximation.
+        Profiled execution itself always runs the counting interpreter
+        loop; this only annotates.
         """
         from ..sim.jit import jit_program_for
 
-        compiled = jit_program_for(machine)
-        self.jit_functions = {
-            name: compiled.tables(name)[0] is not None
-            for name in machine.functions
-        }
+        interpreted = jit_program_for(machine).interpreted
+        self.jit_blocks = {
+            (name, block.name)
+            for name, cfunc in machine.functions.items()
+            for block in cfunc.blocks
+        } - interpreted
 
     # ------------------------------------------------------------- aggregates
     @property
@@ -170,10 +173,8 @@ class SimProfiler:
         for key, seconds in other.wall.items():
             self.wall[key] = self.wall.get(key, 0.0) + seconds
         self.taint_trials += other.taint_trials
-        if other.jit_functions is not None:
-            merged = dict(self.jit_functions or {})
-            merged.update(other.jit_functions)
-            self.jit_functions = merged
+        if other.jit_blocks is not None:
+            self.jit_blocks = (self.jit_blocks or set()) | other.jit_blocks
 
     # ---------------------------------------------------------------- export
     def to_records(self, context: dict | None = None) -> list[dict]:
@@ -191,10 +192,10 @@ class SimProfiler:
             "wall_seconds": round(total_wall, 6),
             "taint_trials": self.taint_trials,
         }
-        if self.jit_functions is not None:
+        if self.jit_blocks is not None:
             jit_instructions = sum(
                 sum(counts) for key, counts in self.index_counts.items()
-                if self.jit_functions.get(key[0], False))
+                if key in self.jit_blocks)
             summary["jit_instructions"] = jit_instructions
             summary["jit_coverage"] = (round(jit_instructions / total, 8)
                                        if total else 0.0)
@@ -217,8 +218,8 @@ class SimProfiler:
                 "wall_seconds": round(self.wall.get(key, 0.0), 6),
                 "index_counts": list(counts),
             }
-            if self.jit_functions is not None:
-                record["jit"] = self.jit_functions.get(key[0], False)
+            if self.jit_blocks is not None:
+                record["jit"] = key in self.jit_blocks
             if context:
                 record.update(context)
             records.append(record)

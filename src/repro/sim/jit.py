@@ -36,16 +36,26 @@ Execution model ("side exits"):
   Restores into any other mid-block position (checkpoint restore,
   opcode-fault stepping) are interpreted until the next control
   transfer, then splice back into compiled dispatch.
-* **Traps:** trapping templates (memory access, DIV/REM, CVTFI,
-  PARAM) record the exact retired count before any side effect, and
-  the interpreter's trapping steps never mutate state before raising,
-  so a compiled trap re-raises with bit-identical ``RunResult``
-  accounting.
+* **Cold paths bail to the interpreter:** a same-base access run whose
+  hoisted span check fails, a load that misses ``cells``, a store to
+  a new address that is not a mapped word, and every other path that
+  would trap are not compiled.  The code *bails* instead: it writes
+  back its dirty locals, records the exact icount and ``(function,
+  block, index)`` of the instruction it stopped before, and returns
+  ``ACT_BAIL``; the run loop interprets from there in the same
+  iteration.  SWIFT-R/TRUMP repair blocks (entered only after a vote
+  mismatch) are never compiled at all: each one's dispatch entry is a
+  fuel stop, so the run loop, the one place recoveries are counted,
+  interprets every repair.
+* **Traps:** memory traps -- and every other guest trap (DIV/REM by
+  zero, CVTFI of a non-finite value, PARAM out of range, falling off
+  the function's end) -- come only from the interpreter, after a
+  bail, so a trapped ``RunResult`` is the interpreter's own.
 * Taint tracing and profiling take precedence over the JIT in
   ``Machine.run``: their hooks must see every instruction, so compiled
-  execution is bypassed while either is attached (the profiler still
-  *simulates* the dispatch predicate to measure JIT coverage; see
-  :mod:`repro.obs.profile`).
+  execution is bypassed while either is attached (the profiler marks
+  the blocks the JIT would run compiled, ``JitProgram.interpreted``
+  being the rest; see :mod:`repro.obs.profile`).
 
 Code size stays linear in program size.  A fallthrough/JMP successor
 is fused into the current block's straight-line chain only when the
@@ -73,7 +83,7 @@ from ..isa.instruction import Instruction, Role
 from ..isa.opcodes import Opcode, OpKind
 from ..isa.operands import FImm, Imm, MASK64, to_signed
 from ..isa.registers import Register
-from .events import GuestTrap, TrapKind
+from .loop import ACT_BAIL
 from .machine import Machine, _fop_div
 from .memory import bits_to_float, float_to_bits
 from .semantics import (
@@ -92,20 +102,23 @@ from .semantics import (
 _TWO63 = 1 << 63
 _TWO64 = 1 << 64
 
+
+def _bail(m, icount, func, block, index):
+    """Leave compiled code before instruction ``index`` of ``block``,
+    with ``icount`` retired; the run loop interprets on from there."""
+    m.icount = icount
+    m._position = (m.functions[func], block, index)
+    return ACT_BAIL
+
 # Namespace the generated code executes in.  Builtins are emptied so the
-# templates are explicit about every name they touch; helpers keep the
-# rare trap-exact operations (integer division, IEEE float division)
-# byte-compatible with the interpreter's closures.
+# templates are explicit about every name they touch; helpers keep IEEE
+# float division byte-compatible with the interpreter's closures.
 _GLOBALS = {
     "__builtins__": {},
-    "_GT": GuestTrap,
-    "_TK_ILLEGAL": TrapKind.ILLEGAL,
-    "_TK_BADCONV": TrapKind.BAD_CONVERT,
-    "_TK_SEGV": TrapKind.SEGFAULT,
-    "_TK_DIVZ": TrapKind.DIV_BY_ZERO,
     "_f2b": float_to_bits,
     "_b2f": bits_to_float,
     "_fdiv": _fop_div,
+    "_bail": _bail,
     "abs": abs,
     "_INF": float("inf"),
     "_NINF": float("-inf"),
@@ -133,15 +146,20 @@ class JitProgram:
     to ``(segment_fn, need)`` where ``need`` is the most instructions
     the segment can retire (the dispatch loop's pause-safety precheck).
     ``sources`` keeps the generated Python per function for debugging.
+    ``interpreted`` holds the ``(function, block name)`` pairs the
+    interpreter always runs: every block of a function with no driver,
+    and every SWIFT-R/TRUMP repair block.
     """
 
-    __slots__ = ("tables_by_name", "sources", "segment_count")
+    __slots__ = ("tables_by_name", "sources", "segment_count", "interpreted")
 
     def __init__(self, tables_by_name: dict, sources: dict[str, str],
-                 segment_count: int) -> None:
+                 segment_count: int,
+                 interpreted: frozenset[tuple[str, str]]) -> None:
         self.tables_by_name = tables_by_name
         self.sources = sources
         self.segment_count = segment_count
+        self.interpreted = interpreted
 
     def tables(self, func_name: str):
         return self.tables_by_name[func_name]
@@ -249,7 +267,6 @@ class _Emitter:
         self.uses_int_file = False
         self.uses_float_file = False
         self.uses_mem = False
-        self.uses_traps = False
         self._indent = ""
         self.lines: list[str] = []
 
@@ -343,21 +360,23 @@ class _Emitter:
         else:
             self.emit_exit(delta, str(target), indent)
 
-    def emit_trap_point(self, delta: int, indent: str = "") -> None:
-        """Record the exact retired count for the trap handler.
+    def emit_bail(self, delta: int, indent: str = "") -> None:
+        """A cold path: hand the rest of the block, from the instruction
+        after ``delta`` retired ones, to the interpreter."""
+        icount = f"ic + {delta}" if delta else "ic"
+        self.emit(f"{indent}return _bail(m, {icount}, {self.func_name!r}, "
+                  f"{self.block}, {self.entry + delta})")
 
-        Emitted only on paths that are about to raise (or call a
-        helper that raises), never on the hot path.
-        """
-        self.uses_traps = True
-        self.emit(f"{indent}_tp = ic + {delta}")
-
-    def emit_fall_off_end(self, delta: int) -> None:
-        """Control fell off the last block: a wild PC, like the interpreter."""
-        self.uses_traps = True
-        self.emit(f"_tp = ic + {delta}")
-        self.emit(f"raise _GT(_TK_SEGV, "
-                  f"'control fell off the end of {self.func_name}')")
+    def in_segment(self, span: int = 0) -> str:
+        """Condition: ``_a`` through ``_a + span`` lie in one segment."""
+        mem = self.machine.memory
+        bounds = ((mem.global_lo, mem.global_hi),
+                  (mem.heap_lo, mem.heap_hi),
+                  (mem.stack_lo, mem.stack_hi))
+        if span:
+            return " or ".join(f"{lo} <= _a and _a + {span} < {hi}"
+                               for lo, hi in bounds)
+        return " or ".join(f"{lo} <= _a < {hi}" for lo, hi in bounds)
 
     # ----------------------------------------------------- access runs
     def _access_run_length(self, seg: list[Instruction],
@@ -400,34 +419,22 @@ class _Emitter:
         """One span check for a run of same-base accesses.
 
         Fast path: every address in the run's span lies aligned inside
-        one segment, so each access is a bare ``cells`` op.  Slow path
-        (any doubt): the original per-access sequence, whose first
-        failing check traps at its exact icount -- the hoisted check is
-        sufficient-but-not-necessary, so falling back keeps trap
-        behavior bit-identical.
+        one segment, so each access is a bare ``cells`` op.  Otherwise
+        the run bails before its first access and the interpreter
+        checks each access, trapping at the exact icount of the first
+        bad one -- the hoisted check is sufficient-but-not-necessary.
         """
         instrs = seg[start:start + count]
         base_expr = self.ireg(instrs[0].srcs[0])
         offs = [i.srcs[1].signed for i in instrs]
         lo, hi = min(offs), max(offs)
-        span = hi - lo
         self.uses_mem = True
-        mem = self.machine.memory
         if lo:
             self.emit(f"_a = ({base_expr} + {lo}) & {MASK64}")
         else:
             self.emit(f"_a = {base_expr}")
-        bounds = ((mem.global_lo, mem.global_hi),
-                  (mem.heap_lo, mem.heap_hi),
-                  (mem.stack_lo, mem.stack_hi))
-        if span:
-            seg_cond = " or ".join(
-                f"{b_lo} <= _a and _a + {span} < {b_hi}"
-                for b_lo, b_hi in bounds)
-        else:
-            seg_cond = " or ".join(
-                f"{b_lo} <= _a < {b_hi}" for b_lo, b_hi in bounds)
-        self.emit(f"if not (_a & 7) and ({seg_cond}):")
+        self.emit(f"if _a & 7 or not ({self.in_segment(hi - lo)}):")
+        self.emit_bail(start, indent="    ")
         for instr, off in zip(instrs, offs):
             delta_off = off - lo
             addr = f"_a + {delta_off}" if delta_off else "_a"
@@ -436,58 +443,43 @@ class _Emitter:
                 value = instr.srcs[2]
                 expr = (repr(value.value) if isinstance(value, Imm)
                         else self.ireg(value))
-                self.emit(f"    cells[{addr}] = {expr}")
+                self.emit(f"cells[{addr}] = {expr}")
             elif op is Opcode.FSTORE:
                 value = instr.srcs[2]
                 expr = (_flit(float(value.value))
                         if isinstance(value, FImm)
                         else self.freg(value))
-                self.emit(f"    cells[{addr}] = {expr}")
+                self.emit(f"cells[{addr}] = {expr}")
             elif op is Opcode.LOAD:
                 if self.int_cells:
                     dest = self.iwrite(instr.dest)
-                    self.emit("    try:")
-                    self.emit(f"        {dest} = cells[{addr}]")
-                    self.emit("    except KeyError:")
-                    self.emit(f"        {dest} = 0")
+                    self.emit("try:")
+                    self.emit(f"    {dest} = cells[{addr}]")
+                    self.emit("except KeyError:")
+                    self.emit(f"    {dest} = 0")
                 else:
-                    self.emit("    try:")
-                    self.emit(f"        _v = cells[{addr}]")
-                    self.emit("    except KeyError:")
-                    self.emit("        _v = 0")
-                    self.emit("    if type(_v) is float:")
-                    self.emit("        _v = _f2b(_v)")
-                    self.emit(f"    {self.iwrite(instr.dest)} = _v")
+                    self.emit("try:")
+                    self.emit(f"    _v = cells[{addr}]")
+                    self.emit("except KeyError:")
+                    self.emit("    _v = 0")
+                    self.emit("if type(_v) is float:")
+                    self.emit("    _v = _f2b(_v)")
+                    self.emit(f"{self.iwrite(instr.dest)} = _v")
             else:  # FLOAD
-                self.emit("    try:")
-                self.emit(f"        _v = cells[{addr}]")
-                self.emit("    except KeyError:")
-                self.emit("        _v = 0")
-                self.emit("    if type(_v) is not float:")
-                self.emit("        _v = _b2f(_v)")
-                self.emit(f"    {self.fwrite(instr.dest)} = _v")
-        self.emit("else:")
-        saved = self._indent
-        self._indent = saved + "    "
-        for k, instr in enumerate(instrs):
-            self.emit_instruction(instr, start + k + 1)
-        self._indent = saved
+                self.emit("try:")
+                self.emit(f"    _v = cells[{addr}]")
+                self.emit("except KeyError:")
+                self.emit("    _v = 0")
+                self.emit("if type(_v) is not float:")
+                self.emit("    _v = _b2f(_v)")
+                self.emit(f"{self.fwrite(instr.dest)} = _v")
 
     # ------------------------------------------------------------- body
     def emit_instruction(self, instr: Instruction, delta: int) -> bool:
         """Emit one instruction; True when it always leaves the body."""
-        op = instr.op
-        # Recovery-block entry: the first instruction of a repair block
-        # is a NOP tagged RECOVERY/VOTE; the interpreter's run loop
-        # counts it at its exact dynamic icount.  Inline the same.
-        if instr.role in (Role.RECOVERY, Role.VOTE) and op is Opcode.NOP:
-            self.emit("m.recoveries += 1")
-            self.emit("if m.first_recovery_icount is None:")
-            self.emit(f"    m.first_recovery_icount = ic + {delta}")
-            return False
-        handler = _EMITTERS.get(op)
+        handler = _EMITTERS.get(instr.op)
         if handler is None:  # pragma: no cover - every opcode is mapped
-            raise _Uncompilable(op)
+            raise _Uncompilable(instr.op)
         return handler(self, instr, delta)
 
     def emit_body(self, block: int, entry: int,
@@ -514,7 +506,8 @@ class _Emitter:
             if block + 1 < nblocks:
                 self.emit_transfer(len(seg), block + 1)
             else:
-                self.emit_fall_off_end(len(seg))
+                # Off the last block: the interpreter traps (a wild PC).
+                self.emit_bail(len(seg))
         lines = self.lines
         self.lines = []
         return lines
@@ -543,31 +536,21 @@ class _Emitter:
     def assemble(self, name: str, args: str, body: list[str]) -> str:
         """Wrap a body in the def/prologue/try skeleton.
 
-        Every way out -- side exit, fuel stop, trap -- writes back the
+        Every way out -- side exit, fuel stop, bail -- writes back the
         same dirty locals, so the writeback is emitted once, as the
-        ``finally`` of a ``try`` around the whole body.
+        ``finally`` of a ``try`` around the whole body.  Inlined callee
+        code shares it: its dirty slots are in this function's set.
         """
         writeback = self.writeback_lines()
         out = [f"def {name}({args}):"]
         out += ["    " + line for line in self.prologue_lines()]
-        if not (writeback or self.uses_traps):
+        if not writeback:
             out += ["    " + line for line in body]
             return "\n".join(out)
         out.append("    try:")
         out += ["        " + line for line in body]
-        if self.uses_traps:
-            # Trapping templates store the exact retired count in _tp
-            # *before* any side effect, and trapping operations never
-            # mutate state before raising, so the handler reports a
-            # bit-identical icount (``finally`` then writes back).
-            # Inlined callee code shares this handler: its trap points
-            # are absolute (``ic`` runs through the inlined body) and
-            # its dirty slots are in this function's writeback set.
-            out += ["    except _GT:", "        m.icount = _tp",
-                    "        raise"]
-        if writeback:
-            out.append("    finally:")
-            out += ["        " + line for line in writeback]
+        out.append("    finally:")
+        out += ["        " + line for line in writeback]
         return "\n".join(out)
 
 
@@ -587,17 +570,14 @@ def _emit_binop(fmt: str, modes: tuple[str, str]):
 
 def _emit_divrem(is_rem: bool):
     # Inlined two's-complement truncating division, exactly the
-    # interpreter's _op_div/_op_rem; the zero check carries the trap
-    # point so the hot path stays free of it (skipped entirely for a
-    # provably nonzero constant divisor).
-    word = "remainder" if is_rem else "division"
-
+    # interpreter's _op_div/_op_rem; a zero divisor bails, so the
+    # interpreter traps (no check at all for a provably nonzero
+    # constant divisor).
     def emit(e: _Emitter, instr: Instruction, delta: int) -> bool:
         divisor = instr.srcs[1]
         d = e.iwrite(instr.dest)
         if isinstance(divisor, Imm) and divisor.value == 0:
-            e.emit_trap_point(delta)
-            e.emit(f"raise _GT(_TK_DIVZ, 'integer {word} by zero')")
+            e.emit_bail(delta - 1)
             return True
         if isinstance(divisor, Imm) and to_signed(divisor.value) > 0:
             # Positive constant divisor: for a non-negative dividend,
@@ -615,8 +595,7 @@ def _emit_divrem(is_rem: bool):
             return False
         if not isinstance(divisor, Imm):
             e.emit(f"if {e.ireg(divisor)} == 0:")
-            e.emit_trap_point(delta, indent="    ")
-            e.emit(f"    raise _GT(_TK_DIVZ, 'integer {word} by zero')")
+            e.emit_bail(delta - 1, indent="    ")
         e.emit(f"_x = {e.operand(instr.srcs[0], SEXT)}")
         e.emit(f"_y = {e.operand(divisor, SEXT)}")
         e.emit("_q = abs(_x) // abs(_y)")
@@ -664,26 +643,22 @@ def _emit_load_miss(e, delta: int) -> None:
     # in-segment) addresses plus the initial data image, so a
     # subscript hit *proves* the address valid -- no per-load
     # alignment/segment check on the hot path (zero-cost try on
-    # 3.11+).  Only a miss runs the interpreter's full check, which
-    # traps for a bad address and otherwise reads as zero.
+    # 3.11+).  A miss (a bad address, or a word never stored, which
+    # reads as zero) bails to the interpreter.
     e.emit("except KeyError:")
-    e.emit_trap_point(delta, indent="    ")
-    e.emit("    m.memory.check(_a)")
+    e.emit_bail(delta - 1, indent="    ")
 
 
 def _emit_load(e, instr, delta):
     _emit_addr(e, instr.srcs[0], instr.srcs[1].signed)
     if e.int_cells:
-        dest = e.iwrite(instr.dest)
         e.emit("try:")
-        e.emit(f"    {dest} = cells[_a]")
+        e.emit(f"    {e.iwrite(instr.dest)} = cells[_a]")
         _emit_load_miss(e, delta)
-        e.emit(f"    {dest} = 0")
         return False
     e.emit("try:")
     e.emit("    _v = cells[_a]")
     _emit_load_miss(e, delta)
-    e.emit("    _v = 0")
     e.emit("if type(_v) is float:")
     e.emit("    _v = _f2b(_v)")
     e.emit(f"{e.iwrite(instr.dest)} = _v")
@@ -695,18 +670,10 @@ def _emit_store_checked(e, expr: str, delta: int) -> None:
     # corrupt the keys-are-valid-addresses invariant loads rely on),
     # but an address already present was validated by whoever stored
     # it first -- repeated stores (stack slots, accumulators) skip the
-    # check entirely.
-    e.emit("if _a in cells:")
-    e.emit(f"    cells[_a] = {expr}")
-    e.emit("else:")
-    mem = e.machine.memory
-    e.emit(f"    if _a & 7 or not ({mem.global_lo} <= _a < "
-           f"{mem.global_hi} or {mem.heap_lo} <= _a < "
-           f"{mem.heap_hi} or {mem.stack_lo} <= _a < "
-           f"{mem.stack_hi}):")
-    e.emit_trap_point(delta, indent="        ")
-    e.emit("        m.memory.check(_a)")
-    e.emit(f"    cells[_a] = {expr}")
+    # check entirely.  A bad new address bails to the interpreter.
+    e.emit(f"if _a not in cells and (_a & 7 or not ({e.in_segment()})):")
+    e.emit_bail(delta - 1, indent="    ")
+    e.emit(f"cells[_a] = {expr}")
 
 
 def _emit_store(e, instr, delta):
@@ -798,7 +765,7 @@ def _emit_call(e, instr, delta):
     # and no reloads cross the boundary.  The frame pushed above is
     # only consumed by side exits: a fuel stop at a callee block entry
     # returns ``-7 - block`` with the callee pending (the dispatcher
-    # resumes the callee's standalone driver there), and traps/detect/
+    # resumes the callee's standalone driver there), and bails/detect/
     # exit leave mid-callee frames exactly as the interpreter would.
     # A leaf contains no CALL, so inline expansion depth is one.  RET
     # exits the callee dispatch loop and falls through to the
@@ -893,9 +860,7 @@ def _emit_param(e, instr, delta):
         # (int registers are invariantly masked; float registers are
         # Python floats).
         if idx >= len(kinds):
-            e.emit_trap_point(delta)
-            e.emit(f"raise _GT(_TK_ILLEGAL, "
-                   f"{f'param {idx} out of range'!r})")
+            e.emit_bail(delta - 1)
             return True
         if instr.dest.is_float:
             expr = (f"_args[{idx}]" if kinds[idx] == "float"
@@ -908,8 +873,7 @@ def _emit_param(e, instr, delta):
         return False
     e.emit("_s = m.arg_stack")
     e.emit(f"if not _s or {idx} >= len(_s[-1]):")
-    e.emit_trap_point(delta, indent="    ")
-    e.emit(f"    raise _GT(_TK_ILLEGAL, {f'param {idx} out of range'!r})")
+    e.emit_bail(delta - 1, indent="    ")
     if instr.dest.is_float:
         e.emit(f"{e.fwrite(instr.dest)} = float(_s[-1][{idx}])")
     else:
@@ -998,7 +962,6 @@ def _emit_fload(e, instr, delta):
     e.emit("try:")
     e.emit("    _v = cells[_a]")
     _emit_load_miss(e, delta)
-    e.emit("    _v = 0")
     e.emit("if type(_v) is not float:")
     e.emit("    _v = _b2f(_v)")
     e.emit(f"{e.fwrite(instr.dest)} = _v")
@@ -1028,8 +991,7 @@ def _emit_cvtif(e, instr, delta):
 def _emit_cvtfi(e, instr, delta):
     s = e.freg(instr.srcs[0])
     e.emit(f"if {s} != {s} or {s} == _INF or {s} == _NINF:")
-    e.emit_trap_point(delta, indent="    ")
-    e.emit(f'    raise _GT(_TK_BADCONV, f"cvtfi of {{{s}}}")')
+    e.emit_bail(delta - 1, indent="    ")
     e.emit(f"{e.iwrite(instr.dest)} = int({s}) & {MASK64}")
     return False
 
@@ -1109,6 +1071,21 @@ def _flow_edges(cfunc):
         if j + 1 < nblocks and (last is None or not last.is_terminator
                                 or last.op.kind is OpKind.BRANCH):
             yield j, j + 1
+
+
+def _repair_blocks(cfunc) -> set[int]:
+    """Indices of ``cfunc``'s SWIFT-R/TRUMP repair blocks.
+
+    A repair block holds the RECOVERY/VOTE NOP that marks a repair's
+    entry (always its first instruction).  Majority-vote recovery only
+    enters one after a vote mismatch, so they are left to the
+    interpreter -- the run loop is the one place recoveries are
+    counted.
+    """
+    return {b for b, blk in enumerate(cfunc.blocks)
+            if any(instr.op is Opcode.NOP
+                   and instr.role in (Role.RECOVERY, Role.VOTE)
+                   for instr in blk.instrs)}
 
 
 def _owners(cfunc) -> list[int | None]:
@@ -1255,12 +1232,18 @@ def _render_block_loops(emitter: _Emitter, cfunc, fuel_stop
     a one-block body.  ``fuel_stop(cur)`` supplies the exit lines for a
     block that cannot complete under ``stop`` (emitted after the icount
     sync): a driver returns the block index; an inlined callee returns
-    the ``-7 - block`` encoding with the callee pending.
+    the ``-7 - block`` encoding with the callee pending.  A repair
+    block's entry is nothing but that fuel stop, and no chain runs
+    into one, so the interpreter runs every repair.
     """
     owners = _owners(cfunc)
+    repair = _repair_blocks(cfunc)
     nblocks = len(cfunc.blocks)
     bodies: dict[int, list[str]] = {}
     for b, owner in enumerate(owners):
+        if b in repair:
+            bodies[b] = ["m.icount = ic", *fuel_stop(b)]
+            continue
         chain: list[str] = []
         emitter.chain_entry = b
         cur = b
@@ -1285,7 +1268,8 @@ def _render_block_loops(emitter: _Emitter, cfunc, fuel_stop
             if target == b:
                 chain.append("continue")
                 break
-            if owner is not None or owners[target] != cur:
+            if (owner is not None or owners[target] != cur
+                    or target in repair):
                 chain.append(f"{emitter.dispatch_var} = {target}")
                 chain.append("break")
                 break
@@ -1340,6 +1324,7 @@ def compile_program(machine: Machine) -> JitProgram:
     saved = machine._current_function
     tables = {}
     sources = {}
+    interpreted = set()
     count = 0
     # Floats can only reach memory via FSTORE or the initial data
     # image; absent both, every LOAD can skip its coercion check.
@@ -1358,9 +1343,12 @@ def compile_program(machine: Machine) -> JitProgram:
             tables[name] = table
             sources[name] = source
             count += segments
+            left = (range(len(cfunc.blocks)) if table[0] is None
+                    else _repair_blocks(cfunc))
+            interpreted.update((name, cfunc.blocks[b].name) for b in left)
     finally:
         machine._current_function = saved
-    return JitProgram(tables, sources, count)
+    return JitProgram(tables, sources, count, frozenset(interpreted))
 
 
 # One compiled JitProgram per *program identity*, shared by every

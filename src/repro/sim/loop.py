@@ -21,7 +21,10 @@ from textwrap import dedent
 from ..errors import SimulationError
 from .events import GuestTrap, RunResult, RunStatus, TrapKind
 
-# The step-closure action protocol (see repro.sim.machine).
+# The step-closure action protocol (see repro.sim.machine).  ACT_BAIL
+# is compiled code's alone: it stopped before a cold path and recorded
+# where the interpreter takes over (see repro.sim.jit).
+ACT_BAIL = -1
 ACT_CALL = -2
 ACT_EXIT = -3
 ACT_RET = -4
@@ -112,9 +115,7 @@ TEMPLATE = '''\
                 #@on_fall
     except GuestTrap as trap:
         #@on_trap
-        # Compiled code stores its exact count before a trap leaves it.
-        if icount > self.icount:
-            self.icount = icount
+        self.icount = icount
         return self._finish(RunStatus.TRAPPED, trap)
     #@on_leave finally:
 '''
@@ -231,7 +232,8 @@ PROFILE = hooks(
 )
 
 #: The block JIT: at a block boundary (or a post-CALL resume point) run
-#: the function's compiled code, which returns only at side exits.
+#: the function's compiled code, which returns only at side exits and
+#: bails.
 JIT = hooks(
     setup="driver, resumes = jit.tables(func.name)",
     dispatch="""
@@ -245,11 +247,17 @@ JIT = hooks(
             act = driver(self, icount, stop_at, block_idx)
             icount = self.icount
             if act >= 0:
-                # Fuel stop: block ``act`` cannot finish before stop_at,
-                # so the loop below interprets it and takes the pause.
+                # Fuel stop: block ``act`` cannot finish before stop_at
+                # (the loop below interprets it and takes the pause), or
+                # it is a repair block, which is always interpreted.
                 block_idx = act
                 act = None
-        if act is not None:
+        if act == ACT_BAIL:
+            # A cold path: interpret on, in this iteration, from the
+            # instruction compiled code stopped before.
+            func, block_idx, i = self._position
+            driver, resumes = jit.tables(func.name)
+        elif act is not None:
             if act >= 0:
                 block_idx = act
                 i = 0

@@ -11,18 +11,19 @@ the specific side-exit mechanics with deterministic cases.
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from irgen import random_program
 from repro.faults import run_campaign
-from repro.isa import Function, IRBuilder, Program
-from repro.isa.program import HEAP_BASE
+from repro.isa import Function, IRBuilder, Imm, Program
+from repro.isa.program import HEAP_BASE, HEAP_BYTES
 from repro.lang import compile_source
 from repro.faults.injector import golden_run, run_with_fault
 from repro.faults.model import FaultSite, sample_sites
 from repro.faults.parallel import run_parallel_campaign
 from repro.obs.campaign_log import CampaignLog
-from repro.sim import Machine
+from repro.sim import Machine, jit
 from repro.sim.jit import attach_jit, jit_program_for
 from repro.transform import Technique, allocate_program, protect
 
@@ -213,6 +214,247 @@ def test_inlined_leaf_pause_at_every_icount():
         assert _final_state(jit_machine) == _final_state(ref_machine), icount
         repaired += jit_machine.recoveries > 0
     assert repaired
+
+
+# ------------------------------------------------- bails to the interpreter
+# Each site below reaches one cold path the compiled code leaves to the
+# interpreter ("bails"): the interpreter picks up at the exact
+# instruction, with the exact icount, and raises any trap itself.  All
+# but the valid first store bail.
+def _wild_run(b):
+    """A same-base access run off an unmapped base: SEGV at its first
+    access."""
+    base = b.li(0xDEAD_0000)
+    value = b.li(5)
+    b.store(base, value)
+    b.store(base, value, 8)
+    b.print_(b.load(base, 16))
+
+
+def _straddling_run(b):
+    """A same-base run over the heap's last two words and the word
+    past its end: two stores land, the third traps."""
+    base = b.li(HEAP_BASE + HEAP_BYTES - 16)
+    value = b.li(3)
+    b.store(base, value)
+    b.store(base, value, 8)
+    b.store(base, value, 16)
+
+
+def _load_miss(b):
+    """A single load of a mapped word never stored: reads zero (over a
+    nonzero register, so a skipped load would show)."""
+    dest = b.li(5)
+    b.print_(b.load(b.li(HEAP_BASE + 64), dest=dest))
+
+
+def _first_store(b):
+    """A single store to a new, valid address, then a load of it."""
+    base = b.li(HEAP_BASE + 128)
+    b.store(base, b.li(9))
+    b.print_(b.load(base))
+
+
+def _bad_first_store(b):
+    """A single store to a new, unmapped address: SEGV."""
+    b.store(b.li(0xDEAD_0008), b.li(9))
+
+
+def _div_by_zero(b):
+    b.print_(b.div(b.li(7), b.li(0)))
+
+
+def _rem_by_zero_constant(b):
+    b.print_(b.rem(b.li(7), Imm(0)))
+
+
+def _cvtfi_of_inf(b):
+    b.print_(b.cvtfi(b.fli(float("inf"))))
+
+
+def _param_out_of_range(b):
+    b.print_(b.param(3))
+
+
+def _bail_program(site, placement):
+    """``site`` inside ``main``'s driver, inside the post-CALL resume
+    segment of ``main``'s entry block (the call goes to a non-leaf, so
+    it side-exits), or inside a leaf that ``main`` inlines."""
+    program = Program()
+    functions = [Function("main")]
+    b = IRBuilder(functions[0])
+    b.start_block("entry")
+    program.assign_addresses()
+    b.print_(b.li(1))
+    if placement == "driver":
+        site(b)
+    elif placement == "resume":
+        b.call("outer", want_result=False)
+        site(b)
+        for name, callee in (("outer", "inner"), ("inner", None)):
+            functions.append(Function(name))
+            callee_b = IRBuilder(functions[-1])
+            callee_b.start_block("entry")
+            if callee:
+                callee_b.call(callee, want_result=False)
+            callee_b.print_(callee_b.li(7))
+            callee_b.ret()
+    else:
+        b.call("leaf", want_result=False)
+        functions.append(Function("leaf"))
+        leaf_b = IRBuilder(functions[-1])
+        leaf_b.start_block("entry")
+        site(leaf_b)
+        leaf_b.ret()
+    b.print_(b.li(2))
+    b.ret()
+    for fn in functions:
+        fn.renumber_pool()
+        program.add_function(fn)
+    return program
+
+
+@pytest.mark.parametrize("placement", ["driver", "resume", "leaf"])
+@pytest.mark.parametrize("site", [_wild_run, _straddling_run, _load_miss,
+                                  _first_store, _bad_first_store,
+                                  _div_by_zero, _rem_by_zero_constant,
+                                  _cvtfi_of_inf, _param_out_of_range],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_bail_matches_interpreter_at_every_pause(site, placement,
+                                                 monkeypatch):
+    """Golden run and a pause at every icount up to the end: state at
+    the pause and the completed run match the interpreter, and the
+    golden run's compiled code bailed where the site is cold."""
+    bails = []   # the function each bail left
+    real = jit._GLOBALS["_bail"]
+
+    def recording(m, icount, func, block, index):
+        bails.append(func)
+        return real(m, icount, func, block, index)
+
+    monkeypatch.setitem(jit._GLOBALS, "_bail", recording)
+    program = _bail_program(site, placement)
+    jit_machine, ref_machine = Machine(program), Machine(program)
+    # compile_program bypasses the per-program cache, so the counting
+    # helpers stay local to this test.
+    jit_machine.jit = jit.compile_program(jit_machine)
+    main = jit_machine.jit.sources["main"]
+    assert ("_cb = 0" in main) == (placement == "leaf")
+    side_exit = "m.pending_callee = m.functions['outer']"
+    assert (side_exit in main) == (placement == "resume")
+
+    golden = golden_run(ref_machine)
+    assert golden_run(jit_machine) == golden
+    assert _final_state(jit_machine) == _final_state(ref_machine)
+    # A valid first store stays compiled; every other site bails.
+    expected = "leaf" if placement == "leaf" else "main"
+    assert set(bails) == (set() if site is _first_store else {expected})
+
+    for icount in range(golden.instructions + 1):
+        results = []
+        for machine in (jit_machine, ref_machine):
+            machine.reset()
+            results.append(machine.run(icount))
+        assert results[0] == results[1], icount
+        assert _final_state(jit_machine) == _final_state(ref_machine), icount
+        if results[0].status.value == "paused":
+            assert jit_machine.run(None) == ref_machine.run(None), icount
+            assert _final_state(jit_machine) == _final_state(ref_machine)
+
+
+# Straight-line code over bounded loads, so TRUMP AN-codes its values
+# (and emits repair blocks) as well as SWIFT-R.
+_REPAIR_SOURCE = """
+int data[6] = { 7, 1, 8, 2, 8, 1 };
+int out[6];
+int main() {
+    int a = data[0] + data[1];
+    int b = a + data[2] - data[3];
+    out[0] = a;
+    out[1] = b + data[4];
+    if (b > 10) { print(b); }
+    print(a + b + data[5]);
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("inline", [False, True], ids=["driver", "leaf"])
+def test_falling_off_a_function_traps_like_the_interpreter(inline):
+    """A function whose last block has no terminator bails at its end;
+    the interpreter raises the wild-PC trap, in ``main`` or in an
+    inlined leaf."""
+    program = Program()
+    names = ["main", "leaf"] if inline else ["main"]
+    for name in names:
+        fn = Function(name)
+        b = IRBuilder(fn)
+        b.start_block("entry")
+        b.print_(b.li(3))
+        if name == "main" and inline:
+            b.call("leaf", want_result=False)
+            b.ret()
+        fn.renumber_pool()
+        program.add_function(fn)
+    jit_machine, ref_machine = _machine_pair(program)
+    assert ("_cb = 0" in jit_program_for(jit_machine).sources["main"]) \
+        == inline
+    golden = golden_run(ref_machine)
+    assert golden.status.value == "trapped"
+    assert golden_run(jit_machine) == golden
+    assert _final_state(jit_machine) == _final_state(ref_machine)
+
+
+@pytest.mark.parametrize("technique", [Technique.SWIFTR, Technique.TRUMP],
+                         ids=lambda t: t.value)
+def test_repairs_run_interpreted_and_count_the_same(technique):
+    """Flips that trigger SWIFT-R/TRUMP repairs: the repair blocks run
+    in the interpreter, which counts ``recoveries`` and the first
+    recovery's icount exactly as a wholly interpreted run does."""
+    binary = allocate_program(protect(compile_source(_REPAIR_SOURCE),
+                                      technique))
+    jit_machine, ref_machine = _machine_pair(binary)
+    golden = golden_run(ref_machine)
+    assert golden_run(jit_machine) == golden
+    repaired = 0
+    for site in sample_sites(17, golden.instructions, 150):
+        jit_result = run_with_fault(jit_machine, site)
+        ref_result = run_with_fault(ref_machine, site)
+        assert jit_result == ref_result, site
+        assert (jit_result.recoveries, jit_result.first_recovery_icount) == (
+            ref_result.recoveries, ref_result.first_recovery_icount)
+        assert _final_state(jit_machine) == _final_state(ref_machine), site
+        repaired += ref_result.recoveries > 0
+    assert repaired
+
+
+@pytest.mark.parametrize("technique", [Technique.SWIFTR, Technique.TRUMP],
+                         ids=lambda t: t.value)
+def test_generated_code_leaves_cold_paths_out(technique, monkeypatch):
+    """No repair block is rendered (each one's dispatch entry is a fuel
+    stop, and it is listed as interpreted), no compiled code counts a
+    recovery, and no compiled code checks a memory address."""
+    rendered = []
+    real = jit._Emitter.emit_body
+
+    def recording(self, block, entry, instrs, nblocks):
+        rendered.append((self.func_name, block))
+        return real(self, block, entry, instrs, nblocks)
+
+    monkeypatch.setattr(jit._Emitter, "emit_body", recording)
+    binary = allocate_program(protect(compile_source(_REPAIR_SOURCE),
+                                      technique))
+    machine = Machine(binary)
+    compiled = jit.compile_program(machine)
+    repair = {(name, b) for name, cfunc in machine.functions.items()
+              for b in jit._repair_blocks(cfunc)}
+    assert repair
+    assert not repair & set(rendered)
+    assert compiled.interpreted == {
+        (name, machine.functions[name].blocks[b].name) for name, b in repair}
+    for source in compiled.sources.values():
+        assert "m.recoveries" not in source
+        assert "m.memory.check" not in source
 
 
 # ------------------------------------------- snapshot/restore round trip

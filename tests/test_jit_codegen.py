@@ -19,8 +19,10 @@ from repro.transform import PAPER_TECHNIQUES, Technique
 from repro.workloads import PAPER_BENCHMARKS
 
 # Generated source lines allowed per static instruction of a program.
-# Every paper cell renders at most ~35 today.
-LINES_PER_INSTRUCTION = 48
+# Every paper cell renders at most ~22 today: cold paths (access-run
+# slow paths, load misses, bad stores, SWIFT-R/TRUMP repair blocks)
+# bail to the interpreter instead of being compiled.
+LINES_PER_INSTRUCTION = 32
 
 
 @pytest.mark.parametrize("technique", PAPER_TECHNIQUES,
@@ -33,6 +35,10 @@ def test_paper_cell_codegen_is_linear(bench, technique):
                for driver, _resumes in compiled.tables_by_name.values())
     lines = sum(src.count("\n") for src in compiled.sources.values())
     assert lines <= LINES_PER_INSTRUCTION * machine.program.num_instructions()
+    # Recoveries are counted, and memory traps raised, only by the
+    # interpreter.
+    assert not any("m.recoveries" in src or "m.memory.check" in src
+                   for src in compiled.sources.values())
 
 
 def test_inline_budget_falls_back_to_side_exit_call(monkeypatch):

@@ -6,6 +6,8 @@ from repro.faults import run_campaign, run_parallel_campaign
 from repro.obs.campaign_log import CampaignLog
 from repro.obs.profile import SimProfiler, render_hotspots
 from repro.sim import Machine
+from repro.sim.jit import jit_program_for
+from repro.transform import Technique, allocate_program, protect
 
 
 def _snapshot(profiler):
@@ -99,6 +101,26 @@ def test_to_records_context_and_render(simple_program):
     assert "JIT candidates" in report
     assert "shares sum to 1.0" in report
     assert render_hotspots([], top=3) == "(no profile records)"
+
+
+def test_jit_annotation_is_per_block(simple_program):
+    """With ``jit=True`` the profile marks each block by whether the
+    JIT runs it compiled: SWIFT-R's repair blocks (where recoveries are
+    counted) are interpreted although their function compiles, and
+    coverage counts only compiled blocks."""
+    binary = allocate_program(protect(simple_program, Technique.SWIFTR))
+    profiler = SimProfiler()
+    run_campaign(binary, trials=60, seed=3, profile=profiler, jit=True)
+    records = profiler.to_records()
+    blocks = [r for r in records if r["kind"] == "block_profile"]
+    interpreted = jit_program_for(Machine(binary)).interpreted
+    for record in blocks:
+        key = (record["function"], record["block"])
+        assert record["jit"] is (key not in interpreted), key
+    assert any(r["recoveries"] and not r["jit"] for r in blocks)
+    compiled = sum(r["instructions"] for r in blocks if r["jit"])
+    assert records[0]["jit_instructions"] == compiled
+    assert compiled < records[0]["total_instructions"]
 
 
 def test_taint_trials_recorded(simple_program):
