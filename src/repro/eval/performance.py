@@ -67,8 +67,8 @@ def evaluate_performance(
     exported as one ``kind="timing"`` JSONL record.
 
     ``profile_path`` additionally runs one *functional* golden
-    execution per cell with a simulator profiler attached (the timing
-    model has its own cycle loop and is not instrumented) and writes
+    execution per cell with a simulator profiler attached (timing runs
+    render the scoreboard's loop hooks, not the profiler's) and writes
     the per-cell records to one JSONL file for ``obs hotspots``.
 
     ``store=True`` records each cell's timing in the persistent run
@@ -179,9 +179,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="profile one functional golden run per cell "
                              "into this JSONL path (for `obs hotspots`)")
     # Accepted for CLI parity with `campaign` and `fig8`.  The timing
-    # model accounts cycles per dynamic instruction in its own loop and
-    # never executes through the block JIT, so the flag cannot change
-    # Figure-9 numbers; scripts can pass the same flags to all three.
+    # model's hooks on the shared run loop never run the block JIT, so
+    # the flag cannot change Figure-9 numbers; scripts can pass the
+    # same flags to all three.
     parser.add_argument("--jit", action=argparse.BooleanOptionalAction,
                         default=None,
                         help="accepted for parity with campaign/fig8; "

@@ -80,17 +80,22 @@ class CompiledBlock:
     """Executable form of one basic block.
 
     ``meta`` is a per-instruction tuple list consumed by the timing
-    model: ``(is_load, dest_slot, src_slots, latency, mem, role)``.
+    model: ``(is_load, out, a, b, latency, mem, role)``.  ``out`` and
+    the sources ``a`` and ``b`` index its ready table, float slots from
+    ``Machine.float_slot_base`` on; -1 is none, and as a source reads
+    the table's last entry, which is never written.  ``late_srcs`` holds
+    a CALL's sources past two, by index.  ``role`` indexes ``Role``.
     """
 
-    __slots__ = ("name", "steps", "instrs", "meta")
+    __slots__ = ("name", "steps", "instrs", "meta", "late_srcs")
 
-    def __init__(self, name: str, steps: list, instrs: list[Instruction],
-                 meta: list[tuple]) -> None:
+    def __init__(self, name: str, steps: list,
+                 instrs: list[Instruction]) -> None:
         self.name = name
         self.steps = steps
         self.instrs = instrs
-        self.meta = meta
+        self.meta: list[tuple] = []
+        self.late_srcs: dict[int, tuple[int, ...]] = {}
 
 
 class CompiledFunction:
@@ -156,6 +161,13 @@ class Machine:
         with span("sim.compile", functions=len(program.functions)) as sp:
             for fn in program:
                 self.functions[fn.name] = self._compile_function(fn)
+            # Timing metadata needs the final slot counts.
+            self.float_slot_base = max(self._next_virtual_slot, NUM_GPRS)
+            for cf in self.functions.values():
+                self._current_function = cf.name
+                for blk in cf.blocks:
+                    blk.meta = [self._instruction_meta(blk, index)
+                                for index in range(len(blk.instrs))]
             sp.set(instructions=sum(
                 len(blk.instrs)
                 for cf in self.functions.values() for blk in cf.blocks
@@ -495,35 +507,32 @@ class Machine:
         for blk in fn.blocks:
             steps = [self._compile_instruction(instr, index)
                      for instr in blk.instructions]
-            meta = [self._instruction_meta(instr) for instr in blk.instructions]
             blocks.append(
-                CompiledBlock(blk.name, steps, list(blk.instructions), meta)
-            )
+                CompiledBlock(blk.name, steps, list(blk.instructions)))
         return CompiledFunction(fn.name, blocks, fn.num_params)
 
-    # Offset of float-register slots in the timing model's ready map.
-    _FLOAT_SLOT_BASE = 1 << 20
-
-    def _instruction_meta(self, instr: Instruction) -> tuple:
-        """(is_load, dest_slot|-1, src_slots, latency, mem|None, role)."""
+    def _instruction_meta(self, blk: CompiledBlock, index: int) -> tuple:
+        """``blk.instrs[index]`` as a ``meta`` entry (see CompiledBlock)."""
+        instr = blk.instrs[index]
         op = instr.op
-        srcs = []
-        for operand in instr.srcs:
-            if isinstance(operand, Register):
-                slot = self.slot_of(operand)
-                if operand.is_float:
-                    slot += self._FLOAT_SLOT_BASE
-                srcs.append(slot)
-        dest = -1
-        if instr.dest is not None:
-            dest = self.slot_of(instr.dest)
-            if instr.dest.is_float:
-                dest += self._FLOAT_SLOT_BASE
+        base = self.float_slot_base
+        slots = []
+        for reg in instr.srcs:
+            if isinstance(reg, Register):
+                slots.append(self.slot_of(reg) + base * reg.is_float)
+        dest = instr.dest
+        out = -1 if dest is None else self.slot_of(dest) + base * dest.is_float
+        if len(slots) > 2:
+            # The destination first: on_call reads the late sources
+            # after before_step has written the destination.
+            slots.sort(key=out.__ne__)
+            blk.late_srcs[index] = tuple(slots[2:])
+        slots += (-1, -1)
         mem = None
         if op in (Opcode.LOAD, Opcode.FLOAD, Opcode.STORE, Opcode.FSTORE):
             mem = (self.slot_of(instr.srcs[0]), instr.srcs[1].signed)
-        return (op in (Opcode.LOAD, Opcode.FLOAD), dest, tuple(srcs),
-                op.info.latency, mem, instr.role.value)
+        return (op in (Opcode.LOAD, Opcode.FLOAD), out, slots[0], slots[1],
+                op.info.latency, mem, _ROLE_NUMBER[instr.role])
 
     def _int_operand(self, operand):
         """(is_reg, slot_or_value) for an integer-file operand."""
@@ -542,6 +551,9 @@ class Machine:
         if instr.role in (Role.RECOVERY, Role.VOTE):
             return _count_recovery(step, instr)
         return step
+
+
+_ROLE_NUMBER = {role: number for number, role in enumerate(Role)}
 
 
 def _agree(mine: list, theirs: list, live: int) -> bool:

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..isa.instruction import Role
 from ..isa.operands import MASK64
-from .events import RunStatus
+from .events import RunResult, RunStatus
 from .loop import hooks, merge, render
 from .machine import Machine
 
@@ -45,6 +46,19 @@ class TimingConfig:
     miss_penalty: int = 30
     taken_branch_penalty: int = 1
     call_penalty: int = 2
+
+    def __post_init__(self) -> None:
+        for name, least in (("width", 1), ("cache_sets", 1),
+                            ("line_bytes", 1), ("load_hit_latency", 0),
+                            ("miss_penalty", 0), ("taken_branch_penalty", 0),
+                            ("call_penalty", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"TimingConfig.{name} must be at least "
+                                 f"{least}, not {value}")
+        if self.line_bytes & (self.line_bytes - 1):
+            raise ValueError("TimingConfig.line_bytes must be a power of "
+                             f"two, not {self.line_bytes}")
 
 
 @dataclass
@@ -73,26 +87,27 @@ class TimingResult:
 
 #: The cycle model as hooks on the shared run loop (:mod:`repro.sim.loop`).
 #: Before each step: scoreboard issue, role count, data cache, result
-#: latency.  Taken branches, calls and returns add front-end bubbles, and
-#: a return's value is ready one cycle after it lands.
+#: latency.  A call also waits for its sources past the second.  Taken
+#: branches, calls and returns add front-end bubbles, and a return's
+#: value is ready one cycle after it lands.
 _TIMED = hooks(
     setup="""
         config = tm.config
         width = config.width
+        hit_latency = config.load_hit_latency
         miss_penalty = config.miss_penalty
         line_shift = config.line_bytes.bit_length() - 1
         num_sets = config.cache_sets
+        regs, float_base = self.regs, self.float_slot_base
         ready, tags, role_counts = tm.ready, tm.tags, tm.role_counts
         cycle, used, loads, misses = tm.cycle, tm.used, tm.loads, tm.misses
     """,
     enter_block="metas = block.meta",
     before_step="""
-        is_load, out, srcs, latency, mem, role = metas[i]
-        earliest = cycle
-        for slot in srcs:
-            t = ready.get(slot, 0)
-            if t > earliest:
-                earliest = t
+        is_load, out, a, b, latency, mem, role = metas[i]
+        earliest = ready[a]
+        if ready[b] > earliest:
+            earliest = ready[b]
         if earliest > cycle:
             cycle = earliest
             used = 0
@@ -100,18 +115,18 @@ _TIMED = hooks(
             cycle += 1
             used = 0
         used += 1
-        role_counts[role] = role_counts.get(role, 0) + 1
+        role_counts[role] += 1
         if mem is not None:
             base, offset = mem
-            line = ((self.regs[base] + offset) & MASK64) >> line_shift
+            line = ((regs[base] + offset) & MASK64) >> line_shift
             set_idx = line % num_sets
             if is_load:
                 loads += 1
-                if tags.get(set_idx) != line:
+                if tags[set_idx] != line:
                     latency = miss_penalty
                     misses += 1
                 else:
-                    latency = config.load_hit_latency
+                    latency = hit_latency
             tags[set_idx] = line
         if out >= 0:
             ready[out] = cycle + latency
@@ -121,13 +136,17 @@ _TIMED = hooks(
         used = 0
     """,
     on_call="""
+        late = block.late_srcs.get(i)
+        if late:
+            cycle = max(cycle, *[ready[slot] for slot in late])
+            if out >= 0:
+                ready[out] = cycle + latency
         cycle += config.call_penalty
         used = 0
     """,
     after_ret="""
         if dest >= 0:
-            slot = dest + self._FLOAT_SLOT_BASE if dest_float else dest
-            ready[slot] = cycle + 1
+            ready[dest + float_base if dest_float else dest] = cycle + 1
         cycle += config.call_penalty
         used = 0
     """,
@@ -149,6 +168,11 @@ _ATTRIBUTED = merge(_TIMED, hooks(
         fn_instrs[fname] = fn_instrs.get(fname, 0) + 1
         last_cycle = cycle
     """,
+    on_call="""
+        # The call starts once its sources past the second are ready.
+        fn_cycles[fname] += cycle - config.call_penalty - last_cycle
+        last_cycle = cycle - config.call_penalty
+    """,
     on_leave="tm.last_cycle = last_cycle",
 ))
 
@@ -157,13 +181,31 @@ _run_attributed = render("attributed", "tm", _ATTRIBUTED, {"MASK64": MASK64})
 
 
 class _Scoreboard:
-    """The cycle model's state across one timing run (the loop's hook)."""
+    """The cycle model's state across one timing run (the loop's hook):
+    lists of ready cycles (the last entry, for a missing source, is never
+    written), cache tags (-1: empty) and counts per role."""
 
-    def __init__(self, config: TimingConfig) -> None:
+    def __init__(self, machine: Machine, config: TimingConfig) -> None:
         self.config = config
-        self.ready, self.tags, self.role_counts = {}, {}, {}
+        self.ready = [0] * (len(machine.regs) + len(machine.fregs) + 1)
+        self.tags = [-1] * config.cache_sets
+        self.role_counts = [0] * len(Role)
         self.function_cycles, self.function_instructions = {}, {}
         self.cycle = self.used = self.loads = self.misses = self.last_cycle = 0
+
+    def result(self, run: RunResult) -> TimingResult:
+        """The timing of the run that ended in ``run``."""
+        return TimingResult(
+            cycles=max(self.cycle, 1),
+            instructions=run.instructions,
+            loads=self.loads,
+            load_misses=self.misses,
+            status=run.status,
+            role_counts={role.value: count for role, count
+                         in zip(Role, self.role_counts) if count},
+            function_cycles=self.function_cycles,
+            function_instructions=self.function_instructions,
+        )
 
 
 class TimingSimulator:
@@ -177,19 +219,9 @@ class TimingSimulator:
         """Time one run from reset; the machine ends as ``run()`` ends it."""
         machine = self.machine
         machine.reset()
-        board = _Scoreboard(self.config)
+        board = _Scoreboard(machine, self.config)
         loop = _run_attributed if profile else _run_timed
-        result = loop(machine, None, board)
-        return TimingResult(
-            cycles=max(board.cycle, 1),
-            instructions=result.instructions,
-            loads=board.loads,
-            load_misses=board.misses,
-            status=result.status,
-            role_counts=board.role_counts,
-            function_cycles=board.function_cycles,
-            function_instructions=board.function_instructions,
-        )
+        return board.result(loop(machine, None, board))
 
 
 def measure_cycles(program, config: TimingConfig | None = None,

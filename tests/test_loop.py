@@ -73,7 +73,7 @@ def _check_chain(binary, budget, length, rng):
                 for name in VARIANTS}
     attach_jit(machines["jit"])
     profiler = machines["profile"].profile = SimProfiler()
-    board = _Scoreboard(TimingConfig())
+    board = _Scoreboard(machines["timing"], TimingConfig())
     plain = machines["plain"]
     limits = sorted(rng.sample(range(min(budget, length) + 8), 8)) + [None]
     reg, bit = rng.randrange(len(plain.regs)), rng.randrange(64)
@@ -117,14 +117,12 @@ def _check_timing(binary, budget, length, rng):
     assert machine.run() == expected
 
     machine.reset()
-    board = _Scoreboard(TimingConfig())
+    board = _Scoreboard(machine, TimingConfig())
     for limit in sorted(rng.sample(range(min(budget, length) + 8), 4)) \
             + [None]:
         if machine._finished is None:
             _run_timed(machine, limit, board)
-    assert max(board.cycle, 1) == timed.cycles
-    assert (board.loads, board.misses) == (timed.loads, timed.load_misses)
-    assert board.role_counts == timed.role_counts
+    assert board.result(machine._finished) == timed
 
 
 @settings(max_examples=6, deadline=None)
