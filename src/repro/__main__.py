@@ -54,7 +54,7 @@ import argparse
 import sys
 
 from . import __version__
-from .errors import CodegenError, ParseError, SemanticError
+from .errors import CodegenError, ParseError, SemanticError, ShardLostError
 from .faults import run_campaign
 from .lang import compile_source
 from .sim import Machine, TimingSimulator, run_program
@@ -352,14 +352,12 @@ def _cmd_obs_hotspots(args) -> int:
         # Direct mode: run a profiled campaign on a suite workload and
         # render immediately, no intermediate file.
         from .eval.pipeline import prepare
-        from .faults import run_parallel_campaign
         from .obs import SimProfiler
 
         profile = SimProfiler()
         program = prepare(args.workload, args.technique)
-        run_parallel_campaign(program, trials=args.trials, seed=args.seed,
-                              jobs=args.jobs, profile=profile,
-                              jit=args.jit)
+        run_campaign(program, trials=args.trials, seed=args.seed,
+                     jobs=args.jobs, profile=profile, jit=args.jit)
         records = profile.to_records(
             context={"workload": args.workload,
                      "technique": args.technique.value,
@@ -481,13 +479,11 @@ def _cmd_obs_atlas(args) -> int:
         # One-shot mode: run a campaign on a suite workload with atlas
         # accumulation (taint on by default so escape routes resolve).
         from .eval.pipeline import prepare
-        from .faults import run_parallel_campaign
 
         program = prepare(args.workload, args.technique)
         acc = AtlasAccumulator()
-        run_parallel_campaign(program, trials=args.trials,
-                              seed=args.seed, jobs=args.jobs,
-                              taint=args.taint, atlas=acc)
+        run_campaign(program, trials=args.trials, seed=args.seed,
+                     jobs=args.jobs, taint=args.taint, atlas=acc)
         atlas = Atlas.from_accumulator(
             acc, context={"benchmark": args.workload,
                           "technique": args.technique.value,
@@ -1184,6 +1180,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, SemanticError, CodegenError) as exc:
         source = getattr(args, "file", None)
         return _input_error(f"{source}: {exc}" if source else str(exc))
+    except ShardLostError as exc:
+        # The harness failed, not the input: exit status 3.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 3
 
 
 def _input_error(message: str) -> int:

@@ -15,7 +15,7 @@ import os
 from time import perf_counter
 
 from ..eval.pipeline import PipelineOptions, prepare, prepare_machine
-from ..faults import run_campaign, run_parallel_campaign
+from ..faults import run_campaign
 from ..obs.campaign_log import CampaignLog
 from ..obs.profile import SimProfiler
 from ..sim import Machine
@@ -127,10 +127,10 @@ def measure_campaign_suite(trials: int = DEFAULT_TRIALS,
     if parallel_ok:
         parallel, par_rec = timed(
             f"parallel x{jobs}",
-            lambda: run_parallel_campaign(program, trials=trials,
-                                          seed=seed, jobs=jobs,
-                                          max_instructions=MAX_INSTRUCTIONS,
-                                          jit=False),
+            lambda: run_campaign(program, trials=trials, seed=seed,
+                                 jobs=jobs,
+                                 max_instructions=MAX_INSTRUCTIONS,
+                                 jit=False),
         )
         par_rec["mode"] = "parallel"
         par_rec["jobs"] = jobs

@@ -64,3 +64,8 @@ class SimulationError(ReproError):
 
 class WorkloadError(ReproError):
     """A benchmark workload is misconfigured."""
+
+
+class ShardLostError(ReproError):
+    """A campaign shard's worker process died before reporting its
+    trials (killed, or out of memory); the campaign cannot complete."""

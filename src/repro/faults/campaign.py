@@ -2,7 +2,10 @@
 
 The paper performed 250 runs per benchmark per technique (Section 7.1).
 Campaigns here are deterministic given (program, seed, trials), so
-results are exactly reproducible and shardable.
+results are exactly reproducible and shardable.  Every campaign --
+serial or sharded, fixed or adaptive, register SEUs, opcode flips or
+wild jumps -- runs its trials through :func:`run_batch` and the trial
+kernel (:mod:`repro.faults.trials`).
 """
 
 from __future__ import annotations
@@ -11,24 +14,16 @@ import random
 from dataclasses import dataclass, field
 from time import perf_counter
 
-from ..errors import SimulationError
 from ..isa.program import Program
 from ..obs.campaign_log import CampaignLog
 from ..obs.metrics import registry as obs_registry
 from ..obs.spans import enabled as obs_enabled, span
-from ..sim.events import RunStatus
-from ..sim.jit import attach_jit
 from ..sim.machine import Machine
-from .injector import (
-    CheckpointStore,
-    fault_landed,
-    golden_run,
-    run_in_site_order,
-    run_with_fault,
-)
+from .injector import build_checkpoints
 from .model import FaultSite, sample_fault_site
-from .outcomes import Outcome, classify
+from .outcomes import Outcome
 from .stats import Proportion
+from .trials import engine, run_trials
 
 
 @dataclass
@@ -189,6 +184,7 @@ def run_campaign(
     monitor=None,
     jit: bool | None = None,
     atlas=None,
+    jobs: int = 1,
 ) -> CampaignResult:
     """Run a full SEU campaign against ``program``.
 
@@ -201,10 +197,10 @@ def run_campaign(
     telemetry work at all.
 
     Pass an explicit ``sites`` list to campaign a pre-realized set of
-    fault sites instead of sampling ``trials`` of them from ``seed``
-    (the adaptive runner does this with stratified draws); ``trials``
-    and ``seed`` are then ignored.  ``run_campaign(seed=s, trials=n)``
-    is bit-identical to
+    fault sites instead of sampling ``trials`` of them from ``seed``;
+    ``trials`` and ``seed`` are then ignored.  Any site type with an
+    ``inject`` method works (the opcode and wild-jump models pass
+    theirs).  ``run_campaign(seed=s, trials=n)`` is bit-identical to
     ``run_campaign(sites=sample_sites(s, golden_instructions, n))``.
 
     Trials replay from periodic golden-run checkpoints (see
@@ -213,16 +209,22 @@ def run_campaign(
     or a positive value to fix the spacing instead of auto-tuning it.
     Both paths give bit-identical results.
 
+    ``jobs`` shards the trials over that many forked worker processes
+    (``0`` = one per CPU; see :mod:`repro.faults.parallel`).  Results,
+    trial records, taint streams, profiles and atlases are bit-identical
+    for every ``jobs``.
+
     ``taint=True`` additionally traces each injected fault's dataflow
     (see :mod:`repro.sim.taint`) and appends the per-trial event
-    streams to ``log.taint_records``; it requires a ``log`` and does
-    not change trial outcomes, only observes them.
+    streams to ``log.taint_records``; it requires a ``log`` (or an
+    ``atlas``) and does not change trial outcomes, only observes them.
 
     Pass a :class:`~repro.obs.profile.SimProfiler` as ``profile`` to
     collect per-block execution counts over the golden run and every
     trial (execution stays bit-identical), and a
     :class:`~repro.obs.monitor.CampaignMonitor` as ``monitor`` to
-    stream per-trial progress (heartbeat records and/or a TTY line).
+    stream progress: per-trial ticks, or with ``jobs > 1`` per-shard
+    heartbeats that the parent polls into the live progress line.
 
     ``jit`` selects the block-compiled execution engine (see
     :mod:`repro.sim.jit`): ``True`` forces it on, ``False`` off, and
@@ -231,13 +233,13 @@ def run_campaign(
     instrumented interpreter loops, which take precedence over an
     attached JIT anyway.  Trial outcomes and telemetry are
     bit-identical either way; only throughput changes.  The machine's
-    previous ``jit`` attachment is restored on return because machines
-    are shared across campaigns (``prepare_machine`` caches them).
+    ``jit`` and ``profile`` attachments are restored on return (see
+    :func:`~repro.faults.trials.engine`).
 
     Pass an :class:`~repro.obs.atlas.AtlasAccumulator` as ``atlas`` to
     fold the campaign's trials into a program-anchored reliability map.
-    Accumulation happens *after* the trial loop (one extra golden
-    replay to anchor the sampled sites); with ``atlas=None`` nothing
+    Accumulation happens *after* the trials (one extra golden replay to
+    anchor the sampled sites); with ``atlas=None`` nothing
     atlas-related runs.  When no ``log`` is supplied a scratch one is
     created so the atlas still sees per-trial records (and taint
     streams, if ``taint=True``).
@@ -248,103 +250,74 @@ def run_campaign(
     machine = machine or Machine(program, max_instructions=max_instructions)
     if jit is None:
         jit = not taint and profile is None
-    saved_jit = machine.jit
-    if jit:
-        attach_jit(machine)
-    else:
-        machine.jit = None
-    if profile is not None:
-        machine.profile = profile
-        if jit:
-            # Profiled execution uses the counting interpreter loop;
-            # annotate which functions the JIT *would* run compiled so
-            # `obs hotspots` can report coverage for --jit campaigns.
-            profile.annotate_jit(machine)
-    atlas_log = log if atlas is None or log is not None else CampaignLog()
-    atlas_start = len(atlas_log.records) if atlas_log is not None else 0
+    trial_log = log if atlas is None or log is not None else CampaignLog()
+    log_start = len(trial_log.records) if trial_log is not None else 0
     start_time = perf_counter()
-    try:
-        result = _run_campaign_trials(
-            machine, trials=trials, seed=seed, log=atlas_log,
-            checkpoint_interval=checkpoint_interval, taint=taint,
-            sites=sites, profile=profile, monitor=monitor)
-        if atlas is not None:
-            if profile is not None:
-                # The anchoring replay is bookkeeping, not simulated
-                # work: keep it out of the hot-path profile.
-                machine.profile = None
-            if (atlas.golden_instructions and atlas.golden_instructions
-                    != result.golden_instructions):
-                raise ValueError(
-                    "refusing to fold campaigns over different binaries "
-                    "into one atlas: golden runs executed "
-                    f"{atlas.golden_instructions} vs "
-                    f"{result.golden_instructions} instructions")
-            atlas.golden_instructions = result.golden_instructions
-            atlas.add_campaign(machine, atlas_log, log_start=atlas_start)
-    finally:
-        machine.jit = saved_jit
-        if profile is not None:
-            machine.profile = None
+    with engine(machine, jit, profile):
+        store = build_checkpoints(machine, checkpoint_interval)
+        golden = store.golden
+        presampled = sites is not None
+        if sites is None:
+            rng = random.Random(seed)
+            sites = [sample_fault_site(rng, golden.instructions)
+                     for _ in range(trials)]
+        if monitor is not None:
+            monitor.begin(total=len(sites))
+        with span("campaign", trials=len(sites), seed=seed):
+            result, _ = run_batch(
+                store, sites,
+                CampaignResult(golden_instructions=golden.instructions),
+                trial_log, jobs=jobs, taint=taint, monitor=monitor)
+    record_campaign_metrics(result, trial_log, log_start)
+    if atlas is not None:
+        if (atlas.golden_instructions and atlas.golden_instructions
+                != result.golden_instructions):
+            raise ValueError(
+                "refusing to fold campaigns over different binaries "
+                "into one atlas: golden runs executed "
+                f"{atlas.golden_instructions} vs "
+                f"{result.golden_instructions} instructions")
+        atlas.golden_instructions = result.golden_instructions
+        # The anchoring replay is bookkeeping, not simulated work: it
+        # runs outside the profiled region.
+        with engine(machine, jit):
+            atlas.add_campaign(machine, trial_log, log_start=log_start)
+    result.config = {
+        "fault_model": (sites[0].fault_model if sites
+                        else FaultSite.fault_model),
+        "trials": len(sites),
+        "checkpoint_interval": checkpoint_interval,
+        "presampled_sites": presampled,
+    }
     result.elapsed_seconds = perf_counter() - start_time
     return result
 
 
-def _run_campaign_trials(machine, *, trials, seed, log,
-                         checkpoint_interval, taint, sites,
-                         profile, monitor) -> CampaignResult:
-    if checkpoint_interval == 0:
-        # Full replay-from-zero per trial: the original, slow path,
-        # kept for benchmarking and as the equivalence reference.
-        golden = golden_run(machine)
-        run_trial = (  # noqa: E731
-            lambda site, taint=None: run_with_fault(machine, site,
-                                                    taint=taint)
-        )
-    else:
-        store = CheckpointStore(machine, interval=checkpoint_interval)
-        golden = store.build()      # this *is* the golden run
-        run_trial = store.run_with_fault
-    if golden.status is not RunStatus.EXITED:
-        raise SimulationError(
-            f"golden run did not complete cleanly: {golden.status}"
-        )
-    result = CampaignResult(golden_instructions=golden.instructions)
-    presampled = sites is not None
-    if sites is None:
-        rng = random.Random(seed)
-        sites = [sample_fault_site(rng, golden.instructions)
-                 for _ in range(trials)]
-    trials = len(sites)
-    result.config = {
-        "fault_model": "register-seu",
-        "trials": trials,
-        "checkpoint_interval": checkpoint_interval,
-        "presampled_sites": presampled,
-    }
-    log_start = len(log.records) if log is not None else 0
-    if monitor is not None:
-        monitor.begin(total=trials)
-    with span("campaign", trials=trials, seed=seed):
-        runs = run_in_site_order(
-            run_trial, sites, taint=taint,
-            tick=monitor.trial_done if monitor is not None else None)
-        for trial, (site, (faulty, tracker)) in enumerate(zip(sites, runs)):
-            outcome = classify(golden, faulty)
-            result.record(outcome, recovered=faulty.recoveries > 0,
-                          landed=fault_landed(site, faulty))
-            if log is not None:
-                log.record_trial(trial, site, outcome, faulty)
-                if tracker is not None:
-                    log.record_taint(trial, tracker)
-    if profile is not None and taint:
-        # Traced instructions execute in the taint loop, invisible to
-        # the profiler; record how many trials that affected.
-        profile.taint_trials += trials
-    if checkpoint_interval != 0:
-        result.fast_forwards = store.fast_forwards
-    record_campaign_metrics(result, log, log_start)
-    return result
+def run_batch(store, sites: list, result: CampaignResult,
+              log: CampaignLog | None = None, *, jobs: int = 1,
+              first_trial: int = 0, strata: list | None = None,
+              taint: bool = False, monitor=None
+              ) -> tuple[CampaignResult, list[Outcome]]:
+    """Run ``sites`` on a built ``store`` and record them into ``result``.
+
+    The trials run through :func:`~repro.faults.trials.run_trials` in
+    this process, or with ``jobs > 1`` (``0`` = one per CPU) sharded
+    over forked workers that each run it on their slice
+    (:func:`~repro.faults.parallel.run_shards`); outcomes, records and
+    counts are the same either way.  Returns ``(result, outcomes)``:
+    the sharded path returns a merged copy of ``result``.
+    """
+    if jobs != 1 and len(sites) > 1:
+        from .parallel import default_jobs, run_shards
+
+        jobs = jobs or default_jobs()
+        if jobs > 1:
+            return run_shards(store, sites, result, log, jobs=jobs,
+                              first_trial=first_trial, strata=strata,
+                              taint=taint, monitor=monitor)
+    return result, run_trials(
+        store, sites, result, log, first_trial=first_trial, strata=strata,
+        taint=taint, tick=monitor.trial_done if monitor is not None else None)
 
 
 def run_sites(
@@ -361,9 +334,7 @@ def run_sites(
     itself failed would be meaningless.
     """
     machine = machine or Machine(program, max_instructions=max_instructions)
-    golden = golden_run(machine)
-    if golden.status is not RunStatus.EXITED:
-        raise SimulationError(
-            f"golden run did not complete cleanly: {golden.status}"
-        )
-    return [classify(golden, run_with_fault(machine, s)) for s in sites]
+    with engine(machine, jit=True):
+        store = build_checkpoints(machine)
+        return run_trials(store, sites, CampaignResult(
+            golden_instructions=store.golden.instructions))

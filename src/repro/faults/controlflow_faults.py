@@ -7,6 +7,11 @@ module provides the missing fault model so that mechanism
 random dynamic instruction, control teleports to a uniformly random
 (block, instruction) position of the *current* function -- a corrupted
 branch target / program counter.
+
+A :class:`WildJumpSite` injects itself into a paused machine, so
+wild-jump campaigns run through the same trial kernel as the paper's
+register SEUs (:mod:`repro.faults.trials`): checkpointed, spliced on
+re-convergence, JIT-capable, logged and shardable.
 """
 
 from __future__ import annotations
@@ -15,11 +20,9 @@ import random
 from dataclasses import dataclass
 
 from ..isa.program import Program
-from ..sim.events import RunResult, RunStatus
 from ..sim.machine import Machine
-from .campaign import CampaignResult
+from .campaign import CampaignResult, run_campaign
 from .injector import golden_run
-from .outcomes import classify
 
 
 @dataclass(frozen=True)
@@ -30,23 +33,29 @@ class WildJumpSite:
     dynamic_index: int
     target_seed: int
 
+    fault_model = "wild-jump"
+
     def __post_init__(self) -> None:
         if self.dynamic_index < 0:
             raise ValueError("dynamic index must be non-negative")
 
+    def inject(self, machine: Machine) -> None:
+        """Move the paused machine to a random position of its
+        current function."""
+        func = machine._position[0]
+        rng = random.Random(self.target_seed)
+        block_idx = rng.randrange(len(func.blocks))
+        instr_idx = rng.randrange(len(func.blocks[block_idx].steps))
+        machine._position = (func, block_idx, instr_idx)
 
-def run_with_wild_jump(machine: Machine, site: WildJumpSite) -> RunResult:
-    """Execute one run with a single control-flow upset."""
-    machine.reset()
-    first = machine.run(site.dynamic_index)
-    if first.status is not RunStatus.PAUSED:
-        return first
-    func = machine._position[0]
-    rng = random.Random(site.target_seed)
-    block_idx = rng.randrange(len(func.blocks))
-    instr_idx = rng.randrange(len(func.blocks[block_idx].steps))
-    machine._position = (func, block_idx, instr_idx)
-    return machine.run(None)
+
+def sample_wild_jump_sites(seed: int, dynamic_instructions: int, count: int
+                           ) -> list[WildJumpSite]:
+    """The seeded sites :func:`run_wild_jump_campaign` draws."""
+    rng = random.Random(seed)
+    return [WildJumpSite(dynamic_index=rng.randrange(dynamic_instructions),
+                         target_seed=rng.getrandbits(32))
+            for _ in range(count)]
 
 
 def run_wild_jump_campaign(
@@ -58,17 +67,6 @@ def run_wild_jump_campaign(
     """A campaign of single wild jumps, classified against the golden
     run with the usual taxonomy (DETECTED counts CFC successes)."""
     machine = machine or Machine(program)
-    golden = golden_run(machine)
-    if golden.status is not RunStatus.EXITED:
-        raise RuntimeError(f"golden run failed: {golden.status}")
-    result = CampaignResult(golden_instructions=golden.instructions)
-    rng = random.Random(seed)
-    for trial in range(trials):
-        site = WildJumpSite(
-            dynamic_index=rng.randrange(golden.instructions),
-            target_seed=rng.getrandbits(32),
-        )
-        faulty = run_with_wild_jump(machine, site)
-        result.record(classify(golden, faulty),
-                      recovered=faulty.recoveries > 0)
-    return result
+    sites = sample_wild_jump_sites(seed, golden_run(machine).instructions,
+                                   trials)
+    return run_campaign(program, sites=sites, machine=machine)

@@ -1,15 +1,19 @@
-"""Single-run fault injection: pause, flip, resume.
+"""Single-run fault injection: pause, inject, resume.
 
 The machine's precise pause/resume makes the paper's methodology exact:
-the run executes ``site.dynamic_index`` instructions, one register bit
-is flipped, and execution resumes to an outcome.
+the run executes ``site.dynamic_index`` instructions, the site injects
+its fault into the paused machine (``site.inject(machine)``: a register
+bit flip, an opcode flip, a wild jump), and execution resumes to an
+outcome.
 
-Two execution strategies are provided:
+Two execution strategies are provided, with one interface (``build``,
+``run_with_fault``, ``golden``, ``landed``, ``fast_forwards``) so the
+campaign kernel (:mod:`repro.faults.trials`) runs either:
 
-* :func:`run_with_fault` -- the straightforward path: reset, replay
-  from instruction 0 to the injection point, flip, run to an outcome.
-  Every trial costs a full pre-fault replay (``golden/2`` dynamic
-  instructions on average).
+* :class:`FullReplay` (and :func:`run_with_fault`) -- the
+  straightforward path: reset, replay from instruction 0 to the
+  injection point, inject, run to an outcome.  Every trial costs a full
+  pre-fault replay (``golden/2`` dynamic instructions on average).
 * :class:`CheckpointStore` -- replay-from-checkpoint.  The golden run
   is executed once, pausing every ``interval`` dynamic instructions to
   snapshot the complete architectural state.  Each trial then restores
@@ -43,7 +47,6 @@ from __future__ import annotations
 from ..errors import SimulationError
 from ..sim.events import RunResult, RunStatus
 from ..sim.machine import Machine, MachineSnapshot
-from ..sim.taint import TaintTracker
 from .model import FaultSite
 
 #: Checkpoint-count ceiling for the auto-tuned interval.  Each
@@ -63,27 +66,15 @@ MAX_SPLICE_SHIFT = 256
 
 def run_with_fault(machine: Machine, site: FaultSite,
                    taint=None) -> RunResult:
-    """Execute one full run with the given SEU injected.
+    """Execute one full run with the given fault injected.
 
     ``taint`` optionally names a :class:`~repro.sim.taint.TaintTracker`
-    to attach for the post-flip portion of the run.  The pre-fault
+    to attach for the post-injection portion of the run.  The pre-fault
     replay always executes on the untraced fast path; the tracker is
-    attached only for the flip and the faulty suffix, and detached
+    attached only for the injection and the faulty suffix, and detached
     before returning so the machine comes back taint-free.
     """
-    machine.reset()
-    first = machine.run(site.dynamic_index)
-    if first.status is not RunStatus.PAUSED:
-        # The program terminated before the injection point (possible
-        # only if the site was sampled against a longer golden run, or
-        # under a shrunken max_instructions); the fault never landed.
-        return first
-    machine.taint = taint
-    try:
-        machine.flip_register_bit(site.reg_index, site.bit)
-        return machine.run(None)
-    finally:
-        machine.taint = None
+    return FullReplay(machine).run_with_fault(site, taint)
 
 
 def golden_run(machine: Machine) -> RunResult:
@@ -93,38 +84,54 @@ def golden_run(machine: Machine) -> RunResult:
 
 
 def fault_landed(site: FaultSite, faulty: RunResult) -> bool:
-    """Did the trial actually inject, or did the run end first?
+    """Did the trial inject, judged from its result alone?
 
-    A landed fault always executes past the injection point (the flip
-    happens at a pause, and the resumed run retires at least one more
-    instruction before any terminal status), so the final instruction
-    count discriminates exactly.
+    A landed register flip or wild jump always executes past the
+    injection point, so the final instruction count discriminates
+    exactly for them.  An opcode flip that traps at decode retires
+    nothing after the pause, so campaigns take landing from the run
+    itself instead (the stores' ``landed`` flag).
     """
     return faulty.instructions > site.dynamic_index
 
 
-def run_in_site_order(run_trial, sites: list[FaultSite], taint: bool = False,
-                      tick=None) -> list:
-    """Run ``run_trial(site, taint=tracker)`` once per site, in ascending
-    order of injection point, and return the ``(faulty, tracker)`` pairs
-    in the order of ``sites``.
+class FullReplay:
+    """The reference trial path: every trial replays from instruction 0.
 
-    A trial's result does not depend on which trials ran before it, so
-    every campaign loop runs its trials through here and then records
-    outcomes and telemetry in trial order.  Ascending sites let a
-    :class:`CheckpointStore` replay only the gap since the previous
-    trial's site (its cursor).  ``taint=True`` gives each trial a fresh
-    :class:`~repro.sim.taint.TaintTracker`; ``tick(n)`` is called after
-    the ``n``-th trial to finish.
+    Campaigns use it for ``checkpoint_interval=0``, the equivalence
+    reference of :class:`CheckpointStore`.
     """
-    runs: list = [None] * len(sites)
-    order = sorted(range(len(sites)), key=lambda i: sites[i].dynamic_index)
-    for done, i in enumerate(order, 1):
-        tracker = TaintTracker() if taint else None
-        runs[i] = (run_trial(sites[i], taint=tracker), tracker)
-        if tick is not None:
-            tick(done)
-    return runs
+
+    fast_forwards = 0
+
+    def __init__(self, machine: Machine) -> None:
+        self.machine = machine
+        self.golden: RunResult | None = None
+        #: Whether the last trial reached its injection point.
+        self.landed = False
+
+    def build(self) -> RunResult:
+        """Run (and keep) the golden execution."""
+        self.golden = golden_run(self.machine)
+        return self.golden
+
+    def run_with_fault(self, site: FaultSite, taint=None) -> RunResult:
+        """One trial: reset, replay to the site, inject, run out."""
+        machine = self.machine
+        machine.reset()
+        first = machine.run(site.dynamic_index)
+        self.landed = first.status is RunStatus.PAUSED
+        if not self.landed:
+            # The program terminated before the injection point
+            # (possible only if the site was sampled against a longer
+            # golden run, or under a shrunken max_instructions).
+            return first
+        machine.taint = taint
+        try:
+            result = site.inject(machine)
+            return machine.run(None) if result is None else result
+        finally:
+            machine.taint = None
 
 
 class CheckpointStore:
@@ -149,6 +156,8 @@ class CheckpointStore:
         #: Trials whose result was spliced from the golden suffix after
         #: state re-convergence (perf counter, exposed by benches).
         self.fast_forwards = 0
+        #: Whether the last trial reached its injection point.
+        self.landed = False
 
     # ------------------------------------------------------------------ build
     def build(self) -> RunResult:
@@ -188,21 +197,22 @@ class CheckpointStore:
 
     # ----------------------------------------------------------------- trials
     def run_with_fault(self, site: FaultSite, taint=None) -> RunResult:
-        """One SEU trial, replaying from the nearest golden state.
+        """One trial, replaying from the nearest golden state.
 
         The pre-fault replay starts at the nearest checkpoint, or at the
         previous trial's site (the *cursor*, a golden snapshot taken
         there before its flip) when that lies between the checkpoint
         and this site, so ascending sites replay only the gap between
         consecutive sites (campaigns run theirs through
-        :func:`run_in_site_order`).  The cursor is skipped while a
-        profiler is attached: profile counts are executed work, and
-        must not depend on which trials ran before (shards see
-        different ones).
+        :func:`~repro.faults.trials.run_trials`).  The cursor is
+        skipped while a profiler is attached: profile counts are
+        executed work, and must not depend on which trials ran before
+        (shards see different ones).
 
         The site itself is the first convergence point: a flip into a
         register that is dead there splices the golden suffix before
-        any faulty instruction runs.
+        any faulty instruction runs.  An injection that ends the run
+        itself (an opcode flip trapping at decode) returns at once.
 
         With a :class:`~repro.sim.taint.TaintTracker` in ``taint``, the
         tracker observes the faulty suffix exactly as in the serial
@@ -223,12 +233,15 @@ class CheckpointStore:
             start = cursor
         machine.restore(start)
         first = machine.run(target)
-        if first.status is not RunStatus.PAUSED:
-            return first                      # fault never landed
+        self.landed = first.status is RunStatus.PAUSED
+        if not self.landed:
+            return first
         self.cursor = cursor = machine.snapshot()
         machine.taint = taint
         try:
-            machine.flip_register_bit(site.reg_index, site.bit)
+            result = site.inject(machine)
+            if result is not None:
+                return result
             if not self.fast_forward:
                 return machine.run(None)
             result = self._converge(cursor, 0)
@@ -326,12 +339,20 @@ class CheckpointStore:
 
 
 def build_checkpoints(machine: Machine, interval: int | None = None
-                      ) -> CheckpointStore:
-    """Build a ready-to-inject :class:`CheckpointStore` for ``machine``."""
-    store = CheckpointStore(machine, interval=interval)
-    result = store.build()
-    if result.status is not RunStatus.EXITED:
+                      ) -> CheckpointStore | FullReplay:
+    """Build a ready-to-inject store for ``machine``.
+
+    ``interval`` fixes the checkpoint spacing (``None`` auto-tunes it);
+    ``0`` builds no checkpoints, giving the :class:`FullReplay`
+    reference path.  Raises :class:`~repro.errors.SimulationError`
+    unless the golden run exits cleanly: classifying faults against a
+    golden run that itself failed would be meaningless.
+    """
+    store = (FullReplay(machine) if interval == 0
+             else CheckpointStore(machine, interval=interval))
+    golden = store.build()
+    if golden.status is not RunStatus.EXITED:
         raise SimulationError(
-            f"golden run did not complete cleanly: {result.status}"
+            f"golden run did not complete cleanly: {golden.status}"
         )
     return store

@@ -37,6 +37,8 @@ class FaultSite:
     reg_index: int
     bit: int
 
+    fault_model = "register-seu"
+
     def __post_init__(self) -> None:
         if self.reg_index == STACK_POINTER_INDEX:
             raise ValueError("stack pointer is excluded from injection")
@@ -44,6 +46,10 @@ class FaultSite:
             raise ValueError(f"bit out of range: {self.bit}")
         if self.dynamic_index < 0:
             raise ValueError("dynamic index must be non-negative")
+
+    def inject(self, machine) -> None:
+        """Flip the bit in a machine paused at the site."""
+        machine.flip_register_bit(self.reg_index, self.bit)
 
 
 def sample_fault_site(rng: random.Random, dynamic_instructions: int

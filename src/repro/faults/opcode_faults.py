@@ -11,11 +11,17 @@ fetch.  The corrupted word is decoded (possibly into a different legal
 instruction, possibly into garbage = an illegal-instruction fault) and
 executes for exactly that one dynamic instance; the stored program is
 unharmed afterwards, per the transient-fault model.
+
+An :class:`OpcodeFaultSite` injects itself into a paused machine, so
+opcode campaigns run through the same trial kernel as the paper's
+register SEUs (:mod:`repro.faults.trials`): checkpointed, spliced on
+re-convergence, JIT-capable, logged and shardable.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 
 from ..isa.encoding import (
@@ -28,9 +34,19 @@ from ..isa.encoding import (
 from ..isa.program import Program
 from ..sim.events import GuestTrap, RunResult, RunStatus, TrapKind
 from ..sim.machine import Machine
-from .campaign import CampaignResult
+from .campaign import CampaignResult, run_campaign
 from .injector import golden_run
-from .outcomes import classify
+
+#: Program -> {function name -> encoding}, built once per program.
+_ENCODINGS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _encodings(program: Program) -> dict[str, EncodedFunction]:
+    encodings = _ENCODINGS.get(program)
+    if encodings is None:
+        encodings = _ENCODINGS[program] = {
+            fn.name: encode_function(fn) for fn in program}
+    return encodings
 
 
 @dataclass(frozen=True)
@@ -41,69 +57,51 @@ class OpcodeFaultSite:
     dynamic_index: int
     bit: int
 
+    fault_model = "opcode"
+
     def __post_init__(self) -> None:
         if not 0 <= self.bit < 64:
             raise ValueError(f"bit out of range: {self.bit}")
         if self.dynamic_index < 0:
             raise ValueError("dynamic index must be non-negative")
 
-
-class OpcodeFaultInjector:
-    """Per-program injector; builds the encodings once."""
-
-    def __init__(self, program: Program,
-                 machine: Machine | None = None) -> None:
-        self.program = program
-        self.machine = machine or Machine(program)
-        self.encodings: dict[str, EncodedFunction] = {
-            fn.name: encode_function(fn) for fn in program
-        }
-
-    def run_with_fault(self, site: OpcodeFaultSite) -> RunResult:
-        machine = self.machine
-        machine.reset()
-        first = machine.run(site.dynamic_index)
-        if first.status is not RunStatus.PAUSED:
-            return first
+    def inject(self, machine: Machine) -> RunResult | None:
+        """Execute the paused machine's next instruction decoded from
+        the flipped word; a word that does not decode traps."""
         victim = machine.next_instruction()
         if victim is None:
-            return machine.run(None)
-        func_name = machine._position[0].name
-        enc = self.encodings[func_name]
-        word = encode_instruction(victim, enc)
-        flipped = word ^ (1 << site.bit)
-        try:
-            mutated = decode_instruction(flipped, enc)
-        except IllegalEncoding as exc:
-            return machine._finish(
-                RunStatus.TRAPPED,
-                GuestTrap(TrapKind.ILLEGAL, str(exc)),
-            )
-        # Targets must resolve within this machine's universe; a branch
-        # whose flipped index names a non-block (or a call naming a
-        # non-function) is a decode fault too.
+            return None
         func = machine._position[0]
-        if mutated.label is not None \
-                and mutated.label not in func.block_index:
-            return machine._finish(
-                RunStatus.TRAPPED,
-                GuestTrap(TrapKind.ILLEGAL,
-                          f"branch to non-label {mutated.label!r}"),
-            )
-        if mutated.callee is not None \
-                and mutated.callee not in machine.functions:
-            return machine._finish(
-                RunStatus.TRAPPED,
-                GuestTrap(TrapKind.ILLEGAL,
-                          f"call to non-function {mutated.callee!r}"),
-            )
+        enc = _encodings(machine.program)[func.name]
         try:
-            final = machine.step_injected(mutated)
+            mutated = decode_instruction(
+                encode_instruction(victim, enc) ^ (1 << self.bit), enc)
+            # Targets must resolve within this machine's universe; a
+            # branch whose flipped index names a non-block (or a call
+            # naming a non-function) is a decode fault too.
+            if (mutated.label is not None
+                    and mutated.label not in func.block_index):
+                raise GuestTrap(TrapKind.ILLEGAL,
+                                f"branch to non-label {mutated.label!r}")
+            if (mutated.callee is not None
+                    and mutated.callee not in machine.functions):
+                raise GuestTrap(TrapKind.ILLEGAL,
+                                f"call to non-function {mutated.callee!r}")
+            return machine.step_injected(mutated)
+        except IllegalEncoding as exc:
+            return machine._finish(RunStatus.TRAPPED,
+                                   GuestTrap(TrapKind.ILLEGAL, str(exc)))
         except GuestTrap as trap:
             return machine._finish(RunStatus.TRAPPED, trap)
-        if final is not None:
-            return final
-        return machine.run(None)
+
+
+def sample_opcode_sites(seed: int, dynamic_instructions: int, count: int
+                        ) -> list[OpcodeFaultSite]:
+    """The seeded sites :func:`run_opcode_campaign` draws."""
+    rng = random.Random(seed)
+    return [OpcodeFaultSite(dynamic_index=rng.randrange(dynamic_instructions),
+                            bit=rng.randrange(64))
+            for _ in range(count)]
 
 
 def run_opcode_campaign(
@@ -114,18 +112,7 @@ def run_opcode_campaign(
 ) -> CampaignResult:
     """An SEU campaign against instruction encodings instead of
     registers; outcomes use the same unACE/SEGV/SDC taxonomy."""
-    injector = OpcodeFaultInjector(program, machine)
-    golden = golden_run(injector.machine)
-    if golden.status is not RunStatus.EXITED:
-        raise RuntimeError(f"golden run failed: {golden.status}")
-    result = CampaignResult(golden_instructions=golden.instructions)
-    rng = random.Random(seed)
-    for _ in range(trials):
-        site = OpcodeFaultSite(
-            dynamic_index=rng.randrange(golden.instructions),
-            bit=rng.randrange(64),
-        )
-        faulty = injector.run_with_fault(site)
-        result.record(classify(golden, faulty),
-                      recovered=faulty.recoveries > 0)
-    return result
+    machine = machine or Machine(program)
+    sites = sample_opcode_sites(seed, golden_run(machine).instructions,
+                                trials)
+    return run_campaign(program, sites=sites, machine=machine)

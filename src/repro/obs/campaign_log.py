@@ -112,8 +112,10 @@ class CampaignLog:
         self.taint_records: list[dict] = []
 
     def record_trial(self, trial: int, site: "FaultSite",
-                     outcome: "Outcome", faulty: RunResult,
+                     outcome: "Outcome", faulty: RunResult, landed: bool,
                      stratum: str | None = None) -> None:
+        """Record one trial; ``landed`` says whether the run reached
+        the injection point (see :func:`repro.faults.trials.run_trials`)."""
         # Extension fault models (wild jumps, opcode flips) have no
         # register/bit coordinates; record -1 so one schema covers all.
         self.records.append(TrialRecord(
@@ -127,10 +129,7 @@ class CampaignLog:
             recoveries=faulty.recoveries,
             detection_latency=detection_latency(site, faulty),
             instructions=faulty.instructions,
-            # A landed fault always retires past the injection point
-            # (same discriminant as repro.faults.injector.fault_landed,
-            # restated here to keep obs free of a faults import).
-            fault_landed=faulty.instructions > site.dynamic_index,
+            fault_landed=landed,
             stratum=stratum,
         ))
 

@@ -38,9 +38,9 @@ FAULT_MODELS = ("register-seu",)
 METRICS = ("unace", "sdc", "segv", "failure", "detected")
 
 #: The serial runner's default trial budget cap, matching
-#: ``run_campaign`` / ``run_parallel_campaign``.  Suite workloads use
-#: the larger ``eval.pipeline.MAX_INSTRUCTIONS`` via their prepared
-#: machines, exactly as the Figure-8 harness does.
+#: ``run_campaign``.  Suite workloads use the larger
+#: ``eval.pipeline.MAX_INSTRUCTIONS`` via their prepared machines,
+#: exactly as the Figure-8 harness does.
 _DEFAULT_MAX_INSTRUCTIONS = 10_000_000
 
 
@@ -276,10 +276,9 @@ def run_spec(spec: CampaignSpec, program=None, *, machine=None,
              atlas=None, jit: bool | None = None) -> SpecRun:
     """Execute one spec -- the single path every consumer shares.
 
-    Fixed specs go through
-    :func:`~repro.faults.parallel.run_parallel_campaign` (which falls
-    through to the serial runner for ``jobs<=1``); adaptive specs go
-    through :func:`~repro.stats.sequential.run_adaptive_campaign`.
+    Fixed specs go through :func:`~repro.faults.campaign.run_campaign`
+    (sharded for ``jobs > 1``); adaptive specs go through
+    :func:`~repro.stats.sequential.run_adaptive_campaign`.
     ``program``/``machine`` may be passed to reuse a prepared binary;
     omitted, they are built with :func:`prepare_spec`.  The
     instrumentation hooks (``log``, ``monitor``, ``taint``,
@@ -312,9 +311,9 @@ def run_spec(spec: CampaignSpec, program=None, *, machine=None,
             monitor=monitor, jit=jit)
         return SpecRun(spec=spec, result=adaptive.result,
                        adaptive=adaptive, log=log)
-    from ..faults import run_parallel_campaign
+    from ..faults import run_campaign
 
-    result = run_parallel_campaign(
+    result = run_campaign(
         program, trials=spec.trials, seed=spec.seed, jobs=spec.jobs,
         max_instructions=_DEFAULT_MAX_INSTRUCTIONS, machine=machine,
         log=log, taint=taint, profile=profile, monitor=monitor,

@@ -4,8 +4,8 @@ A job gets its own ``multiprocessing`` process (not a pool task) so
 cancellation can ``terminate()`` exactly one campaign without touching
 its neighbours, and so a job is free to shard *internally* with
 ``spec.jobs > 1`` -- the processes here are non-daemonic, which lets
-:func:`~repro.faults.parallel.run_parallel_campaign` fork its own
-worker pool inside a job.
+:func:`~repro.faults.campaign.run_campaign` fork its own shard
+workers inside a job.
 
 A worker communicates only through the filesystem: heartbeat records
 appended through :class:`~repro.obs.monitor.CampaignMonitor` (the same

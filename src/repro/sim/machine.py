@@ -118,8 +118,9 @@ class MachineSnapshot:
     Snapshots are tied to the :class:`Machine` that produced them: the
     resume position and call stack reference its compiled functions, so
     restoring into a different machine -- even one compiled from the
-    same program -- is undefined.  Campaign workers therefore build
-    their own checkpoints (see :mod:`repro.faults.parallel`).
+    same program -- is undefined.  Campaign shard workers therefore
+    fork with their parent's machine and checkpoints (see
+    :mod:`repro.faults.parallel`).
     """
 
     icount: int

@@ -8,13 +8,16 @@ Neyman allocation (more trials where outcomes vary more), and stops as
 soon as the post-stratified estimate of the target metric reaches the
 requested CI half-width -- or a trial cap, whichever comes first.
 
-Execution reuses the existing machinery unchanged: every batch is a
-realized site list handed to :class:`~repro.faults.injector.CheckpointStore`
-(serial) or :func:`~repro.faults.parallel.run_parallel_campaign`
-(``jobs > 1``), which are bit-identical for a given site list.  All
-randomness lives in per-(arm, stratum) ``random.Random`` streams drawn
-in a fixed order, so the schedule -- and therefore the whole campaign
--- is deterministic in ``seed`` and invariant in ``jobs``.
+Execution reuses the campaign machinery unchanged: each arm builds its
+golden run and checkpoints once, and every batch is a realized site
+list handed with the arm's store to
+:func:`~repro.faults.campaign.run_batch` -- the trial kernel in this
+process, or its forked shards for ``jobs > 1``, bit-identical for a
+given site list -- which logs each trial with its global index and
+stratum.  All randomness lives in per-(arm, stratum) ``random.Random``
+streams drawn in a fixed order, so the schedule -- and therefore the
+whole campaign -- is deterministic in ``seed`` and invariant in
+``jobs``.
 
 A campaign measures one or more **arms** (binaries).  A single-arm run
 (:func:`run_adaptive_campaign`) targets one binary's rate; a suite run
@@ -27,20 +30,18 @@ which is what lets it beat the fixed per-cell budget.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from contextlib import ExitStack
+from dataclasses import dataclass
 from time import perf_counter
 
-from ..errors import SimulationError
-from ..faults.campaign import CampaignResult
-from ..faults.injector import CheckpointStore, fault_landed, run_in_site_order
-from ..faults.outcomes import Outcome, classify
-from ..faults.parallel import run_parallel_campaign
+from ..faults.campaign import CampaignResult, run_batch
+from ..faults.injector import build_checkpoints
+from ..faults.outcomes import Outcome
+from ..faults.trials import engine
 from ..isa.program import Program
 from ..obs.campaign_log import CampaignLog
 from ..obs.metrics import registry as obs_registry
 from ..obs.spans import enabled as obs_enabled, span
-from ..sim.events import RunStatus
-from ..sim.jit import attach_jit
 from ..sim.machine import Machine
 from .allocation import neyman_allocation
 from .estimators import StratifiedEstimate, StratumCell, stratified_estimate
@@ -269,32 +270,22 @@ class AdaptiveResult:
 
 
 class _Arm:
-    """One binary under measurement: checkpoints, fault space, counts."""
+    """One binary under measurement: checkpoints, fault space, counts.
+
+    Built on its machine's engine (see :func:`_run_engine`): the golden
+    run, the fault-space profile and every batch run on it.
+    """
 
     def __init__(self, name: str, machine: Machine, weight: float,
                  config: AdaptiveConfig, seed: int,
-                 log: CampaignLog | None, jit: bool = True) -> None:
+                 log: CampaignLog | None) -> None:
         self.name = name
-        self.machine = machine
         self.weight = weight
         self.log = log
-        self.jit = jit
-        # Attach (or detach) the block JIT before the checkpoint build
-        # so the golden run and every batch trial use it; restored by
-        # _run_engine because machines are shared across campaigns.
-        self.saved_jit = machine.jit
-        if jit:
-            attach_jit(machine)
-        else:
-            machine.jit = None
-        self.store = CheckpointStore(machine)
-        self.golden = self.store.build()
-        if self.golden.status is not RunStatus.EXITED:
-            raise SimulationError(
-                f"golden run of arm {name!r} did not complete cleanly: "
-                f"{self.golden.status}")
+        self.store = build_checkpoints(machine)
+        golden = self.store.golden
         self.space: FaultSpace = profile_fault_space(
-            machine, self.golden.instructions,
+            machine, golden.instructions,
             samples=config.profile_samples, phases=config.phases)
         # One RNG stream per stratum, drawn in sorted-key order each
         # batch: the realized site lists depend only on (seed, arm,
@@ -302,8 +293,7 @@ class _Arm:
         # other strata.
         self.rngs = {key: random.Random(f"{seed}:{name}:{key}")
                      for key in self.space.strata}
-        self.result = CampaignResult(
-            golden_instructions=self.golden.instructions)
+        self.result = CampaignResult(golden_instructions=golden.instructions)
         self.successes = METRIC_OUTCOMES[config.metric]
         self.outcome_counts: dict[str, dict[Outcome, int]] = {
             key: {} for key in self.space.strata}
@@ -339,95 +329,45 @@ class _Arm:
 
     def run_batch(self, allocation: dict[str, int], jobs: int) -> int:
         """Realize and execute this arm's share of one batch."""
-        groups = [(key, count) for key, count
-                  in sorted(allocation.items()) if count > 0]
         sites = []
         strata = []
-        for key, count in groups:
-            drawn = self.space.sample(key, self.rngs[key], count)
-            sites.extend(drawn)
-            strata.extend([key] * len(drawn))
+        for key, count in sorted(allocation.items()):
+            if count > 0:
+                drawn = self.space.sample(key, self.rngs[key], count)
+                sites.extend(drawn)
+                strata.extend([key] * len(drawn))
         if not sites:
             return 0
-        if jobs <= 1 or len(sites) < 2:
-            outcomes = self._run_serial(sites, strata)
-        else:
-            outcomes = self._run_parallel(sites, strata, jobs)
-        cursor = 0
-        for key, count in groups:
-            counts = self.outcome_counts[key]
-            for outcome in outcomes[cursor:cursor + count]:
-                counts[outcome] = counts.get(outcome, 0) + 1
-            cursor += count
+        self.result, outcomes = run_batch(
+            self.store, sites, self.result, self.log, jobs=jobs,
+            first_trial=self.next_trial, strata=strata)
+        self.next_trial += len(sites)
+        for stratum, outcome in zip(strata, outcomes):
+            counts = self.outcome_counts[stratum]
+            counts[outcome] = counts.get(outcome, 0) + 1
         return len(sites)
 
-    def _run_serial(self, sites, strata) -> list[Outcome]:
-        outcomes = []
-        runs = run_in_site_order(self.store.run_with_fault, sites)
-        for site, stratum, (faulty, _) in zip(sites, strata, runs):
-            outcome = classify(self.golden, faulty)
-            self.result.record(outcome, recovered=faulty.recoveries > 0,
-                               landed=fault_landed(site, faulty))
-            if self.log is not None:
-                self.log.record_trial(self.next_trial, site, outcome,
-                                      faulty, stratum=stratum)
-            self.next_trial += 1
-            outcomes.append(outcome)
-        return outcomes
 
-    def _run_parallel(self, sites, strata, jobs: int) -> list[Outcome]:
-        # The shard runner is bit-identical per site list, so outcomes
-        # (recovered from its trial records) match the serial path.
-        scratch = CampaignLog()
-        shard_result = run_parallel_campaign(
-            self.machine.program, sites=sites, jobs=jobs,
-            machine=self.machine,
-            max_instructions=self.machine.max_instructions, log=scratch,
-            jit=self.jit)
-        self.result = self.result.merged(shard_result)
-        outcomes = []
-        for record, stratum in zip(scratch.records, strata):
-            outcomes.append(Outcome(record.outcome))
-            if self.log is not None:
-                # Renumber shard-local trial indices into this arm's
-                # campaign-global sequence (and stamp the stratum the
-                # parent drew the site from -- workers never know it).
-                self.log.records.append(
-                    replace(record, trial=self.next_trial,
-                            stratum=stratum))
-            self.next_trial += 1
-        return outcomes
-
-
-def _run_engine(arms: list[_Arm], config: AdaptiveConfig,
-                jobs: int, monitor=None) -> AdaptiveResult:
-    def all_cells() -> list[StratumCell]:
-        cells = []
-        for arm in arms:
-            cells.extend(arm.cells())
-        return cells
-
-    n_cells = len(all_cells())
+def _run_engine(machines: list[tuple[str, Machine, CampaignLog | None]],
+                config: AdaptiveConfig, seed: int, jobs: int, jit: bool,
+                monitor=None) -> AdaptiveResult:
+    """Campaign equal-weight arms, one per ``(name, machine, log)``."""
+    weight = 1.0 / len(machines)
     batches: list[BatchRecord] = []
-    total = 0
-    target_met = False
-    batch_index = 0
-    start_time = perf_counter()
-    try:
-        result = _run_engine_batches(
-            arms, config, jobs, monitor, all_cells, n_cells, batches)
-        total, target_met = result
-    finally:
-        # Machines outlive the engine (prepare_machine caches them);
-        # leave their JIT attachment as the arms found it.
-        for arm in arms:
-            arm.machine.jit = arm.saved_jit
+    with ExitStack() as engines:
+        arms = []
+        for name, machine, log in machines:
+            engines.enter_context(engine(machine, jit))
+            arms.append(_Arm(name, machine, weight, config, seed, log))
+        start_time = perf_counter()
+        total, target_met = _run_batches(arms, config, jobs, monitor,
+                                         batches)
     elapsed = perf_counter() - start_time
     if total > 0:
         for arm in arms:
             arm.result.elapsed_seconds = (elapsed * arm.result.trials
                                           / total)
-    final_cells = {c.key: c for c in all_cells()}
+    final_cells = {c.key: c for arm in arms for c in arm.cells()}
     return AdaptiveResult(
         config=config,
         estimate=stratified_estimate(list(final_cells.values()),
@@ -441,10 +381,16 @@ def _run_engine(arms: list[_Arm], config: AdaptiveConfig,
     )
 
 
-def _run_engine_batches(arms, config, jobs, monitor, all_cells,
-                        n_cells, batches) -> tuple[int, bool]:
+def _run_batches(arms: list[_Arm], config: AdaptiveConfig, jobs: int,
+                 monitor, batches: list[BatchRecord]) -> tuple[int, bool]:
+    """Schedule batches until the target is met or the cap is hit;
+    returns ``(trials run, target met)``."""
+
+    def all_cells() -> list[StratumCell]:
+        return [cell for arm in arms for cell in arm.cells()]
+
+    n_cells = len(all_cells())
     total = 0
-    target_met = False
     batch_index = 0
     while total < config.max_trials:
         budget = min(config.batch_size, config.max_trials - total)
@@ -454,9 +400,8 @@ def _run_engine_batches(arms, config, jobs, monitor, all_cells,
             # the full population from the first stopping check.
             budget = min(max(budget, config.seed_trials * n_cells),
                          config.max_trials)
-        cells = all_cells()
         allocation = neyman_allocation(
-            cells, budget,
+            all_cells(), budget,
             floor=config.seed_trials if batch_index == 0 else 0)
         with span("adaptive.batch", batch=batch_index, trials=budget,
                   metric=config.metric):
@@ -491,13 +436,10 @@ def _run_engine_batches(arms, config, jobs, monitor, all_cells,
             registry.counter("adaptive.trials").inc(ran)
         batch_index += 1
         if met:
-            target_met = True
-            break
+            return total, True
         if ran == 0:  # allocation starved (cap smaller than strata)
             break
-    # Per-arm elapsed is attributed by _run_engine from the end-to-end
-    # wall clock; this helper only reports the trial totals.
-    return total, target_met
+    return total, False
 
 
 def run_adaptive_campaign(
@@ -521,11 +463,9 @@ def run_adaptive_campaign(
     needed.  ``jit`` defaults to on (the adaptive path never traces or
     profiles); results are bit-identical either way.
     """
-    config = config or AdaptiveConfig()
     machine = machine or Machine(program, max_instructions=max_instructions)
-    arm = _Arm(name, machine, 1.0, config, seed, log,
-               jit=jit if jit is not None else True)
-    return _run_engine([arm], config, jobs, monitor=monitor)
+    return _run_engine([(name, machine, log)], config or AdaptiveConfig(),
+                       seed, jobs, jit is not False, monitor=monitor)
 
 
 def run_adaptive_suite(
@@ -547,12 +487,8 @@ def run_adaptive_suite(
     """
     if not machines:
         raise ValueError("adaptive suite needs at least one arm")
-    config = config or AdaptiveConfig()
-    weight = 1.0 / len(machines)
-    arms = [
-        _Arm(name, machine, weight, config, seed,
-             (logs or {}).get(name),
-             jit=jit if jit is not None else True)
-        for name, machine in machines
-    ]
-    return _run_engine(arms, config, jobs, monitor=monitor)
+    return _run_engine(
+        [(name, machine, (logs or {}).get(name))
+         for name, machine in machines],
+        config or AdaptiveConfig(), seed, jobs, jit is not False,
+        monitor=monitor)

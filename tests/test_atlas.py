@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.faults import run_campaign, run_parallel_campaign
+from repro.faults import run_campaign
 from repro.obs import CampaignLog
 from repro.obs.atlas import (
     ATLAS_SCHEMA_VERSION,
@@ -81,11 +81,11 @@ def test_collect_site_locations_past_end(binary):
 
 def test_jobs_invariant_bit_identical(binary):
     serial = AtlasAccumulator()
-    run_parallel_campaign(binary, trials=TRIALS, seed=SEED, jobs=1,
-                          taint=True, atlas=serial)
+    run_campaign(binary, trials=TRIALS, seed=SEED, jobs=1,
+                 taint=True, atlas=serial)
     sharded = AtlasAccumulator()
-    run_parallel_campaign(binary, trials=TRIALS, seed=SEED, jobs=2,
-                          taint=True, atlas=sharded)
+    run_campaign(binary, trials=TRIALS, seed=SEED, jobs=2,
+                 taint=True, atlas=sharded)
     a = Atlas.from_accumulator(serial, context={"technique": "swiftr"})
     b = Atlas.from_accumulator(sharded, context={"technique": "swiftr"})
     assert a.to_json() == b.to_json()

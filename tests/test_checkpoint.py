@@ -6,23 +6,24 @@ import random
 import pytest
 
 from repro.errors import SimulationError
-from repro.faults.injector import run_in_site_order
 from repro.faults import (
     CampaignResult,
     CheckpointStore,
     FaultSite,
     Outcome,
     build_checkpoints,
-    classify,
     fault_landed,
     golden_run,
     run_campaign,
+    run_trials,
     run_with_fault,
+    sample_opcode_sites,
     sample_sites,
+    sample_wild_jump_sites,
 )
 from repro.lang import compile_source
 from repro.obs.campaign_log import CampaignLog
-from repro.sim import Machine, RunStatus
+from repro.sim import Machine, RunResult, RunStatus
 from repro.sim.jit import attach_jit
 from repro.sim.taint import TaintTracker
 from repro.transform import Technique, allocate_program, protect
@@ -186,6 +187,9 @@ def replay_cell(request):
         sites = sample_sites(3, golden.instructions, trials)
     else:
         sites = _stratified_sites(golden.instructions, trials, seed=13)
+    # The extension fault models inject through the same store.
+    sites += [*sample_opcode_sites(17, golden.instructions, trials // 8),
+              *sample_wild_jump_sites(17, golden.instructions, trials // 8)]
     results = {}
 
     def full(site):
@@ -197,7 +201,8 @@ def replay_cell(request):
 
 def test_checkpointed_trials_match_full_replay(replay_cell):
     """Checkpointed trials, on both engines, equal full replay-from-zero
-    on every result field, and each convergence rule actually splices:
+    on every result field -- register, opcode and wild-jump sites
+    alike -- and each convergence rule actually splices:
     dead-register matches everywhere, shifted ones wherever repair code
     runs (TRUMP and SWIFT-R)."""
     technique, program, interval, sites, full = replay_cell
@@ -335,6 +340,7 @@ def test_checkpointed_campaign_matches_serial(simple_program):
                         log=log_ckpt, checkpoint_interval=16)
     assert serial == ckpt
     assert log_serial.records == log_ckpt.records
+    assert serial.fast_forwards == 0
 
 
 def test_campaign_runs_sites_in_ascending_order(simple_program,
@@ -367,22 +373,42 @@ def test_campaign_runs_sites_in_ascending_order(simple_program,
     assert log.records == reference.records
 
 
-def test_run_in_site_order_ticks_and_returns_in_trial_order():
+def test_run_trials_ticks_and_returns_in_trial_order():
+    """The kernel runs sites in ascending order, ticking as it goes,
+    then classifies, records and logs them in trial order."""
     sites = [FaultSite(i, 3, 1) for i in (40, 7, 40, 0, 12)]
-    ran, ticks = [], []
+    ran, trackers, ticks = [], [], []
 
-    def run_trial(site, taint=None):
-        ran.append(site.dynamic_index)
-        return site.dynamic_index * 2
+    class Store:
+        golden = RunResult(RunStatus.EXITED, output=[0], instructions=50)
+        machine = Machine(compile_source("int main() { return 0; }"))
+        fast_forwards = 0
+        landed = True
 
-    runs = run_in_site_order(run_trial, sites, taint=True,
-                             tick=ticks.append)
+        def run_with_fault(self, site, taint=None):
+            ran.append(site.dynamic_index)
+            trackers.append(taint)
+            # Odd sites print a wrong value: an SDC.
+            return RunResult(RunStatus.EXITED,
+                             output=[site.dynamic_index % 2],
+                             instructions=50 + site.dynamic_index)
+
+    result, log = CampaignResult(), CampaignLog()
+    outcomes = run_trials(Store(), sites, result, log, first_trial=10,
+                          strata=list("abcde"), taint=True,
+                          tick=ticks.append)
     assert ran == [0, 7, 12, 40, 40]
-    assert [faulty for faulty, _ in runs] == [80, 14, 80, 0, 24]
-    trackers = [tracker for _, tracker in runs]
+    assert ticks == [1, 2, 3, 4, 5]
     assert all(isinstance(t, TaintTracker) for t in trackers)
     assert len(set(map(id, trackers))) == len(sites)
-    assert ticks == [1, 2, 3, 4, 5]
+    assert outcomes == [Outcome.UNACE, Outcome.SDC, Outcome.UNACE,
+                        Outcome.UNACE, Outcome.UNACE]
+    assert result.counts == {Outcome.UNACE: 4, Outcome.SDC: 1}
+    assert [r.trial for r in log.records] == [10, 11, 12, 13, 14]
+    assert [r.stratum for r in log.records] == list("abcde")
+    assert [r.instructions for r in log.records] == [90, 57, 90, 50, 62]
+    assert [r["trial"] for r in log.taint_records
+            if r["kind"] == "taint_summary"] == [10, 11, 12, 13, 14]
 
 
 def test_fast_forward_engages_on_protected_code():
@@ -390,11 +416,17 @@ def test_fast_forward_engages_on_protected_code():
     machine = Machine(program)
     golden = golden_run(machine)
     store = build_checkpoints(machine, interval=128)
-    for site in sample_sites(1, golden.instructions, 60):
+    sites = sample_sites(1, golden.instructions, 60)
+    for site in sites:
         store.run_with_fault(site)
     # SWIFT-R repairs most register flips, re-converging the faulty
     # state with the golden run; the splice shortcut must be live.
     assert store.fast_forwards > 0
+    # Campaigns report the same count, sharded or not.
+    for jobs in (1, 2):
+        result = run_campaign(program, sites=sites, jobs=jobs,
+                              checkpoint_interval=128)
+        assert result.fast_forwards == store.fast_forwards
 
 
 # ----------------------------------------------------- never-landed audit
@@ -416,15 +448,12 @@ def test_never_landed_is_counted(simple_program):
     golden = golden_run(machine)
     site = FaultSite(dynamic_index=golden.instructions + 9,
                      reg_index=7, bit=1)
-    faulty = run_with_fault(machine, site)
-
-    result = CampaignResult()
-    result.record(Outcome.UNACE, recovered=False,
-                  landed=fault_landed(site, faulty))
-    assert result.never_landed == 1
+    assert not fault_landed(site, run_with_fault(machine, site))
 
     log = CampaignLog()
-    log.record_trial(0, site, classify(golden, faulty), faulty)
+    result = run_campaign(simple_program, sites=[site], machine=machine,
+                          log=log)
+    assert result.never_landed == 1
     assert log.records[0].fault_landed is False
     assert log.records[0].to_dict()["fault_landed"] is False
 

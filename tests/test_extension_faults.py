@@ -4,14 +4,19 @@ control-flow checking pass that addresses the latter."""
 import pytest
 
 from repro.faults import (
-    OpcodeFaultInjector,
     OpcodeFaultSite,
+    Outcome,
     WildJumpSite,
+    golden_run,
+    run_campaign,
     run_opcode_campaign,
     run_wild_jump_campaign,
-    run_with_wild_jump,
+    run_with_fault,
+    sample_opcode_sites,
+    sample_wild_jump_sites,
 )
 from repro.isa import Opcode, Role, verify_program
+from repro.obs import CampaignLog
 from repro.sim import Machine, RunStatus, run_program
 from repro.transform import (
     Technique,
@@ -43,9 +48,8 @@ def test_opcode_site_validation():
 
 def test_opcode_fault_reserved_bit_is_silent(sort_noft, sort_golden):
     """Bit 63 is a reserved encoding bit: flipping it changes nothing."""
-    injector = OpcodeFaultInjector(sort_noft)
-    result = injector.run_with_fault(OpcodeFaultSite(dynamic_index=50,
-                                                     bit=63))
+    result = run_with_fault(Machine(sort_noft),
+                            OpcodeFaultSite(dynamic_index=50, bit=63))
     assert result.status is RunStatus.EXITED
     assert result.output == sort_golden.output
 
@@ -79,6 +83,61 @@ def test_opcode_fault_determinism(sort_noft):
     assert a.counts == b.counts
 
 
+# ------------------------------------------------- pins through the kernel
+#: Outcome counts on sort/NOFT (golden 34,290 instructions), recorded
+#: with the standalone full-replay loops these models had before they
+#: became site samplers over the trial kernel.
+_PINS = [
+    (sample_opcode_sites, 3, 80, {"SDC": 1, "SEGV": 30, "unACE": 49}),
+    (sample_opcode_sites, 4, 60, {"SDC": 3, "SEGV": 17, "unACE": 40}),
+    (sample_wild_jump_sites, 2, 60, {"SDC": 21, "SEGV": 14, "unACE": 25}),
+]
+
+
+def _counts(result):
+    return {outcome.value: n for outcome, n in result.counts.items()}
+
+
+@pytest.mark.parametrize("sampler, seed, trials, expected", _PINS)
+def test_extension_models_pinned(sort_noft, sampler, seed, trials,
+                                 expected):
+    runner = {sample_opcode_sites: run_opcode_campaign,
+              sample_wild_jump_sites: run_wild_jump_campaign}[sampler]
+    campaign = runner(sort_noft, trials=trials, seed=seed)
+    assert _counts(campaign) == expected
+    assert campaign.golden_instructions == 34_290
+    assert campaign.never_landed == 0 and campaign.recoveries == 0
+    sites = sampler(seed, campaign.golden_instructions, trials)
+    machine = Machine(sort_noft)
+    for jit in (True, False):
+        for jobs in (1, 2):
+            result = run_campaign(sort_noft, sites=sites, machine=machine,
+                                  jit=jit, jobs=jobs)
+            assert result == campaign, (jit, jobs)
+    assert machine.jit is None
+
+
+def test_decode_trap_lands(sort_noft):
+    """An opcode flip that traps at decode retires nothing after the
+    pause, yet it landed; sites at or past the golden length did not."""
+    machine = Machine(sort_noft)
+    length = golden_run(machine).instructions
+    decode_trap = OpcodeFaultSite(dynamic_index=10_446, bit=5)
+    trapped = run_with_fault(machine, decode_trap)
+    assert trapped.trap_kind.value == "illegal_instruction"
+    assert trapped.instructions == decode_trap.dynamic_index
+    sites = [decode_trap, OpcodeFaultSite(dynamic_index=length, bit=5),
+             OpcodeFaultSite(dynamic_index=length + 7, bit=5)]
+    for checkpoint_interval in (None, 0):
+        log = CampaignLog()
+        result = run_campaign(sort_noft, sites=sites, machine=machine,
+                              log=log,
+                              checkpoint_interval=checkpoint_interval)
+        assert result.never_landed == 2
+        assert result.counts == {Outcome.SEGV: 1, Outcome.UNACE: 2}
+        assert [r.fault_landed for r in log.records] == [True, False, False]
+
+
 # --------------------------------------------------------------- wild jumps
 def test_wild_jump_changes_control_flow(sort_noft, sort_golden):
     machine = Machine(sort_noft)
@@ -86,7 +145,7 @@ def test_wild_jump_changes_control_flow(sort_noft, sort_golden):
     for seed in range(20):
         site = WildJumpSite(dynamic_index=200 + seed * 37,
                             target_seed=seed)
-        result = run_with_wild_jump(machine, site)
+        result = run_with_fault(machine, site)
         outcomes.add(result.status)
     assert outcomes  # at least ran; typically a mix of exits and traps
 
@@ -127,6 +186,9 @@ def test_cfc_detects_wild_jumps():
     checked = allocate_program(apply_cfc(program))
     plain_campaign = run_wild_jump_campaign(plain, trials=150, seed=9)
     cfc_campaign = run_wild_jump_campaign(checked, trials=150, seed=9)
+    assert _counts(plain_campaign) == {"SDC": 50, "SEGV": 22, "unACE": 78}
+    assert _counts(cfc_campaign) == {"DUE": 75, "SDC": 26, "SEGV": 10,
+                                     "unACE": 39}
     assert plain_campaign.detected_percent == 0.0
     assert cfc_campaign.detected_percent > 25.0
     # Detection converts silent corruption into DUEs.

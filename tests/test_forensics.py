@@ -189,15 +189,10 @@ def test_render_report_names_escapes(simple_program):
 def test_extension_sites_share_trial_schema(simple_program):
     """Wild-jump and opcode sites have no register/bit coordinates;
     record_trial normalizes them to -1 so one schema covers all."""
-    from repro.faults.controlflow_faults import (
-        WildJumpSite,
-        run_with_wild_jump,
-    )
-    from repro.faults.injector import golden_run
-    from repro.faults.opcode_faults import (
-        OpcodeFaultInjector,
-        OpcodeFaultSite,
-    )
+    from repro.faults.controlflow_faults import WildJumpSite
+    from repro.faults.injector import (fault_landed, golden_run,
+                                       run_with_fault)
+    from repro.faults.opcode_faults import OpcodeFaultSite
     from repro.faults.outcomes import classify
     from repro.sim import Machine
 
@@ -207,19 +202,14 @@ def test_extension_sites_share_trial_schema(simple_program):
 
     log = CampaignLog(context={"technique": "noft"})
     wild_site = WildJumpSite(dynamic_index=5, target_seed=99)
-    faulty = run_with_wild_jump(machine, wild_site)
-    log.record_trial(0, wild_site, classify(golden, faulty), faulty)
-
-    injector = OpcodeFaultInjector(binary)
     opcode_site = OpcodeFaultSite(dynamic_index=7, bit=3)
-    faulty = injector.run_with_fault(opcode_site)
-    log.record_trial(1, opcode_site, classify(golden, faulty), faulty)
-
     # A site past the end of the golden run never lands.
     late_site = WildJumpSite(dynamic_index=golden.instructions + 10,
                              target_seed=0)
-    faulty = run_with_wild_jump(machine, late_site)
-    log.record_trial(2, late_site, classify(golden, faulty), faulty)
+    for trial, site in enumerate((wild_site, opcode_site, late_site)):
+        faulty = run_with_fault(machine, site)
+        log.record_trial(trial, site, classify(golden, faulty), faulty,
+                         fault_landed(site, faulty))
 
     records = log.to_dicts()
     wild, opcode, late = records
@@ -248,11 +238,9 @@ def test_extension_campaigns_full_attribution(simple_program):
     """Whole extension campaigns re-logged trial by trial classify
     cleanly: every record gets a mechanism, DUEs are attributed even
     without taint, and outcome counts match the campaign's own."""
-    from repro.faults.controlflow_faults import (
-        WildJumpSite,
-        run_with_wild_jump,
-    )
-    from repro.faults.injector import golden_run
+    from repro.faults.controlflow_faults import WildJumpSite
+    from repro.faults.injector import (fault_landed, golden_run,
+                                       run_with_fault)
     from repro.faults.outcomes import classify
     from repro.sim import Machine
 
@@ -268,10 +256,11 @@ def test_extension_campaigns_full_attribution(simple_program):
     for trial in range(40):
         site = WildJumpSite(dynamic_index=rng.randrange(golden.instructions),
                             target_seed=rng.getrandbits(32))
-        faulty = run_with_wild_jump(machine, site)
+        faulty = run_with_fault(machine, site)
         outcome = classify(golden, faulty)
         outcomes[outcome.value] = outcomes.get(outcome.value, 0) + 1
-        log.record_trial(trial, site, outcome, faulty)
+        log.record_trial(trial, site, outcome, faulty,
+                         fault_landed(site, faulty))
 
     report = analyze_records(log.to_dicts())
     assert list(report.groups) == ["wild-jump/swiftr"]

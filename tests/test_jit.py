@@ -15,16 +15,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from irgen import random_program
+from repro.faults import campaign as campaign_module
+from repro.faults import parallel as parallel_module
 from repro.faults import run_campaign
 from repro.isa import Function, IRBuilder, Imm, Program
 from repro.isa.program import HEAP_BASE, HEAP_BYTES
 from repro.lang import compile_source
 from repro.faults.injector import golden_run, run_with_fault
 from repro.faults.model import FaultSite, sample_sites
-from repro.faults.parallel import run_parallel_campaign
 from repro.obs.campaign_log import CampaignLog
+from repro.obs.profile import SimProfiler
 from repro.sim import Machine, jit
 from repro.sim.jit import attach_jit, jit_program_for
+from repro.stats import AdaptiveConfig, run_adaptive_campaign
 from repro.transform import Technique, allocate_program, protect
 
 
@@ -514,17 +517,19 @@ def test_campaign_jobs_parity_with_jit():
         ("interp", dict(jobs=1, jit=False)),
     ):
         log = CampaignLog()
-        result = run_parallel_campaign(binary, trials=30, seed=47,
-                                       max_instructions=2_000_000,
-                                       log=log, **kwargs)
+        result = run_campaign(binary, trials=30, seed=47,
+                              max_instructions=2_000_000,
+                              log=log, **kwargs)
         outcomes[label] = (result, log.to_dicts())
     assert outcomes["jit-serial"] == outcomes["jit-jobs2"]
     assert outcomes["jit-serial"] == outcomes["interp"]
 
 
-def test_campaign_restores_machine_jit_attachment():
-    """Campaigns must leave a shared machine's ``jit`` attachment the
-    way they found it (prepare_machine caches machines across calls)."""
+def test_campaign_restores_machine_jit_attachment(monkeypatch):
+    """Campaigns must leave a shared machine's ``jit`` and ``profile``
+    attachments the way they found them (prepare_machine caches
+    machines across calls): serial, sharded, adaptive and profiled
+    campaigns alike, also when the trial kernel raises."""
     binary = _binaries(5)[0]
     machine = Machine(binary, max_instructions=2_000_000)
     assert machine.jit is None
@@ -533,6 +538,41 @@ def test_campaign_restores_machine_jit_attachment():
     compiled = attach_jit(machine)
     run_campaign(binary, trials=5, seed=1, machine=machine, jit=False)
     assert machine.jit is compiled
+
+    campaigns = {
+        "jobs2": lambda jit: run_campaign(
+            binary, trials=6, seed=1, machine=machine, jit=jit, jobs=2),
+        "adaptive": lambda jit: run_adaptive_campaign(
+            binary, machine=machine, jit=jit,
+            config=AdaptiveConfig(max_trials=8, profile_samples=8)),
+        "profiled": lambda jit: run_campaign(
+            binary, trials=5, seed=1, machine=machine, jit=jit,
+            profile=SimProfiler()),
+    }
+    found = SimProfiler()
+
+    def check(raises):
+        for before in (None, compiled):
+            for name, campaign in campaigns.items():
+                for jit in (True, False):
+                    machine.jit, machine.profile = before, found
+                    if raises:
+                        with pytest.raises(RuntimeError, match="kernel"):
+                            campaign(jit)
+                    else:
+                        campaign(jit)
+                    assert machine.jit is before, (name, jit)
+                    assert machine.profile is found, (name, jit)
+
+    check(raises=False)
+
+    def failing_kernel(*args, **kwargs):
+        raise RuntimeError("kernel failed")
+
+    # The shard workers fork from this process, so they fail too.
+    monkeypatch.setattr(campaign_module, "run_trials", failing_kernel)
+    monkeypatch.setattr(parallel_module, "run_trials", failing_kernel)
+    check(raises=True)
 
 
 def test_jit_program_cached_per_program_identity():

@@ -3,7 +3,7 @@
 import io
 import json
 
-from repro.faults import run_parallel_campaign
+from repro.faults import run_campaign
 from repro.obs.monitor import (
     CampaignMonitor,
     HeartbeatWriter,
@@ -156,8 +156,8 @@ def test_parallel_campaign_emits_shard_heartbeats(simple_program,
                                                  tmp_path):
     path = str(tmp_path / "hb.jsonl")
     monitor = CampaignMonitor(heartbeat_path=path, every=4)
-    result = run_parallel_campaign(simple_program, trials=24, seed=13,
-                                   jobs=2, monitor=monitor)
+    result = run_campaign(simple_program, trials=24, seed=13,
+                          jobs=2, monitor=monitor)
     monitor.finish()
     assert result.trials == 24
     assert result.elapsed_seconds > 0
@@ -168,8 +168,7 @@ def test_parallel_campaign_emits_shard_heartbeats(simple_program,
     shards = {r["shard"] for r in records if r["role"] == "shard"}
     assert shards == {0, 1}
     # Monitoring never perturbs results.
-    bare = run_parallel_campaign(simple_program, trials=24, seed=13,
-                                 jobs=2)
+    bare = run_campaign(simple_program, trials=24, seed=13, jobs=2)
     assert result == bare
 
 

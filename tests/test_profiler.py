@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults import run_campaign, run_parallel_campaign
+from repro.faults import run_campaign
 from repro.obs.campaign_log import CampaignLog
 from repro.obs.profile import SimProfiler, render_hotspots
 from repro.sim import Machine
@@ -42,11 +42,11 @@ def test_same_seed_same_counts(simple_program):
 
 def test_jobs2_merge_matches_serial_profile(simple_program):
     serial = SimProfiler()
-    run_parallel_campaign(simple_program, trials=24, seed=13, jobs=1,
-                          profile=serial)
+    run_campaign(simple_program, trials=24, seed=13, jobs=1,
+                 profile=serial)
     sharded = SimProfiler()
-    run_parallel_campaign(simple_program, trials=24, seed=13, jobs=2,
-                          profile=sharded)
+    run_campaign(simple_program, trials=24, seed=13, jobs=2,
+                 profile=sharded)
     assert _snapshot(serial) == _snapshot(sharded)
 
 

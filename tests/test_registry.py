@@ -7,7 +7,6 @@ import os
 import pytest
 
 from repro.faults import run_campaign
-from repro.faults.parallel import run_parallel_campaign
 from repro.obs import (
     CampaignLog,
     JsonlSink,
@@ -47,8 +46,8 @@ def _campaign_run(binary, trials=60, seed=5, jobs=1, technique="swiftr"):
     if jobs == 1:
         result = run_campaign(binary, trials=trials, seed=seed, log=log)
     else:
-        result = run_parallel_campaign(binary, trials=trials, seed=seed,
-                                       jobs=jobs, log=log)
+        result = run_campaign(binary, trials=trials, seed=seed,
+                              jobs=jobs, log=log)
     return result, log
 
 

@@ -5,7 +5,6 @@ import pytest
 from repro.faults import FaultSite, run_campaign, run_with_fault
 from repro.faults.injector import CheckpointStore, golden_run
 from repro.faults.outcomes import Outcome, classify
-from repro.faults.parallel import run_parallel_campaign
 from repro.isa.opcodes import Opcode
 from repro.isa.operands import MASK64
 from repro.obs import CampaignLog
@@ -236,7 +235,7 @@ def test_campaign_taint_requires_log(noft_binary):
     with pytest.raises(ValueError, match="CampaignLog"):
         run_campaign(noft_binary, trials=2, taint=True)
     with pytest.raises(ValueError, match="CampaignLog"):
-        run_parallel_campaign(noft_binary, trials=4, jobs=2, taint=True)
+        run_campaign(noft_binary, trials=4, jobs=2, taint=True)
 
 
 def test_campaign_taint_matches_plain_campaign(swiftr_binary):
@@ -260,8 +259,8 @@ def test_parallel_taint_matches_serial(swiftr_binary):
     serial = run_campaign(swiftr_binary, trials=40, seed=9,
                           log=serial_log, taint=True)
     parallel_log = CampaignLog(context={"technique": "swiftr"})
-    parallel = run_parallel_campaign(swiftr_binary, trials=40, seed=9,
-                                     jobs=2, log=parallel_log, taint=True)
+    parallel = run_campaign(swiftr_binary, trials=40, seed=9,
+                            jobs=2, log=parallel_log, taint=True)
     assert serial.counts == parallel.counts
     assert serial_log.to_dicts() == parallel_log.to_dicts()
     assert serial_log.taint_dicts() == parallel_log.taint_dicts()

@@ -338,14 +338,14 @@ def test_cli_campaign_zero_elapsed_reports_rate_na(tmp_path, capsys,
     import repro.faults as faults
 
     source = _smoke(tmp_path)
-    real = faults.run_parallel_campaign
+    real = faults.run_campaign
 
     def zero_clock(*args, **kwargs):
         result = real(*args, **kwargs)
         result.elapsed_seconds = 0.0
         return result
 
-    monkeypatch.setattr(faults, "run_parallel_campaign", zero_clock)
+    monkeypatch.setattr(faults, "run_campaign", zero_clock)
     assert cli_main(["campaign", str(source), "-t", "swiftr",
                      "--trials", "10"]) == 0
     out = capsys.readouterr().out
