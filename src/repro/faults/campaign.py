@@ -159,6 +159,7 @@ def record_campaign_metrics(result: CampaignResult,
     registry = obs_registry()
     registry.counter("campaign.trials").inc(result.trials)
     registry.counter("campaign.recovered_runs").inc(result.recoveries)
+    registry.counter("campaign.fast_forwards").inc(result.fast_forwards)
     if result.never_landed:
         registry.counter("campaign.never_landed").inc(result.never_landed)
     for outcome, count in result.counts.items():

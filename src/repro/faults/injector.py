@@ -18,25 +18,31 @@ campaign kernel (:mod:`repro.faults.trials`) runs either:
   is executed once, pausing every ``interval`` dynamic instructions to
   snapshot the complete architectural state.  Each trial then restores
   the nearest checkpoint at or before the injection point -- or the
-  previous trial's site, when that is closer (campaigns run their sites
-  in ascending order for this) -- and runs forward, cutting the
-  average pre-fault replay to ``interval/2`` or less.  The
-  faulty state is first compared with the golden state at the site
-  itself, then the post-fault run is resumed in checkpoint-sized slices
-  and compared against the golden checkpoints: the moment the faulty
-  state re-converges with the golden state, the rest of the run is
-  provably identical to the golden run and its result is spliced in
-  instead of re-executed.  Convergence ignores registers the rest of
-  the run cannot read (:meth:`Machine.state_matches`), so a flip into a
-  dead register converges at once.  A run that repair code fixed
-  usually trails the golden run by the repair block's length; it
-  single-steps up to :data:`MAX_SPLICE_SHIFT` instructions to catch up
-  with the checkpoint and is spliced with that offset added to its
-  instruction count.  Taint-traced trials splice only on
-  exact convergence and never shift: forensics classifies dead values
-  by running them out.  For recovery-protected binaries most trials
-  converge within one or two intervals of the injection, which is where
-  the bulk of the campaign speedup comes from.
+  golden *cursor*, when that is closer -- and runs forward, cutting the
+  average pre-fault replay to ``interval/2`` or less.  Campaigns run
+  their sites in ascending order, so the cursor is the previous trial's
+  site, or the site itself (see below).  After the flip the faulty
+  state is compared with golden states at *convergence points*: the
+  site itself, then the checkpoints after it, reached by resuming the
+  run in checkpoint-sized slices.  The moment the faulty state
+  re-converges with the golden state, the rest of the run is provably
+  identical to the golden run and its result is spliced in instead of
+  re-executed.  Convergence ignores registers the rest of the run
+  cannot read (:meth:`Machine.state_matches`), so a flip into a dead
+  register converges at once.  A run that repair code fixed usually
+  trails the golden run by the repair block's length: at every point
+  where its recovery count differs from the golden one it seeks up to
+  :data:`MAX_SPLICE_SHIFT` instructions ahead for the point's position
+  (:meth:`Machine.seek`) and is spliced with that offset added to its
+  instruction count.  A trial told the campaign's next site
+  (``upcoming``) that does not converge at its own site runs the
+  golden run on to that site, which becomes both the next trial's
+  cursor and one more convergence point, usually well before the next
+  checkpoint.  Taint-traced trials splice only on exact convergence
+  and never shift: forensics classifies dead values by running them
+  out.  For recovery-protected binaries most trials converge within
+  one interval of the injection, which is where the bulk of the
+  campaign speedup comes from.
 
 Both strategies produce bit-identical :class:`RunResult`\\ s for the
 same fault site; ``tests/test_checkpoint.py`` holds that equivalence.
@@ -115,8 +121,10 @@ class FullReplay:
         self.golden = golden_run(self.machine)
         return self.golden
 
-    def run_with_fault(self, site: FaultSite, taint=None) -> RunResult:
-        """One trial: reset, replay to the site, inject, run out."""
+    def run_with_fault(self, site: FaultSite, taint=None,
+                       upcoming: FaultSite | None = None) -> RunResult:
+        """One trial: reset, replay to the site, inject, run out.
+        ``upcoming`` is accepted for the common interface and unused."""
         machine = self.machine
         machine.reset()
         first = machine.run(site.dynamic_index)
@@ -196,23 +204,28 @@ class CheckpointStore:
             limit += self.interval
 
     # ----------------------------------------------------------------- trials
-    def run_with_fault(self, site: FaultSite, taint=None) -> RunResult:
+    def run_with_fault(self, site: FaultSite, taint=None,
+                       upcoming: FaultSite | None = None) -> RunResult:
         """One trial, replaying from the nearest golden state.
 
         The pre-fault replay starts at the nearest checkpoint, or at the
-        previous trial's site (the *cursor*, a golden snapshot taken
-        there before its flip) when that lies between the checkpoint
-        and this site, so ascending sites replay only the gap between
-        consecutive sites (campaigns run theirs through
-        :func:`~repro.faults.trials.run_trials`).  The cursor is
-        skipped while a profiler is attached: profile counts are
-        executed work, and must not depend on which trials ran before
-        (shards see different ones).
+        *cursor* (a golden snapshot taken by an earlier trial) when that
+        lies between the checkpoint and this site, so ascending sites
+        replay only the gap between consecutive sites (campaigns run
+        theirs through :func:`~repro.faults.trials.run_trials`).  The
+        cursor is skipped while a profiler is attached: profile counts
+        are executed work, and must not depend on which trials ran
+        before (shards see different ones).
 
         The site itself is the first convergence point: a flip into a
         register that is dead there splices the golden suffix before
         any faulty instruction runs.  An injection that ends the run
         itself (an opcode flip trapping at decode) returns at once.
+        Otherwise the golden state at ``upcoming``, the next site of the
+        campaign's ascending order, may join the checkpoints as a
+        convergence point (:meth:`_next_site_point`).  The result never
+        depends on ``upcoming``, and neither does whether the trial
+        splices.
 
         With a :class:`~repro.sim.taint.TaintTracker` in ``taint``, the
         tracker observes the faulty suffix exactly as in the serial
@@ -236,7 +249,9 @@ class CheckpointStore:
         self.landed = first.status is RunStatus.PAUSED
         if not self.landed:
             return first
-        self.cursor = cursor = machine.snapshot()
+        # A start at the site itself is already its golden snapshot.
+        self.cursor = cursor = (start if start.icount == target
+                                else machine.snapshot())
         machine.taint = taint
         try:
             result = site.inject(machine)
@@ -247,48 +262,99 @@ class CheckpointStore:
             result = self._converge(cursor, 0)
             if result is not None:
                 return result
-            # Resume in checkpoint-sized slices; at each golden checkpoint
-            # boundary, test whether the faulty state has re-converged.
-            # A run whose repair code fired since the last attempt may
-            # re-converge a few instructions late (the repair's length):
-            # it gets one shifted attempt per change in its recovery count.
-            tried = None
+            # Never a next-site point for a traced trial, whose
+            # forensics report where it converged, nor while a profiler
+            # counts executed work: the golden replay to the next site
+            # would move between trials with the sharding.
+            ahead = None
+            if (upcoming is not None and taint is None
+                    and machine.profile is None):
+                ahead = self._next_site_point(upcoming.dynamic_index,
+                                              target)
+            # Resume in checkpoint-sized slices; at each golden
+            # checkpoint boundary (and the next site's point, in icount
+            # order), test whether the faulty state has re-converged.  A
+            # run whose recovery count differs from the golden one there
+            # may re-converge a few instructions late (the repair's
+            # length), so it gets a shifted attempt.
             next_index = target // self.interval + 1
             while next_index < len(self.snapshots):
                 snap = self.snapshots[next_index]
+                window = MAX_SPLICE_SHIFT
+                if ahead is not None and ahead.icount < snap.icount:
+                    # Its window ends at the next checkpoint, and it is
+                    # passed over when an earlier shifted attempt ran
+                    # beyond it: either way the run stands at or before
+                    # that checkpoint afterwards, exactly as it would
+                    # without the point, so a trial spliced here also
+                    # splices there and ``fast_forwards`` stays the same.
+                    snap, ahead, window = ahead, None, min(
+                        window, snap.icount - ahead.icount)
+                    if machine.icount > snap.icount:
+                        continue
+                else:
+                    next_index += 1
                 result = machine.run(snap.icount)
                 if result.status is not RunStatus.PAUSED:
                     return result
-                window = 0
-                if (taint is None
-                        and machine.recoveries not in (snap.recoveries,
-                                                       tried)):
-                    tried = machine.recoveries
-                    window = MAX_SPLICE_SHIFT
+                if taint is not None or machine.recoveries == snap.recoveries:
+                    window = 0
                 result = self._converge(snap, window)
                 if result is not None:
                     return result
-                next_index += 1
             return machine.run(None)
         finally:
             machine.taint = None
+
+    def _next_site_point(self, icount: int, target: int
+                         ) -> MachineSnapshot | None:
+        """The golden state at ``icount``, the next trial's site, as a
+        convergence point for the paused faulty run of the trial at
+        ``target``; ``None`` unless it lies strictly between two
+        checkpoints.
+
+        The faulty state is set aside, the golden run replayed from the
+        cursor (or from ``icount``'s checkpoint, if that lies further
+        on) to ``icount``, and the faulty state restored.  The golden
+        snapshot also becomes the cursor, so the next trial replays
+        nothing.
+        """
+        index = icount // self.interval
+        # A coarse checkpoint must follow the point: past the last one,
+        # a splice here would save a trial that otherwise runs out
+        # unspliced, and a shard's last trial has no next site, so
+        # ``fast_forwards`` would change with ``--jobs``.
+        if (icount <= target or icount % self.interval == 0
+                or index + 1 >= len(self.snapshots)):
+            return None
+        machine = self.machine
+        faulty = machine.snapshot()
+        start = self.snapshots[index]
+        machine.restore(start if start.icount > self.cursor.icount
+                        else self.cursor)
+        machine.run(icount)
+        self.cursor = point = machine.snapshot()
+        machine.restore(faulty)
+        return point
 
     def _converge(self, snap: MachineSnapshot, window: int
                   ) -> RunResult | None:
         """Splice the golden suffix if the paused run re-converges with
         ``snap`` within ``window`` more instructions.
 
-        Single-steps the machine until its state matches ``snap`` (at
-        the current icount first, so ``window=0`` is the plain boundary
-        test).  Returns the spliced result, the run's own result if it
-        ended while stepping, or ``None`` to keep executing.
+        Tests the state at the current icount first (so ``window=0`` is
+        the plain boundary test), then at each later arrival at the
+        snapshot's position (:meth:`Machine.seek`), the only places a
+        match can occur.  Returns the spliced result, the run's own
+        result if it ended while seeking, or ``None`` to keep
+        executing.
         """
         machine = self.machine
         stop = machine.icount + window
         while not machine.state_matches(snap):
             if machine.icount >= stop:
                 return None
-            result = machine.run(machine.icount + 1)
+            result = machine.seek(snap.position, stop)
             if result.status is not RunStatus.PAUSED:
                 return result
         spliced = self._splice_golden(snap, machine.icount - snap.icount)

@@ -51,13 +51,14 @@ def run_trials(store, sites: list, result, log=None, *,
 
     ``store`` is a :class:`~repro.faults.injector.CheckpointStore` or
     :class:`~repro.faults.injector.FullReplay`.  Trials execute in
-    ascending order of injection point, so a checkpoint store replays
-    only the gap since the previous trial's site; ``tick(n)`` is called
-    after the ``n``-th trial to finish.  A trial's result does not
-    depend on which trials ran before it, so each is then classified
-    against the golden run and recorded into ``result`` (a
-    :class:`~repro.faults.campaign.CampaignResult`) in the order of
-    ``sites``.  With a ``log`` each is also logged as trial
+    ascending order of injection point, each told the next one's site
+    (``upcoming``), so a checkpoint store replays only the gap since
+    the previous trial's site, and can test convergence at the next
+    one's; ``tick(n)`` is called after the ``n``-th trial to finish.
+    A trial's result does not depend on which trials ran before it, so
+    each is then classified against the golden run and recorded into
+    ``result`` (a :class:`~repro.faults.campaign.CampaignResult`) in
+    the order of ``sites``.  With a ``log`` each is also logged as trial
     ``first_trial + i`` in stratum ``strata[i]``; ``taint=True`` traces
     each trial with a fresh :class:`~repro.sim.taint.TaintTracker` and
     logs its stream.  Whether a fault landed is the store's word for
@@ -70,7 +71,9 @@ def run_trials(store, sites: list, result, log=None, *,
     order = sorted(range(len(sites)), key=lambda i: sites[i].dynamic_index)
     for done, i in enumerate(order, 1):
         tracker = TaintTracker() if taint else None
-        runs[i] = (run(sites[i], taint=tracker), store.landed, tracker)
+        upcoming = sites[order[done]] if done < len(order) else None
+        runs[i] = (run(sites[i], taint=tracker, upcoming=upcoming),
+                   store.landed, tracker)
         if tick is not None:
             tick(done)
     result.fast_forwards += store.fast_forwards - fast_forwards

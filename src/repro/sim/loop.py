@@ -5,7 +5,7 @@ the timing model all run the fetch/step/act loop in :data:`TEMPLATE`.
 An engine adds its work as snippets for the template's named slots (the
 ``#@name`` lines); :func:`render` splices them in at each slot's
 indentation and compiles the result, at import time, into
-``run_<name>(self, limit, <hook>)``, under the file name
+``run_<name>(self, limit, <hooks>)``, under the file name
 ``<sim.loop:NAME>`` (registered with :mod:`linecache`, so tracebacks
 show the rendered lines).  Snippets use the loop's locals directly, and
 an empty slot renders to nothing.  ``docs/performance.md`` ("Dispatch
@@ -153,7 +153,8 @@ def render(name: str, hook: str, variant: dict[str, str],
            namespace: dict | None = None):
     """Render :data:`TEMPLATE` with ``variant``'s snippets and compile
     it as ``run_<name>(self, limit, <hook>)``, in this module's globals
-    plus ``namespace``."""
+    plus ``namespace``.  ``hook`` names the hook parameters, comma
+    separated when a merged variant takes more than one."""
     unknown = set(variant) - set(SLOTS)
     if unknown:
         raise ValueError(f"unknown loop slots: {sorted(unknown)}")
@@ -285,7 +286,29 @@ JIT = hooks(
     after_ret="driver, resumes = jit.tables(func.name)",
 )
 
+#: Position seek: pause at the first arrival at ``target``, a
+#: ``(function, block index, instruction index)`` position, after at
+#: least one instruction -- where single-stepping would first stand
+#: there -- or at the limit.  Compiled code never stops mid-run at a
+#: position, so a seek always interprets.
+SEEK = hooks(
+    setup="""
+        target_func, target_block, target_i = target
+        start = icount
+    """,
+    before_count="""
+        if (i == target_i and block_idx == target_block
+                and func is target_func and icount != start):
+            self.icount = icount
+            self._position = (func, block_idx, i)
+            return RunResult(RunStatus.PAUSED, instructions=icount)
+    """,
+)
+
 run_plain = render("plain", "hook", {})
 run_taint = render("taint", "taint", TAINT)
 run_profile = render("profile", "prof", PROFILE)
 run_jit = render("jit", "jit", JIT)
+run_seek = render("seek", "target", SEEK)
+run_profile_seek = render("profile_seek", "prof, target",
+                          merge(PROFILE, SEEK))

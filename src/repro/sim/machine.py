@@ -52,6 +52,8 @@ from .loop import (
     run_jit,
     run_plain,
     run_profile,
+    run_profile_seek,
+    run_seek,
     run_taint,
 )
 from .memory import Memory, bits_to_float, float_to_bits
@@ -273,6 +275,22 @@ class Machine:
         if jit is not None:
             return run_jit(self, limit, jit)
         return run_plain(self, limit, None)
+
+    def seek(self, position: tuple, limit: int) -> RunResult:
+        """Run on until the first later arrival at ``position`` (a
+        paused state's ``(function, block index, instruction index)``),
+        or until ``icount`` reaches ``limit``, and pause there.
+
+        The starting position itself does not count as an arrival.
+        The seek loop interprets even with the JIT attached, and counts
+        into an attached profiler; it does not trace taint.
+        """
+        if self._finished is not None:
+            return self._finished
+        profile = self.profile
+        if profile is not None:
+            return run_profile_seek(self, limit, profile, position)
+        return run_seek(self, limit, position)
 
     def _finish(self, status: RunStatus, trap: GuestTrap | None = None
                 ) -> RunResult:

@@ -254,6 +254,45 @@ def test_cursor_orders_match_full_replay(replay_cell):
         assert store.run_with_fault(past) == store.golden
 
 
+def _told(sites):
+    """``sites`` ascending, each paired with the next one's site (the
+    ``upcoming`` that :func:`run_trials` passes), the last with None."""
+    ordered = sorted(sites, key=lambda site: site.dynamic_index)
+    return list(zip(ordered, [*ordered[1:], None]))
+
+
+def test_next_site_points_match_full_replay(replay_cell):
+    """Trials told the campaign's next site, as ``run_trials`` runs
+    them, equal full replay on every field on both engines and splice
+    exactly the trials that per-site trials splice; more of them start
+    from the golden state at their own site, replaying nothing."""
+    _technique, program, interval, sites, full = replay_cell
+    for jit in (False, True):
+        fast_forwards, replayed_nothing = [], []
+        for told in (False, True):
+            machine = Machine(program)
+            if jit:
+                attach_jit(machine)
+            store = build_checkpoints(machine, interval=interval)
+            starts = []
+
+            def recording_restore(snap, restore=machine.restore):
+                starts.append(snap.icount)
+                restore(snap)
+            machine.restore = recording_restore
+            at_site = 0
+            for site, upcoming in _told(sites):
+                del starts[:]
+                result = store.run_with_fault(
+                    site, upcoming=upcoming if told else None)
+                assert result == full(site), site
+                at_site += starts[0] == site.dynamic_index
+            fast_forwards.append(store.fast_forwards)
+            replayed_nothing.append(at_site)
+        assert fast_forwards[0] == fast_forwards[1]
+        assert replayed_nothing[0] < replayed_nothing[1]
+
+
 def test_shifted_splice_refuses_past_max_instructions():
     """A repaired run that trails the golden run by more than the
     instruction budget's margin hangs; the shifted splice must not
@@ -281,24 +320,24 @@ def test_shifted_splice_refuses_past_max_instructions():
     _results_identical(checkpointed, run_with_fault(tight, site))
 
 
-def _dead_site_after_last_checkpoint(store):
-    """A fault site past the store's last checkpoint whose register is
-    dead there: flipping it leaves a state that matches the golden one
-    at the same icount."""
+def _flip_site(store, icounts, dead=True):
+    """The first fault site at one of ``icounts`` whose flip leaves a
+    state that matches the golden one at the same icount (``dead``), or
+    that the state compare sees (not ``dead``)."""
     from repro.faults.model import INJECTABLE_GPRS
 
     machine = store.machine
-    last = store.snapshots[-1]
-    for icount in range(last.icount + 1, store.golden.instructions):
-        machine.restore(last)
+    for icount in icounts:
+        machine.restore(store.snapshots[min(icount // store.interval,
+                                            len(store.snapshots) - 1)])
         machine.run(icount)
         paused = machine.snapshot()
         for reg in INJECTABLE_GPRS:
             machine.restore(paused)
             machine.flip_register_bit(reg, 9)
-            if machine.state_matches(paused):
+            if machine.state_matches(paused) is dead:
                 return FaultSite(icount, reg, 9)
-    pytest.fail("no dead register after the last checkpoint")
+    pytest.fail(f"no {'dead' if dead else 'live'} register at {icounts}")
 
 
 def test_dead_register_flip_splices_at_the_site():
@@ -310,7 +349,8 @@ def test_dead_register_flip_splices_at_the_site():
     program = _protected(FLOAT_MEM_SOURCE)
     machine = Machine(program)
     store = build_checkpoints(machine, interval=128)
-    site = _dead_site_after_last_checkpoint(store)
+    site = _flip_site(store, range(store.snapshots[-1].icount + 1,
+                                   store.golden.instructions))
     expected = run_with_fault(Machine(program), site)
 
     assert store.run_with_fault(site) == expected
@@ -351,9 +391,9 @@ def test_campaign_runs_sites_in_ascending_order(simple_program,
     calls, restored = [], []
     run, restore = CheckpointStore.run_with_fault, Machine.restore
 
-    def recording_run(store, site, taint=None):
+    def recording_run(store, site, taint=None, upcoming=None):
         calls.append(site.dynamic_index)
-        return run(store, site, taint)
+        return run(store, site, taint, upcoming)
 
     def recording_restore(machine, snap):
         restored.append(snap)
@@ -385,7 +425,7 @@ def test_run_trials_ticks_and_returns_in_trial_order():
         fast_forwards = 0
         landed = True
 
-        def run_with_fault(self, site, taint=None):
+        def run_with_fault(self, site, taint=None, upcoming=None):
             ran.append(site.dynamic_index)
             trackers.append(taint)
             # Odd sites print a wrong value: an SDC.
@@ -427,6 +467,104 @@ def test_fast_forward_engages_on_protected_code():
         result = run_campaign(program, sites=sites, jobs=jobs,
                               checkpoint_interval=128)
         assert result.fast_forwards == store.fast_forwards
+
+
+def test_repaired_trial_retries_at_every_boundary():
+    """A repaired run that has not lined up with the golden run by the
+    first boundary after its repair still splices at a later one: every
+    boundary where its recovery count differs from the golden count
+    gets a shifted attempt, not just the first after each change."""
+    late = 0
+    for technique in (Technique.SWIFTR, Technique.TRUMP):
+        program = _protected(FLOAT_MEM_SOURCE, technique)
+        machine = Machine(program)
+        store = build_checkpoints(machine, interval=128)
+        converge, attempts = store._converge, []
+
+        def recording(snap, window, converge=converge, machine=machine):
+            recoveries = machine.recoveries
+            spliced = converge(snap, window)
+            if window:
+                attempts.append((recoveries, spliced is not None))
+            return spliced
+        store._converge = recording
+        reference = Machine(program)
+        for site in sample_sites(1, store.golden.instructions, 300):
+            del attempts[:]
+            assert store.run_with_fault(site) == run_with_fault(reference,
+                                                                site)
+            if (len(attempts) >= 2 and attempts[-1][1]
+                    and attempts[-2][0] == attempts[-1][0]):
+                late += 1
+    assert late >= 2
+
+
+def test_next_site_point_splices_within_its_clamped_window():
+    """The next site's golden state is a convergence point between two
+    checkpoints, and trials splice there.  Its shifted window ends at
+    the next checkpoint, and it is only tested with the run standing
+    exactly at it: afterwards the run stands at or before that
+    checkpoint, as on the per-site path."""
+    program = _protected(FLOAT_MEM_SOURCE)
+    machine = Machine(program)
+    store = build_checkpoints(machine, interval=128)
+    converge, points, current = store._converge, [], []
+
+    def recording(snap, window):
+        spliced = converge(snap, window)
+        if snap.icount != current[0] and snap.icount % 128:
+            points.append((snap.icount, window, spliced is not None))
+            assert machine.icount <= (snap.icount // 128 + 1) * 128
+        return spliced
+    store._converge = recording
+    reference = Machine(program)
+    for site, upcoming in _told(sample_sites(1, store.golden.instructions,
+                                             60)):
+        current[:] = [site.dynamic_index]
+        checked = len(points)
+        assert store.run_with_fault(site, upcoming=upcoming) \
+            == run_with_fault(reference, site)
+        for icount, window, _ in points[checked:]:
+            assert icount == upcoming.dynamic_index
+            assert window <= (icount // 128 + 1) * 128 - icount
+    assert any(spliced for _, _, spliced in points)
+    assert any(window for _, window, _ in points)
+
+
+def test_next_site_point_rules():
+    """A trial that does not converge at its site makes the next site's
+    golden state the cursor -- except when no checkpoint follows the
+    next site, for a taint-traced trial, and while a profiler is
+    attached.  There the trial runs as if not told: the cursor stays
+    at its own site, and its taint stream and profile are unchanged."""
+    from repro.obs.profile import SimProfiler
+
+    program = _protected(FLOAT_MEM_SOURCE)
+    machine = Machine(program)
+    store = build_checkpoints(machine, interval=128)
+    last = store.snapshots[-1].icount
+    site = _flip_site(store, [last - 300], dead=False)
+    upcoming = FaultSite(last - 200, 5, 3)
+    store.run_with_fault(site, upcoming=upcoming)
+    assert store.cursor.icount == upcoming.dynamic_index
+
+    tail = _flip_site(store, [last + 5], dead=False)
+    store.run_with_fault(tail, upcoming=FaultSite(last + 20, 5, 3))
+    assert store.cursor.icount == tail.dynamic_index
+
+    streams, profiles = [], []
+    for told in (None, upcoming):
+        tracker = TaintTracker()
+        store.run_with_fault(site, taint=tracker, upcoming=told)
+        assert store.cursor.icount == site.dynamic_index
+        streams.append(tracker.export(0))
+        machine.profile = SimProfiler()
+        store.run_with_fault(site, upcoming=told)
+        assert store.cursor.icount == site.dynamic_index
+        profiles.append(machine.profile.index_counts)
+        machine.profile = None
+    assert streams[0] == streams[1]
+    assert profiles[0] == profiles[1]
 
 
 # ----------------------------------------------------- never-landed audit

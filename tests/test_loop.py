@@ -1,8 +1,8 @@
 """Every variant of the shared run loop (repro.sim.loop) against the
 plain one.
 
-The plain, taint, profiler, JIT and timing loops are all rendered from
-one template, so a hook must never change what executes.  The fuzz
+The plain, taint, profiler, JIT, seek and timing loops are all
+rendered from one template, so a hook must never change what executes.  The fuzz
 below runs each variant on random programs through a random chain of
 pauses, with a bit flip at the first pause, and checks the RunResult
 and the final architectural state after every call -- including a
@@ -138,6 +138,87 @@ def test_every_variant_matches_the_plain_loop(seed):
             statuses.add(_check_chain(binary, budget, length, rng).status)
             _check_timing(binary, budget, length, rng)
     assert RunStatus.HANG in statuses
+
+
+# ------------------------------------------------------ the position seek
+def _stepped(binary):
+    """Single-step a fresh run: the position (by function name) and
+    call depth the run stands at after each instruction count."""
+    machine = Machine(binary)
+    positions, depths = [], []
+    while machine._position is not None:
+        func, block_idx, i = machine._position
+        positions.append((func.name, block_idx, i))
+        depths.append(len(machine.call_stack))
+        machine.run(machine.icount + 1)
+    return positions, depths
+
+
+def _check_seek(binary, rng, crossings):
+    """``Machine.seek`` from random starts, plain, with the JIT attached
+    and profiled, against single-stepping: each pauses where the
+    stepped run first stands at the target again, or at the limit."""
+    positions, depths = _stepped(binary)
+    length = len(positions)
+    machines = [Machine(binary) for _ in range(4)]
+    plain, jit, profiled, reference = machines
+    attach_jit(jit)
+    for _ in range(12):
+        start = rng.randrange(length - 1)
+        later = rng.randrange(start, length)
+        # Some targets lie in another function: reached through a CALL
+        # or a RET.
+        other = [k for k in range(start + 1, length)
+                 if positions[k][0] != positions[start][0]]
+        if other and rng.random() < 0.5:
+            later = other[0]
+        target = positions[later]
+        arrivals = [k for k in range(start + 1, length)
+                    if positions[k] == target]
+        arrival = arrivals[0] if arrivals else None
+        if arrival is not None:
+            crossings.add((depths[arrival] > depths[start])
+                          - (depths[arrival] < depths[start]))
+        # A roomy limit, or one at or before the arrival.
+        limit = rng.choice([length - 1, rng.randrange(
+            start + 1, length if arrival is None else arrival + 1)])
+        stop = limit if arrival is None else min(arrival, limit)
+        reference.reset()
+        reference.run(stop)
+        for machine in (plain, jit, profiled):
+            machine.reset()
+            machine.run(start)
+            machine.profile = SimProfiler() if machine is profiled else None
+            func = machine.functions[target[0]]
+            result = machine.seek((func, *target[1:]), limit)
+            assert result.status is RunStatus.PAUSED
+            assert result.instructions == stop
+            assert _final_state(machine) == _final_state(reference)
+        assert profiled.profile.total_instructions == stop - start
+        profiled.profile = None
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=100_000))
+def test_seek_pauses_where_single_stepping_arrives(seed):
+    rng = random.Random(seed)
+    crossings = set()
+    for binary in _binaries(seed) + _call_binaries():
+        _check_seek(binary, rng, crossings)
+    # Targets were reached across a CALL (+1) and a RET (-1).
+    assert {1, -1} <= crossings
+
+
+def test_seek_ends_with_the_run():
+    """A seek whose target never comes returns the run's own result at
+    termination (or the finished result, once finished)."""
+    binary = _call_binaries()[1]
+    expected = Machine(binary).run()
+    machine = Machine(binary)
+    machine.run(5)
+    entry = (machine.entry, 0, 0)
+    assert machine.seek(entry, expected.instructions + 10) == expected
+    assert machine.seek(entry, expected.instructions + 10) == expected
 
 
 # ------------------------------------------------ readable rendered code

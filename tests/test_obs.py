@@ -210,6 +210,8 @@ def test_campaign_metrics_recorded(swiftr_binary):
     assert registry.counter("campaign.trials").value == 40
     assert registry.counter("campaign.recovered_runs").value == \
         result.recoveries
+    assert registry.counter("campaign.fast_forwards").value == \
+        result.fast_forwards > 0
     histogram = registry.histogram("campaign.detection_latency")
     assert histogram.count >= result.recoveries
 
