@@ -255,7 +255,8 @@ def run_campaign(
     log_start = len(trial_log.records) if trial_log is not None else 0
     start_time = perf_counter()
     with engine(machine, jit, profile):
-        store = build_checkpoints(machine, checkpoint_interval)
+        with span("faults.checkpoints"):
+            store = build_checkpoints(machine, checkpoint_interval)
         golden = store.golden
         presampled = sites is not None
         if sites is None:

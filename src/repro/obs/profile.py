@@ -115,8 +115,8 @@ class SimProfiler:
         an uncompilable function, and every SWIFT-R/TRUMP repair block,
         is interpreted (``JitProgram.interpreted``).  The rare dynamic
         exits -- injection pauses, mid-block resumes, bails -- re-enter
-        compiled code at the next block, so block granularity is the
-        honest approximation.
+        compiled code at the next block with a compiled entry, so block
+        granularity is the honest approximation.
         Profiled execution itself always runs the counting interpreter
         loop; this only annotates.
         """

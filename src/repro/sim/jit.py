@@ -57,13 +57,14 @@ Execution model ("side exits"):
   the blocks the JIT would run compiled, ``JitProgram.interpreted``
   being the rest; see :mod:`repro.obs.profile`).
 
-Code size stays linear in program size.  A fallthrough/JMP successor
-is fused into the current block's straight-line chain only when the
-current block *owns* it (is its unique predecessor, ignoring SWIFT-R/
-TRUMP repair edges), so every block lands in at most one chain plus
-its own dispatch entry.  A leaf callee is expanded in place at a call
-site only while the caller stays within ``_INLINE_BUDGET``; past it the
-call is a plain side exit.
+Code size stays linear in program size: every block is rendered once.
+A block that nothing dispatches to -- reached only by its unique
+predecessor's fallthrough or ``JMP`` (``_owners``) -- is rendered only
+inside that predecessor's straight-line chain, and its own dispatch
+entry is a fuel stop.  Every other block heads a chain at its own
+entry.  A leaf callee is expanded in place at a call site only while
+the caller stays within ``_INLINE_BUDGET``; past it the call is a
+plain side exit.
 
 Generated code holds no per-run state: drivers read the register files
 and memory afresh from the ``Machine`` argument on every activation,
@@ -83,6 +84,7 @@ from ..isa.instruction import Instruction, Role
 from ..isa.opcodes import Opcode, OpKind
 from ..isa.operands import FImm, Imm, MASK64, to_signed
 from ..isa.registers import Register
+from ..obs.spans import span
 from .loop import ACT_BAIL
 from .machine import Machine, _fop_div
 from .memory import bits_to_float, float_to_bits
@@ -254,10 +256,10 @@ class _Emitter:
         # and the driver renderer either emits the successor inline (a
         # block it owns, see ``_owners``) or dispatches to it.
         self.chain_next: tuple[int, int] | None = None
-        # Instructions rendered so far (chain copies and inline
-        # expansions included) against the most the inline budget
-        # allows this function; a leaf call that would overrun it is
-        # emitted as a plain side exit instead of expanded.
+        # Instructions rendered so far (inline expansions included)
+        # against the most the inline budget allows this function; a
+        # leaf call that would overrun it is emitted as a plain side
+        # exit instead of expanded.
         self.rendered = 0
         self.inline_limit = 0
         self.int_slots: set[int] = set()
@@ -727,10 +729,9 @@ def _emit_call(e, instr, delta):
     resume = e.entry + delta    # absolute index within the block
     summary = (e.call_summaries.get(instr.callee)
                if e.whole and e.call_summaries is not None else None)
-    # An expansion renders each callee block at most twice (its own
-    # entry plus one chain copy): twice the callee's size bounds it.
+    # An expansion renders each callee block once.
     inline = (summary is not None and summary[0]
-              and e.rendered + 2 * summary[3] <= e.inline_limit)
+              and e.rendered + summary[3] <= e.inline_limit)
     if not inline:
         # Push the return frame directly -- identical to the frame the
         # interpreter's run loop builds (state_matches compares call
@@ -1046,19 +1047,19 @@ def _dispatch_tree(bodies: dict[int, list[str]], lo: int, hi: int,
 
 # Most instructions one function's driver may render, per static
 # instruction of the function, before leaf calls stop being expanded
-# in place.  Without inlining a driver renders each block at most
-# twice, so this bounds generated code linearly in program size.
+# in place.  Without inlining a driver renders each block once, so
+# this bounds generated code linearly in program size.
 _INLINE_BUDGET = 64
 
 
 def _flow_edges(cfunc):
-    """Block-to-block ``(src, dst)`` edges of ``cfunc``.
+    """Block-to-block ``(src, dst, is_branch)`` edges of ``cfunc``.
 
-    Branch/jump targets plus layout fallthrough, minus RECOVERY/VOTE
-    branches: SWIFT-R/TRUMP vote and repair blocks live past the
-    function tail and branch *back* into the main flow on rarely-taken
-    edges, which would otherwise make every repaired block a loop body
-    and a join point.
+    Conditional-branch (``is_branch``) and jump targets plus layout
+    fallthrough, minus RECOVERY/VOTE branches: SWIFT-R/TRUMP vote and
+    repair blocks live past the function tail and branch *back* into
+    the main flow on rarely-taken edges, which would otherwise make
+    every repaired block a loop body and a join point.
     """
     index = cfunc.block_index
     nblocks = len(cfunc.blocks)
@@ -1066,40 +1067,56 @@ def _flow_edges(cfunc):
         for instr in blk.instrs:
             if (instr.op.kind in (OpKind.BRANCH, OpKind.JUMP)
                     and instr.role not in (Role.RECOVERY, Role.VOTE)):
-                yield j, index[instr.label]
+                yield j, index[instr.label], instr.op.kind is OpKind.BRANCH
         last = blk.instrs[-1] if blk.instrs else None
         if j + 1 < nblocks and (last is None or not last.is_terminator
                                 or last.op.kind is OpKind.BRANCH):
-            yield j, j + 1
+            yield j, j + 1, False
 
 
 def _repair_blocks(cfunc) -> set[int]:
     """Indices of ``cfunc``'s SWIFT-R/TRUMP repair blocks.
 
     A repair block holds the RECOVERY/VOTE NOP that marks a repair's
-    entry (always its first instruction).  Majority-vote recovery only
-    enters one after a vote mismatch, so they are left to the
-    interpreter -- the run loop is the one place recoveries are
-    counted.
+    entry (always its first instruction), or is owned (``_owners``) by
+    one, like the fix-up block a repair falls through into.
+    Majority-vote recovery only enters one after a vote mismatch, so
+    they are left to the interpreter -- the run loop is the one place
+    recoveries are counted.
     """
-    return {b for b, blk in enumerate(cfunc.blocks)
-            if any(instr.op is Opcode.NOP
-                   and instr.role in (Role.RECOVERY, Role.VOTE)
-                   for instr in blk.instrs)}
+    repair = {b for b, blk in enumerate(cfunc.blocks)
+              if any(instr.op is Opcode.NOP
+                     and instr.role in (Role.RECOVERY, Role.VOTE)
+                     for instr in blk.instrs)}
+    owners = _owners(cfunc)
+    while True:
+        owned = {b for b, owner in enumerate(owners) if owner in repair}
+        if owned <= repair:
+            return repair
+        repair |= owned
 
 
 def _owners(cfunc) -> list[int | None]:
-    """Per block: its unique predecessor over ``_flow_edges``, or None.
+    """Per block: the block whose chain renders it, or None.
 
-    A chain fuses a successor only into the block that owns it, so the
-    owned-by relation is a forest and every block is rendered at most
-    twice: at its own dispatch entry and in its owner's chain.
+    A block is owned -- *chain-interior* -- when its unique predecessor
+    over ``_flow_edges`` reaches it by fallthrough or ``JMP`` and
+    nothing else can dispatch to it: it is not the function entry, not
+    a conditional-branch target, and its predecessor holds no ``CALL``
+    (returns and resume segments land on that block's successors).
+    Every other block (None) keeps a dispatch entry and heads a chain.
+    The owned-by relation is a forest, so every block is rendered once.
     """
     preds: list[set[int]] = [set() for _ in cfunc.blocks]
-    for src, dst in _flow_edges(cfunc):
+    heads = {0}
+    calls = {b for b, blk in enumerate(cfunc.blocks)
+             if any(instr.op is Opcode.CALL for instr in blk.instrs)}
+    for src, dst, branch in _flow_edges(cfunc):
         preds[dst].add(src)
-    return [next(iter(p)) if len(p) == 1 and b not in p else None
-            for b, p in enumerate(preds)]
+        if branch or src in calls:
+            heads.add(dst)
+    return [next(iter(p)) if len(p) == 1 and b not in p and b not in heads
+            else None for b, p in enumerate(preds)]
 
 
 def _use_counts(machine: Machine, cfunc, summaries: dict | None = None
@@ -1113,7 +1130,7 @@ def _use_counts(machine: Machine, cfunc, summaries: dict | None = None
     on the caller's locals, so the callee's hot slots are the caller's.
     """
     loopy = [False] * len(cfunc.blocks)
-    for j, t in _flow_edges(cfunc):
+    for j, t, _branch in _flow_edges(cfunc):
         if t <= j:
             for b in range(t, j + 1):
                 loopy[b] = True
@@ -1202,9 +1219,9 @@ def _render_driver(machine: Machine, cfunc, int_cells: bool,
     registers stay in locals and no dispatch happens across it -- which
     is what fuses SWIFT-R's tiny check-and-branch blocks into
     straight-line code; any other successor is reached through
-    dispatch.  Every block still performs its own entry fuel check, so
-    the pause-safety predicate is per-block-activation regardless of
-    fusion (the profiler's coverage simulation relies on this).
+    dispatch.  Every block still performs its own fuel check, at its
+    place in the chain, so the pause-safety predicate is
+    per-block-activation regardless of fusion.
     """
     local_int, local_float = _plan_locals(machine, cfunc, summaries)
     emitter = _Emitter(machine, cfunc.name, cfunc.block_index, whole=True,
@@ -1226,22 +1243,25 @@ def _render_block_loops(emitter: _Emitter, cfunc, fuel_stop
     the entry block is a bare ``continue`` (no dispatch round trip,
     re-running the entry fuel check); transfers anywhere else ``break``
     back out to the binary dispatch after assigning
-    ``emitter.dispatch_var``.  An unowned block's entry runs the chain
-    of owned successors it heads; an owned block entered directly (a
-    conditional branch, a repair back-edge, a fuel-stop resume) runs as
-    a one-block body.  ``fuel_stop(cur)`` supplies the exit lines for a
-    block that cannot complete under ``stop`` (emitted after the icount
-    sync): a driver returns the block index; an inlined callee returns
-    the ``-7 - block`` encoding with the callee pending.  A repair
-    block's entry is nothing but that fuel stop, and no chain runs
-    into one, so the interpreter runs every repair.
+    ``emitter.dispatch_var``.  Each unowned block's entry runs the
+    chain of owned (chain-interior) successors it heads, so each block
+    is rendered exactly once.  ``fuel_stop(cur)`` supplies the exit
+    lines for a block that cannot complete under ``stop`` (emitted
+    after the icount sync): a driver returns the block index; an
+    inlined callee returns the ``-7 - block`` encoding with the callee
+    pending.  A repair block's entry is nothing but that fuel stop, and
+    no chain runs into one, so the interpreter runs every repair.  An
+    owned block's entry is the same fuel stop: only the interpreter
+    dispatches there (a repair's ``JMP`` back, a pause, bail or restore
+    inside the chain), and it interprets on to the next block with an
+    entry.
     """
     owners = _owners(cfunc)
     repair = _repair_blocks(cfunc)
     nblocks = len(cfunc.blocks)
     bodies: dict[int, list[str]] = {}
     for b, owner in enumerate(owners):
-        if b in repair:
+        if b in repair or owner is not None:
             bodies[b] = ["m.icount = ic", *fuel_stop(b)]
             continue
         chain: list[str] = []
@@ -1268,8 +1288,7 @@ def _render_block_loops(emitter: _Emitter, cfunc, fuel_stop
             if target == b:
                 chain.append("continue")
                 break
-            if (owner is not None or owners[target] != cur
-                    or target in repair):
+            if owners[target] != cur or target in repair:
                 chain.append(f"{emitter.dispatch_var} = {target}")
                 chain.append("break")
                 break
@@ -1360,13 +1379,17 @@ _CACHE: dict[int, tuple] = {}
 
 
 def jit_program_for(machine: Machine) -> JitProgram:
-    """The cached (or freshly compiled) :class:`JitProgram`."""
+    """The cached (or freshly compiled, under a ``jit.codegen`` span)
+    :class:`JitProgram`."""
     program = machine.program
     key = id(program)
     cached = _CACHE.get(key)
     if cached is not None and cached[0]() is program:
         return cached[1]
-    compiled = compile_program(machine)
+    with span("jit.codegen", functions=len(machine.functions)) as sp:
+        compiled = compile_program(machine)
+        sp.set(source_lines=sum(source.count("\n")
+                                for source in compiled.sources.values()))
     try:
         ref = weakref.ref(program, lambda _r, k=key: _CACHE.pop(k, None))
     except TypeError:  # pragma: no cover - Program is always weakref-able

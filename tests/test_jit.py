@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from irgen import random_program
+from repro.eval import prepare_machine
 from repro.faults import campaign as campaign_module
 from repro.faults import parallel as parallel_module
 from repro.faults import run_campaign
-from repro.isa import Function, IRBuilder, Imm, Program
+from repro.isa import Function, IRBuilder, Imm, Opcode, Program, Role
 from repro.isa.program import HEAP_BASE, HEAP_BYTES
 from repro.lang import compile_source
 from repro.faults.injector import golden_run, run_with_fault
@@ -217,6 +218,146 @@ def test_inlined_leaf_pause_at_every_icount():
         assert _final_state(jit_machine) == _final_state(ref_machine), icount
         repaired += jit_machine.recoveries > 0
     assert repaired
+
+
+# ------------------------------------------ entries into chain interiors
+# A block reached only by its unique predecessor's fallthrough or JMP is
+# rendered only inside that predecessor's chain, and its own dispatch
+# entry is a fuel stop: a pause, restore or repair that hands such a
+# block to dispatch has the interpreter run on to the next block with
+# an entry.  Each case below compares the RunResult (recoveries and the
+# first recovery's icount included) and the final state.
+_CHAIN_TECHNIQUES = pytest.mark.parametrize(
+    "technique", [Technique.SWIFTR, Technique.TRUMP], ids=lambda t: t.value)
+
+
+def _chain_interior(machine):
+    """``(function, block)`` of every chain-interior block."""
+    interior = set()
+    for name, cfunc in machine.functions.items():
+        repair = jit._repair_blocks(cfunc)
+        interior.update((name, b)
+                        for b, owner in enumerate(jit._owners(cfunc))
+                        if owner is not None and b not in repair)
+    return interior
+
+
+def _first_arrivals(machine):
+    """``(function, block) -> icount`` of the run's first arrival at
+    each block's first instruction, single-stepping ``machine``."""
+    machine.reset()
+    func, block, _ = machine._position
+    arrivals = {(func.name, block): 0}
+    icount = 0
+    while machine.run(icount + 1).status.value == "paused":
+        icount += 1
+        func, block, i = machine._position
+        if i == 0:
+            arrivals.setdefault((func.name, block), icount)
+    return arrivals
+
+
+def _flip_and_finish(jit_machine, ref_machine, icount, restore=False,
+                     flip=None):
+    """Pause both engines at ``icount``, flip a register bit (``flip``,
+    a ``(register, bit)`` pair, or one chosen from ``icount``), run both
+    to the end and compare.  With ``restore`` the JIT machine first runs
+    on and is restored to a snapshot of the pause."""
+    reg_index, bit = flip or (5 + (icount % 3) * 4, (icount * 7) % 64)
+    for machine in (jit_machine, ref_machine):
+        machine.reset()
+        assert machine.run(icount).status.value == "paused"
+    assert _final_state(jit_machine) == _final_state(ref_machine), icount
+    if restore:
+        snap = jit_machine.snapshot()
+        jit_machine.run(icount + 40)
+        jit_machine.restore(snap)
+    results = []
+    for machine in (jit_machine, ref_machine):
+        machine.flip_register_bit(reg_index, bit)
+        results.append(machine.run(None))
+    assert results[0] == results[1], icount
+    assert _final_state(jit_machine) == _final_state(ref_machine), icount
+    return results[1]
+
+
+def _crc32_pair(technique):
+    cell = prepare_machine("crc32", technique)
+    return _machine_pair(cell.program, cell.max_instructions)
+
+
+@_CHAIN_TECHNIQUES
+def test_pause_and_restore_at_every_chain_interior_block(technique):
+    """crc32: pause at, and restore into, the first instruction of every
+    chain-interior block the golden run reaches."""
+    jit_machine, ref_machine = _crc32_pair(technique)
+    arrivals = _first_arrivals(ref_machine)
+    starts = sorted(arrivals[key] for key in _chain_interior(ref_machine)
+                    if key in arrivals)
+    assert len(starts) >= 10
+    for icount in starts:
+        _flip_and_finish(jit_machine, ref_machine, icount)
+        _flip_and_finish(jit_machine, ref_machine, icount, restore=True)
+
+
+def _longest_chain(machine):
+    """``(instructions, function, blocks)`` of the longest chain."""
+    best = (0, None, [])
+    for name, cfunc in machine.functions.items():
+        repair = jit._repair_blocks(cfunc)
+        owners = jit._owners(cfunc)
+        interior = {owner: b for b, owner in enumerate(owners)
+                    if owner is not None and b not in repair}
+        for head, owner in enumerate(owners):
+            if owner is not None or head in repair:
+                continue
+            chain = [head]
+            while chain[-1] in interior:
+                chain.append(interior[chain[-1]])
+            size = sum(len(cfunc.blocks[b].instrs) for b in chain)
+            best = max(best, (size, name, chain))
+    return best
+
+
+@_CHAIN_TECHNIQUES
+def test_pause_at_every_icount_along_the_longest_chain(technique):
+    """crc32: pause at every icount from the first arrival at the head
+    of its longest chain to the chain's end."""
+    jit_machine, ref_machine = _crc32_pair(technique)
+    size, name, chain = _longest_chain(ref_machine)
+    assert len(chain) >= 3
+    start = _first_arrivals(ref_machine)[(name, chain[0])]
+    for icount in range(start, start + size + 1):
+        _flip_and_finish(jit_machine, ref_machine, icount)
+
+
+def test_recovery_jump_lands_on_chain_interior_block():
+    """crc32/TRUMP: for every AN check whose repair ends in a RECOVERY
+    ``JMP`` to a chain-interior block (the check's own fallthrough),
+    flip the codeword copy just before the check's first execution: the
+    repair runs and dispatch lands on that block."""
+    jit_machine, ref_machine = _crc32_pair(Technique.TRUMP)
+    interior = _chain_interior(ref_machine)
+    arrivals = _first_arrivals(ref_machine)
+    checks = set()
+    for name, cfunc in ref_machine.functions.items():
+        owners = jit._owners(cfunc)
+        for blk in cfunc.blocks:
+            for instr in blk.instrs:
+                if instr.op is Opcode.JMP and instr.role is Role.RECOVERY:
+                    landing = cfunc.block_index[instr.label]
+                    if (name, landing) in interior:
+                        checks.add((name, owners[landing]))
+    reached = sorted(checks & arrivals.keys())
+    assert len(reached) >= 3
+    for name, b in reached:
+        check = ref_machine.functions[name].blocks[b].instrs
+        assert check[-1].op is Opcode.BNE
+        icount = arrivals[(name, b)] + len(check) - 1
+        result = _flip_and_finish(jit_machine, ref_machine, icount,
+                                  flip=(check[-1].srcs[1].index, 2))
+        # The check, then the repair's opening NOP.
+        assert result.first_recovery_icount == icount + 2
 
 
 # ------------------------------------------------- bails to the interpreter

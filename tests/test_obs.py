@@ -19,7 +19,9 @@ from repro.obs import (
     summarize_records,
 )
 from repro.obs import metrics, spans
+from repro.lang import compile_source
 from repro.sim import Machine, RunStatus
+from repro.sim.jit import compile_program
 from repro.transform import Technique, allocate_program, protect
 from repro.__main__ import main as cli_main
 
@@ -409,6 +411,38 @@ def test_cli_campaign_telemetry_and_summarize(tmp_path, capsys):
     summary = capsys.readouterr().out
     assert "Campaign outcomes (40 trials" in summary
     assert "Spans" in summary
+
+
+def test_cli_jit_campaign_spans_codegen_and_checkpoints(tmp_path, capsys):
+    """A JIT campaign compiles once, under one ``jit.codegen`` span that
+    carries the generated line count, and builds its checkpoints under
+    ``faults.checkpoints``; ``obs summarize`` lists both."""
+    text = ("int main() { int t = 0; "
+            "for (int i = 0; i < 9; i++) { t += i * i; } print(t); "
+            "return 0; }")
+    source = tmp_path / "demo.c"
+    source.write_text(text)
+    path = str(tmp_path / "t.jsonl")
+    assert cli_main(["campaign", str(source), "-t", "swiftr",
+                     "--trials", "20", "--telemetry", path]) == 0
+    capsys.readouterr()
+    records = read_jsonl(path)
+    codegen = [r for r in records
+               if r["kind"] == "span" and r["name"] == "jit.codegen"]
+    assert len(codegen) == 1
+    binary = allocate_program(protect(compile_source(text),
+                                      Technique.SWIFTR))
+    sources = compile_program(Machine(binary)).sources
+    assert codegen[0]["source_lines"] == sum(
+        src.count("\n") for src in sources.values())
+    assert codegen[0]["functions"] == len(sources)
+    assert any(r["kind"] == "span" and r["name"] == "faults.checkpoints"
+               for r in records)
+
+    assert cli_main(["obs", "summarize", path]) == 0
+    summary = capsys.readouterr().out
+    assert re.search(r"^\s*jit\.codegen\s+1\s", summary, re.M)
+    assert re.search(r"^\s*faults\.checkpoints\s+1\s", summary, re.M)
 
 
 def test_cli_gzip_telemetry_round_trip(tmp_path, capsys):
