@@ -15,7 +15,6 @@ from .benches import (
     DEFAULT_WORKLOAD,
     measure_adaptive_suite,
     measure_campaign_suite,
-    measure_serve_suite,
 )
 from .compare import (
     DEFAULT_TOLERANCE,
@@ -45,7 +44,6 @@ __all__ = [
     "environment_fingerprint",
     "measure_adaptive_suite",
     "measure_campaign_suite",
-    "measure_serve_suite",
     "meta_record",
     "read_bench",
     "regressions",

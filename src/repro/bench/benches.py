@@ -340,164 +340,3 @@ def measure_adaptive_suite(techniques=(Technique.NOFT, Technique.TRUMP,
     })
     details["totals"] = (adaptive_total, fixed_total)
     return records, details
-
-
-def measure_serve_suite(trials: int = DEFAULT_TRIALS,
-                        seed: int = DEFAULT_SEED,
-                        workload: str = DEFAULT_WORKLOAD,
-                        technique: Technique = Technique.SWIFTR,
-                        verbose: bool = False,
-                        ) -> tuple[list[dict], dict]:
-    """Campaign service cost envelope: submission overhead and the
-    cache-hit payoff.
-
-    Three modes, same spec throughout:
-
-    * ``direct`` -- ``run_spec`` + ledger store in-process, the cost a
-      ``campaign --store`` user pays (best of two reps);
-    * ``cold`` -- the spec submitted to a fresh in-thread
-      :class:`~repro.serve.server.CampaignServer` (empty ledger), timed
-      from ``submit`` to the final ``watch`` reply, so the queue tick,
-      worker fork, and result round-trip are all inside the clock;
-    * ``cached`` -- the identical spec resubmitted (best of three):
-      the server answers from the ledger without executing a trial.
-
-    The summary's ``cold_overhead`` (cold/direct, lower is better) and
-    ``cached_speedup`` (direct/cached, higher is better) are the gated
-    headlines.  Returns ``(records, details)``; ``details`` carries the
-    run ids and server stats so the pytest bench can assert the service
-    stored the *same* content-addressed run a direct store produces and
-    that the resubmission executed zero trials.
-    """
-    import shutil
-    import tempfile
-    from dataclasses import replace
-
-    from ..obs.registry import RunRegistry
-    from ..serve.client import ServiceClient
-    from ..serve.server import CampaignServer
-    from ..serve.spec import CampaignSpec, prepare_spec, run_spec, \
-        store_spec_run
-
-    spec = CampaignSpec(technique=technique.value, workload=workload,
-                        seed=seed, trials=trials)
-    scratch = tempfile.mkdtemp(prefix="repro-serve-bench-")
-    records: list[dict] = []
-    details: dict = {}
-
-    def record(mode, seconds, executed, **extra):
-        rec = {
-            "kind": "serve_bench",
-            "mode": mode,
-            "workload": workload,
-            "technique": technique.value,
-            "trials": trials,
-            "trials_executed": executed,
-            "seconds": round(seconds, 4),
-        }
-        if executed:
-            rec["trials_per_sec"] = round(executed / seconds, 2)
-        rec.update(extra)
-        records.append(rec)
-        if verbose:
-            rate = (f"{rec['trials_per_sec']:8.1f} trials/s"
-                    if executed else "   cache hit")
-            print(f"  {mode:12s} {seconds:7.3f}s  {rate}")
-        return rec
-
-    try:
-        # Direct baseline: what `campaign --store` costs, best of two
-        # (a fresh ledger per rep so the second store is not a no-op).
-        program, machine = prepare_spec(spec)
-        direct_seconds = None
-        for rep in range(2):
-            registry = RunRegistry(os.path.join(scratch, f"direct{rep}"))
-            start = perf_counter()
-            log = CampaignLog(context=spec.log_context())
-            run = run_spec(spec, program, machine=machine, log=log)
-            direct_run = store_spec_run(registry, spec, run,
-                                        program).run_id
-            rep_seconds = perf_counter() - start
-            direct_seconds = (rep_seconds if direct_seconds is None
-                              else min(direct_seconds, rep_seconds))
-        record("direct", direct_seconds, trials, run=direct_run)
-        direct_manifest = os.path.join(scratch, "direct1", direct_run,
-                                       "manifest.json")
-
-        serve_runs = os.path.join(scratch, "runs")
-        server = CampaignServer(port=0, runs_dir=serve_runs,
-                                state_dir=os.path.join(scratch, "state"),
-                                workers=1, quiet=True)
-        thread = server.serve_in_thread()
-        try:
-            client = ServiceClient(server.host, server.port)
-
-            # Best of two cold reps: the second submits a seed-varied
-            # spec, so it misses the cache and pays the same queue tick
-            # + worker fork + result round-trip as the first.
-            cold_seconds = cold_run = None
-            for rep_spec in (spec, replace(spec, seed=seed + 1)):
-                start = perf_counter()
-                reply = client.submit(rep_spec, client="bench")
-                final = client.wait(reply["job"])
-                rep_seconds = perf_counter() - start
-                if final.get("state") != "done":
-                    raise RuntimeError(f"cold submission ended {final!r}")
-                cold_run = cold_run or str(final.get("run"))
-                cold_seconds = (rep_seconds if cold_seconds is None
-                                else min(cold_seconds, rep_seconds))
-            record("cold", cold_seconds, trials, run=cold_run)
-
-            cached_seconds = None
-            cached_run = ""
-            for _ in range(3):
-                start = perf_counter()
-                reply = client.submit(spec, client="bench")
-                rep_seconds = perf_counter() - start
-                if reply.get("state") != "cached":
-                    raise RuntimeError(f"resubmission not cached: {reply!r}")
-                cached_run = str(reply.get("run"))
-                cached_seconds = (rep_seconds if cached_seconds is None
-                                  else min(cached_seconds, rep_seconds))
-            record("cached", cached_seconds, 0, run=cached_run)
-
-            stats = client.stats()
-        finally:
-            server.request_stop()
-            thread.join(timeout=30)
-
-        def _bytes(path):
-            with open(path, "rb") as handle:
-                return handle.read()
-
-        serve_manifest = os.path.join(serve_runs, cold_run,
-                                      "manifest.json")
-        details = {
-            "direct_run": direct_run,
-            "cold_run": cold_run,
-            "cached_run": cached_run,
-            "stats": stats.get("stats", {}),
-            "manifests_identical": (
-                _bytes(direct_manifest) == _bytes(serve_manifest)),
-        }
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
-
-    cold_overhead = cold_seconds / direct_seconds
-    cached_speedup = direct_seconds / cached_seconds
-    if verbose:
-        print(f"  summary: cold overhead {cold_overhead:.2f}x direct, "
-              f"cache hit {cached_speedup:.0f}x faster than rerunning")
-    records.append({
-        "kind": "serve_bench_summary",
-        "workload": workload,
-        "technique": technique.value,
-        "trials": trials,
-        "direct_seconds": round(direct_seconds, 4),
-        "cold_seconds": round(cold_seconds, 4),
-        "cached_seconds": round(cached_seconds, 4),
-        "cold_overhead": round(cold_overhead, 3),
-        "cached_speedup": round(cached_speedup, 1),
-        "cached_trials_executed": 0,
-    })
-    return records, details

@@ -26,7 +26,6 @@ from .benches import (
     DEFAULT_TRIALS,
     measure_adaptive_suite,
     measure_campaign_suite,
-    measure_serve_suite,
 )
 from .compare import (
     DEFAULT_TOLERANCE,
@@ -40,9 +39,7 @@ from .schema import read_bench, write_bench
 SUITE_BASELINES = {
     "campaign": ("BENCH_campaign.json",),
     "adaptive": ("BENCH_adaptive.json",),
-    "serve": ("BENCH_serve.json",),
-    "all": ("BENCH_campaign.json", "BENCH_adaptive.json",
-            "BENCH_serve.json"),
+    "all": ("BENCH_campaign.json", "BENCH_adaptive.json"),
 }
 
 
@@ -74,10 +71,6 @@ def run_bench(args) -> int:
         if suite in ("adaptive", "all"):
             records, _details = measure_adaptive_suite(
                 seed=args.seed, verbose=True)
-            current.extend(records)
-        if suite in ("serve", "all"):
-            records, _details = measure_serve_suite(
-                trials=args.trials, seed=args.seed, verbose=True)
             current.extend(records)
         origin = "(measured)"
     if args.out:

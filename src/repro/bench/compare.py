@@ -48,13 +48,6 @@ GATED_METRICS: dict[tuple[str, str | None], tuple[tuple[str, str], ...]] = {
         ("jit_source_lines", "lower"),
     ),
     ("adaptive_bench", "technique"): (("adaptive_trials", "lower"),),
-    # The campaign service's headlines: submitting through the queue
-    # must stay close to the direct CLI, and a ledger cache hit must
-    # stay orders of magnitude cheaper than re-running the campaign.
-    ("serve_bench_summary", None): (
-        ("cold_overhead", "lower"),
-        ("cached_speedup", "higher"),
-    ),
     ("adaptive_bench_summary", None): (
         ("trials_saved_percent", "higher"),
     ),

@@ -22,7 +22,6 @@ from ..faults.campaign import CampaignResult
 from ..faults.outcomes import Outcome
 from ..faults.stats import Proportion
 from ..obs.campaign_log import CampaignLog
-from ..serve.spec import CampaignSpec, run_spec
 from ..obs.sink import JsonlSink
 from ..obs.spans import span
 from ..stats.claims import evaluate_claims, render_claims
@@ -40,6 +39,7 @@ from ..transform.protect import PAPER_TECHNIQUES, Technique
 from ..workloads.suite import PAPER_BENCHMARKS
 from .pipeline import PipelineOptions, prepare_machine
 from .report import average, fmt_pct, reduction_percent, render_table
+from .spec import CampaignSpec, run_spec
 from .telemetry import export_session, open_sink
 
 #: Default trials per (benchmark, technique) cell.  The paper used 250;

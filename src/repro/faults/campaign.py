@@ -116,6 +116,17 @@ class CampaignResult:
             "golden_instructions": self.golden_instructions,
         }
 
+    @classmethod
+    def from_summary(cls, summary: dict) -> "CampaignResult":
+        """The result a :meth:`summary_dict` recorded (a stored
+        manifest's ``results``), without timings or config."""
+        return cls(trials=summary["trials"],
+                   counts={Outcome(value): count for value, count
+                           in summary["outcomes"].items()},
+                   recoveries=summary["recoveries"],
+                   never_landed=summary["never_landed"],
+                   golden_instructions=summary["golden_instructions"])
+
     def merged(self, other: "CampaignResult") -> "CampaignResult":
         """Combine two shards of the *same* campaign.
 

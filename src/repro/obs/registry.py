@@ -25,8 +25,9 @@ The run id **is** the first 16 hex digits of the sha256 of the
 canonical manifest JSON (artifact hashes included), so identical
 campaigns -- same binary, same seed, same config, same outcomes --
 store to the same id regardless of ``--jobs``: re-storing is a cache
-hit, which is exactly the artifact-cache key the campaign-as-a-service
-roadmap item needs.  Wall-clock timings never enter a manifest or an
+hit.  ``campaign --store`` goes one step further and probes the ledger
+before running (:func:`repro.eval.spec.find_cached`), so a repeat
+executes no trials at all.  Wall-clock timings never enter a manifest or an
 artifact; timestamps live only in ledger events.
 
 Crash safety: artifacts are written through
@@ -204,13 +205,7 @@ class RunRegistry:
         except BaseException:
             shutil.rmtree(staging, ignore_errors=True)
             raise
-        event = {
-            "kind": "run_stored" if created else "run_tagged",
-            "run": run_id,
-            "ts": round(time.time(), 3),
-        }
-        if tag:
-            event["tag"] = tag
+        event = {"tag": tag} if tag else {}
         if created:
             results = manifest.get("results", {})
             event.update(
@@ -220,11 +215,24 @@ class RunRegistry:
                 trials=results.get("trials"),
                 outcomes=results.get("outcomes", {}),
             )
+        self._append_event("run_stored" if created else "run_tagged",
+                           run_id, **event)
+        return StoredRun(run_id=run_id, path=self.run_dir(run_id),
+                         created=created, manifest=manifest)
+
+    def tag(self, run_id: str, tag: str) -> None:
+        """Record ``tag`` on an already-stored run (a ``run_tagged``
+        event), so ``obs diff``/``obs history`` resolve it."""
+        self._append_event("run_tagged", run_id, tag=tag)
+
+    def _append_event(self, kind: str, run_id: str, **fields) -> None:
+        """Append one timestamped event to ``ledger.jsonl`` -- the
+        ledger's only writer."""
+        event = {"kind": kind, "run": run_id, "ts": round(time.time(), 3)}
+        event.update(fields)
         with open(self.ledger_path, "a") as ledger:
             ledger.write(canonical_json(event))
             ledger.write("\n")
-        return StoredRun(run_id=run_id, path=self.run_dir(run_id),
-                         created=created, manifest=manifest)
 
     # ------------------------------------------------------------ ledger
     def entries(self) -> list[dict]:
@@ -317,11 +325,7 @@ class RunRegistry:
     # ----------------------------------------------------------- removal
     def remove(self, run_id: str) -> None:
         shutil.rmtree(self.run_dir(run_id), ignore_errors=True)
-        with open(self.ledger_path, "a") as ledger:
-            ledger.write(canonical_json({
-                "kind": "run_removed", "run": run_id,
-                "ts": round(time.time(), 3)}))
-            ledger.write("\n")
+        self._append_event("run_removed", run_id)
 
     def gc(self) -> list[str]:
         """Reap untagged runs and staging litter; tagged runs stay."""
@@ -372,7 +376,7 @@ def store_campaign(registry: RunRegistry, *, workload: dict,
     config["seed"] = seed
     results = result.summary_dict()
     if adaptive is not None:
-        config.update(adaptive.config_dict())
+        config.update(adaptive.config.config_dict())
         results["adaptive"] = adaptive.summary_dict()
     trial_dicts = log.to_dicts()
     taint_dicts = log.taint_dicts()

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from time import perf_counter
 
 from ..faults.campaign import CampaignResult, run_batch
@@ -88,6 +88,11 @@ class AdaptiveConfig:
                 f"confidence out of (0, 1): {self.confidence}")
         if self.batch_size <= 0 or self.max_trials <= 0:
             raise ValueError("batch_size and max_trials must be positive")
+
+    def config_dict(self) -> dict:
+        """The stopping rule's knobs, flattened for a run-registry
+        manifest config fingerprint."""
+        return {"adaptive": True, **asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -161,21 +166,6 @@ class AdaptiveResult:
                 "suite-level adaptive runs have per-arm results; "
                 "use .arm_results")
         return next(iter(self.arm_results.values()))
-
-    def config_dict(self) -> dict:
-        """The stopping rule's knobs, flattened for a run-registry
-        manifest config fingerprint."""
-        return {
-            "adaptive": True,
-            "metric": self.config.metric,
-            "ci_width": self.config.ci_width,
-            "confidence": self.config.confidence,
-            "batch_size": self.config.batch_size,
-            "seed_trials": self.config.seed_trials,
-            "max_trials": self.config.max_trials,
-            "profile_samples": self.config.profile_samples,
-            "phases": self.config.phases,
-        }
 
     def summary_dict(self) -> dict:
         """The stopping verdict, deterministic, for stored manifests."""
