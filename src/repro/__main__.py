@@ -34,7 +34,13 @@ import argparse
 import sys
 
 from . import __version__
-from .errors import CodegenError, ParseError, SemanticError, ShardLostError
+from .errors import (
+    CodegenError,
+    ParseError,
+    SemanticError,
+    ShardLostError,
+    SpecError,
+)
 from .faults import run_campaign
 from .lang import compile_source
 from .sim import Machine, TimingSimulator, run_program
@@ -1061,6 +1067,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, SemanticError, CodegenError) as exc:
         source = getattr(args, "file", None)
         return _input_error(f"{source}: {exc}" if source else str(exc))
+    except SpecError as exc:
+        # An out-of-range campaign knob (--trials, --ci-width, ...).
+        return _input_error(f"invalid campaign: {exc}")
     except ShardLostError as exc:
         # The harness failed, not the input: exit status 3.
         print(f"repro: error: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ from ..isa.instruction import Instruction
 from ..isa.program import Program
 from ..isa.registers import Register
 from .cfg import CFG
+from .frames import FrameCheck, check_frames
 
 
 def instruction_uses(instr: Instruction) -> set[Register]:
@@ -31,15 +32,17 @@ class Liveness:
 
     ``call_reads`` optionally maps a callee name to the registers that
     callee reads; a ``CALL`` then reads those too, on top of its
-    arguments (see :func:`live_in_masks`).
+    arguments.  ``saves`` optionally names stores whose value register
+    is not a read (pass-through saves; see :func:`live_in_masks`).
     """
 
     def __init__(self, function: Function, cfg: CFG | None = None,
-                 call_reads: dict[str, frozenset[Register]] | None = None
-                 ) -> None:
+                 call_reads: dict[str, frozenset[Register]] | None = None,
+                 saves: frozenset[Instruction] = frozenset()) -> None:
         self.function = function
         self.cfg = cfg or CFG(function)
         self.call_reads = call_reads or {}
+        self.saves = saves
         self.live_in: dict[str, frozenset[Register]] = {}
         self.live_out: dict[str, frozenset[Register]] = {}
         self._use: dict[str, frozenset[Register]] = {}
@@ -51,6 +54,8 @@ class Liveness:
         uses = instruction_uses(instr)
         if instr.is_call:
             uses |= self.call_reads.get(instr.callee, frozenset())
+        elif instr in self.saves:
+            uses.discard(instr.srcs[2])
         return uses
 
     def _local_sets(self, block: BasicBlock) -> tuple[frozenset, frozenset]:
@@ -112,7 +117,8 @@ class Liveness:
         )
 
 
-def live_in_masks(program: Program) -> dict[str, list[tuple[list, list]]]:
+def live_in_masks(program: Program, frames: FrameCheck | None = None
+                  ) -> dict[str, list[tuple[list, list]]]:
     """Per-position live-in register bitmasks of a physical-register program.
 
     ``masks[fn][b]`` is ``(ints, floats)`` for block ``b`` of function
@@ -120,17 +126,22 @@ def live_in_masks(program: Program) -> dict[str, list[tuple[list, list]]]:
     (``fk``) is live just before instruction ``i``, and the extra entry
     ``ints[len(block)]`` is the block's live-out.  A ``CALL`` reads
     every register its callee reads, transitively -- the callee's entry
-    live-in, iterated to a fixed point over the call graph -- so a
-    register the callee's prologue saves (a ``STORE``, hence a read) is
-    live before the call.  Registers are never killed across a call
-    except its ``dest``: the summary over-approximates, which is the
-    safe direction for every consumer.
+    live-in, iterated to a fixed point over the call graph.  A
+    prologue store that :func:`~repro.analysis.frames.check_frames`
+    proves a pass-through save (``frames``, checked here when not
+    given) is not a read: the callee restores the register from the
+    same slot before every return, so the register passes through the
+    call and is live before it only if the caller reads it after.  In a
+    program that fails the check every store is a read.  Registers are
+    never killed across a call except its ``dest``: the summary
+    over-approximates, which is the safe direction for every consumer.
     """
+    saves = (frames or check_frames(program)).saves
     reads = {name: frozenset() for name in program.functions}
     while True:
         # Keep only each pass's entry summaries: holding every
         # function's analysis at once would multiply the peak memory.
-        entries = {name: Liveness(function, call_reads=reads)
+        entries = {name: Liveness(function, call_reads=reads, saves=saves)
                    .live_in[function.entry.name]
                    for name, function in program.functions.items()}
         if entries == reads:
@@ -149,7 +160,7 @@ def live_in_masks(program: Program) -> dict[str, list[tuple[list, list]]]:
 
     table = {}
     for name, function in program.functions.items():
-        analysis = Liveness(function, call_reads=reads)
+        analysis = Liveness(function, call_reads=reads, saves=saves)
         blocks = []
         for block in function.blocks:
             pairs = [masks(regs) for regs in

@@ -69,3 +69,8 @@ class WorkloadError(ReproError):
 class ShardLostError(ReproError):
     """A campaign shard's worker process died before reporting its
     trials (killed, or out of memory); the campaign cannot complete."""
+
+
+class SpecError(ReproError, ValueError):
+    """A campaign spec that cannot be validated or executed (an
+    out-of-range knob, for one)."""

@@ -300,7 +300,7 @@ _METRIC_COUNTS = (
      lambda c: c.count(Outcome.UNACE), (Outcome.UNACE,)),
     ("SEGV %", lambda c: c.segv_percent,
      lambda c: c.count(Outcome.SEGV), (Outcome.SEGV,)),
-    ("SDC %", lambda c: c.sdc_percent,
+    ("SDC % (Hang included)", lambda c: c.sdc_percent,
      lambda c: c.count(Outcome.SDC) + c.count(Outcome.HANG),
      (Outcome.SDC, Outcome.HANG)),
 )

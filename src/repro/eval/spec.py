@@ -21,9 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-
-class SpecError(ValueError):
-    """A campaign spec that cannot be validated or executed."""
+from ..errors import SpecError
 
 
 @dataclass(frozen=True)

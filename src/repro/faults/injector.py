@@ -28,8 +28,11 @@ campaign kernel (:mod:`repro.faults.trials`) runs either:
   re-converges with the golden state, the rest of the run is provably
   identical to the golden run and its result is spliced in instead of
   re-executed.  Convergence ignores registers the rest of the run
-  cannot read (:meth:`Machine.state_matches`), so a flip into a dead
-  register converges at once.  A run that repair code fixed usually
+  cannot read and stack cells below SP (:meth:`Machine.state_matches`),
+  so a flip into a dead register converges at once, a flip into a
+  callee-saved register the caller never reads again passes through
+  the call, and a popped frame's stale copy does not hold a run apart.
+  A run that repair code fixed usually
   trails the golden run by the repair block's length: at every point
   where its recovery count differs from the golden one it seeks up to
   :data:`MAX_SPLICE_SHIFT` instructions ahead for the point's position

@@ -33,13 +33,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from ..analysis.frames import check_frames
 from ..analysis.liveness import live_in_masks
 from ..errors import SimulationError
 from ..isa.instruction import Instruction, Role
 from ..isa.opcodes import Opcode
 from ..isa.operands import FImm, Imm, MASK64
 from ..isa.program import Program, STACK_TOP
-from ..isa.registers import NUM_GPRS, Register
+from ..isa.registers import NUM_GPRS, STACK_POINTER_INDEX, Register
 from ..obs.spans import span
 from .events import GuestTrap, RunResult, RunStatus, TrapKind
 from .loop import (
@@ -72,6 +73,8 @@ from .semantics import (
 
 _TWO63 = 1 << 63
 _TWO64 = 1 << 64
+#: Stands for a cell absent from ``Memory.cells`` (``_live_cells_match``).
+_ABSENT = object()
 
 
 def _signed(x: int) -> int:
@@ -203,9 +206,13 @@ class Machine:
         self.taint = None
         self.profile = None
         self.jit = None
-        # Per-position live-register bitmasks, built on demand by
-        # state_matches (see repro.analysis.liveness.live_in_masks).
+        # Per-position live-register bitmasks and the frame check they
+        # rest on, built on demand by state_matches (see
+        # repro.analysis.liveness.live_in_masks), and the last live
+        # memory cell a state compare found different.
         self._live_masks = None
+        self._frames = None
+        self._live_cell = None
         self.reset()
 
     # ------------------------------------------------------------ register map
@@ -383,21 +390,27 @@ class Machine:
         """Does future execution from here equal execution from ``snap``?
 
         Compares exactly the state that determines the remainder of the
-        run: resume position, call/argument stacks and memory exactly,
-        and the register files on their *live* slots -- a register the
-        rest of the run overwrites before reading cannot change it.  The
-        live set is the current position's live-in plus, for every
-        call-stack frame, the live-in at its return point minus the
-        frame's ``dest`` (see :func:`repro.analysis.liveness.live_in_masks`;
-        the table is built on the first register-only mismatch and kept
-        for the machine's lifetime).  Registers are compared exactly
-        while a taint tracker is attached (forensics tells dead values
-        apart by running them out) and for code that still holds
-        virtual registers.  Counters (icount, recoveries) and
-        already-produced output are excluded -- they record the past,
-        not the future.  The caller decides which icount offset the
-        match implies.  Cheap fields are compared first so diverged
-        states bail early.
+        run: resume position and call/argument stacks exactly, the
+        register files on their *live* slots, and memory except the
+        stack cells below SP.  A register the rest of the run
+        overwrites before reading cannot change it.  The live set is
+        the current position's live-in plus, for every call-stack
+        frame, the live-in at its return point minus the frame's
+        ``dest`` (see :func:`repro.analysis.liveness.live_in_masks`: a
+        callee-saved register passes through a call).  Once position,
+        stacks, live registers and SP all match, memory cells that
+        differ only below SP are ignored: they belong to popped frames,
+        which no later activation reads before writing.  Both rules
+        rest on :func:`repro.analysis.frames.check_frames`, computed
+        with the masks on the first mismatch that needs them and kept
+        for the machine's lifetime; a program that fails the check, a
+        machine with a taint tracker attached (forensics tells dead
+        values apart by running them out), and code that still holds
+        virtual registers compare registers and memory exactly.
+        Counters (icount, recoveries) and already-produced output are
+        excluded -- they record the past, not the future.  The caller
+        decides which icount offset the match implies.  Cheap fields
+        are compared first so diverged states bail early.
         """
         if (self._position != snap.position
                 or self.call_stack != snap.call_stack
@@ -406,15 +419,24 @@ class Machine:
         if ((self.regs != snap.regs or self.fregs != snap.fregs)
                 and not self._live_registers_match(snap)):
             return False
-        return self.memory.cells == snap.cells
+        return (self.memory.cells == snap.cells
+                or self._live_cells_match(snap))
+
+    def _liveness_exact(self) -> bool:
+        """Must registers and memory be compared exactly?  Builds the
+        live masks and the frame check on first use."""
+        if (self.taint is not None or self._next_virtual_slot > NUM_GPRS
+                or self._fnext_virtual_slot > NUM_GPRS):
+            return True
+        if self._live_masks is None:
+            self._frames = check_frames(self.program)
+            self._live_masks = live_in_masks(self.program, self._frames)
+        return False
 
     def _live_registers_match(self, snap: MachineSnapshot) -> bool:
         """Do the register files agree on every live slot?"""
-        if (self.taint is not None or self._next_virtual_slot > NUM_GPRS
-                or self._fnext_virtual_slot > NUM_GPRS):
+        if self._liveness_exact():
             return False
-        if self._live_masks is None:
-            self._live_masks = live_in_masks(self.program)
         masks = self._live_masks
         func, block_idx, i = self._position
         ints, floats = masks[func.name][block_idx]
@@ -433,6 +455,28 @@ class Machine:
             flive |= frame_flive
         return (_agree(self.regs, snap.regs, live)
                 and _agree(self.fregs, snap.fregs, flive))
+
+    def _live_cells_match(self, snap: MachineSnapshot) -> bool:
+        """Does memory differ from ``snap``'s only in stack cells below
+        an SP both states share?  The last live cell found different is
+        tried first: a corrupted live cell usually stays so."""
+        if self._liveness_exact() or not self._frames.ok:
+            return False
+        sp = self.regs[STACK_POINTER_INDEX]
+        if sp != snap.regs[STACK_POINTER_INDEX]:
+            return False
+        mine, theirs = self.memory.cells, snap.cells
+        low = self.memory.stack_lo
+        cell = self._live_cell
+        if cell is not None and not low <= cell < sp:
+            value, other = mine.get(cell, _ABSENT), theirs.get(cell, _ABSENT)
+            if value is not other and value != other:
+                return False
+        for cell, _ in mine.items() ^ theirs.items():
+            if not low <= cell < sp:
+                self._live_cell = cell
+                return False
+        return True
 
     # ----------------------------------------------------------- fault support
     def flip_register_bit(self, reg_index: int, bit: int) -> None:

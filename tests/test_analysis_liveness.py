@@ -101,18 +101,21 @@ def test_dependence_webs():
     assert any({a, bb} <= g for g in groups)
 
 
-#: ``save`` spills r27 in its prologue although ``main`` never reads r27
-#: again; ``main`` reads the call's dest r26 right after the call, and
-#: r25, which ``save`` never touches, after that.
-CALLEE_SAVE_ASM = """
+#: ``save`` spills r27 in its prologue and restores it before its
+#: return, although ``main`` never reads r27 again; ``main`` reads the
+#: call's dest r26 right after the call, and r25, which ``save`` never
+#: touches, after that.  ``{body}`` and ``{restore}`` let the variants
+#: below read r27 early or drop the restore.
+CALLEE_SAVE_TEMPLATE = """
 func save(0):
 entry:
-    sub r1, r1, 8
-    store [r1 + 0], r27
+    sub r1, r1, 8    ; role=frame
+    store [r1 + 0], r27    ; role=frame
+{body}
     li r27, 5
     add r29, r27, 2
-    load r27, [r1 + 0]
-    add r1, r1, 8
+{restore}
+    add r1, r1, 8    ; role=frame
     ret r29
 
 func main(0):
@@ -126,40 +129,73 @@ entry:
     ret
 """
 
+RESTORE = "    load r27, [r1 + 0]    ; role=frame"
 
-def test_call_reads_callee_saved_register():
+
+def callee_save_asm(body="", restore=RESTORE):
+    return CALLEE_SAVE_TEMPLATE.format(body=body, restore=restore)
+
+
+def _main_masks(asm):
     from repro.analysis.liveness import live_in_masks
     from repro.isa import parse_program
 
-    program = parse_program(CALLEE_SAVE_ASM)
-    ints, _floats = live_in_masks(program)["main"][0]
-    call = 3
-    # The callee's prologue stores r27 -- a read -- so r27 is live
-    # before the call even though main itself never reads it again.
-    assert ints[call] >> 27 & 1
-    assert not ints[call] >> 26 & 1     # the call overwrites r26
-    assert ints[call + 1] >> 26 & 1     # print reads the call's result
-    assert not ints[call + 1] >> 27 & 1
+    ints, _floats = live_in_masks(parse_program(asm))["main"][0]
+    return ints
+
+
+CALL = 3    # the call's index in main
+
+
+def test_call_reads_callee_saved_register():
+    """``save`` saves r27 in its prologue and restores it from the same
+    slot before its only return, so the save is not a read: r27 passes
+    through the call, and main never reads it again."""
+    ints = _main_masks(callee_save_asm())
+    assert not ints[CALL] >> 27 & 1
+    assert not ints[CALL] >> 26 & 1     # the call overwrites r26
+    assert ints[CALL] >> 25 & 1         # main prints r25 after the call
+    assert ints[CALL + 1] >> 26 & 1     # print reads the call's result
+    assert not ints[CALL + 1] >> 27 & 1
+
+
+def test_callee_read_keeps_saved_register_live():
+    """A callee that reads r27 before it overwrites it reads the
+    caller's value, save or no save."""
+    ints = _main_masks(callee_save_asm(body="    add r28, r27, 1"))
+    assert ints[CALL] >> 27 & 1
+
+
+def test_unrestored_frame_store_is_a_read():
+    """A ``role=frame`` store that no epilogue restores is an ordinary
+    store of r27, which makes r27 live before the call."""
+    ints = _main_masks(callee_save_asm(restore=""))
+    assert ints[CALL] >> 27 & 1
 
 
 def test_paused_state_liveness_follows_call_frames():
-    """At the call, a flipped r27 still matters; inside the callee, the
-    frame's dest r26 does not (the return overwrites it first), but the
-    caller's r25 does."""
+    """At the call, a flipped r27 passes through ``save``; inside the
+    callee, before its spill, neither r27 nor the frame's dest r26
+    matters (the return overwrites r26 first), but the caller's r25
+    does.  Without the restore the spill is a read, and r27 matters at
+    the call."""
     from repro.isa import parse_program
     from repro.sim import Machine
 
-    machine = Machine(parse_program(CALLEE_SAVE_ASM))
-    machine.run(3)                       # paused at the call
+    machine = Machine(parse_program(callee_save_asm()))
+    machine.run(CALL)                    # paused at the call
     snap = machine.snapshot()
     machine.flip_register_bit(27, 0)
-    assert not machine.state_matches(snap)
+    assert machine.state_matches(snap)
     machine.restore(snap)
     machine.run(5)                       # inside save, before its spill
     snap = machine.snapshot()
-    machine.flip_register_bit(26, 3)
-    assert machine.state_matches(snap)
-    for reg in (27, 25):                 # spilled here; read by main
+    for reg, dead in ((26, True), (27, True), (25, False)):
         machine.restore(snap)
-        machine.flip_register_bit(reg, 0)
-        assert not machine.state_matches(snap)
+        machine.flip_register_bit(reg, 3)
+        assert machine.state_matches(snap) is dead, reg
+    machine = Machine(parse_program(callee_save_asm(restore="")))
+    machine.run(CALL)
+    snap = machine.snapshot()
+    machine.flip_register_bit(27, 0)
+    assert not machine.state_matches(snap)

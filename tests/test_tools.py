@@ -190,6 +190,18 @@ def test_cli_bad_source_is_one_line_error(tmp_path, capsys, text, detail):
             f"repro: error: {source}: {detail}")
 
 
+@pytest.mark.parametrize("knobs,detail", [
+    (["--adaptive", "--ci-width", "150"], "ci_width out of (0, 1): 1.5"),
+    (["--trials", "0"], "trials must be a positive integer, got 0"),
+])
+def test_cli_bad_campaign_knob_is_one_line_error(tmp_path, capsys, knobs,
+                                                 detail):
+    source = _smoke(tmp_path)
+    assert cli_main(["campaign", str(source), *knobs]) == 2
+    assert _one_line_error(capsys) == \
+        f"repro: error: invalid campaign: {detail}"
+
+
 def test_cli_codegen_error_is_one_line_error(tmp_path, capsys, monkeypatch):
     from repro import __main__ as cli
     from repro.errors import CodegenError
