@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ..isa.program import Program
-from ..isa.verify import verify_program
 from ..sim.machine import Machine
 from ..transform.engine import ProtectionConfig, VoteStyle
 from ..transform.protect import Technique, protect
@@ -42,11 +41,8 @@ def build_binary(
 ) -> Program:
     """Protect and register-allocate a virtual-register program."""
     options = options or PipelineOptions()
-    protected = protect(source_program, technique,
-                        options.protection_config())
-    binary = allocate_program(protected)
-    verify_program(binary, require_physical=True)
-    return binary
+    return allocate_program(protect(source_program, technique,
+                                    options.protection_config()))
 
 
 @lru_cache(maxsize=256)

@@ -25,7 +25,7 @@ class Function:
 
     __slots__ = ("name", "num_params", "blocks", "pool", "frame_words",
                  "returns_float", "param_is_float", "_label_counter",
-                 "_reserved_labels")
+                 "_reserved_labels", "__weakref__")
 
     def __init__(
         self,

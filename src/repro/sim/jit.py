@@ -1079,13 +1079,18 @@ def _repair_blocks(cfunc) -> set[int]:
 
     A repair block holds the RECOVERY/VOTE NOP that marks a repair's
     entry (always its first instruction), or is owned (``_owners``) by
-    one, like the fix-up block a repair falls through into.
+    one, like the fix-up block a repair falls through into.  A block
+    past the entry that no ``_flow_edges`` edge reaches -- a SWIFT-R
+    ``vfixb`` or TRUMP ``anfixt`` fix-up -- is one too: only a
+    RECOVERY/VOTE branch out of a repair enters it.
     Majority-vote recovery only enters one after a vote mismatch, so
     they are left to the interpreter -- the run loop is the one place
     recoveries are counted.
     """
+    reached = {dst for _src, dst, _branch in _flow_edges(cfunc)}
     repair = {b for b, blk in enumerate(cfunc.blocks)
-              if any(instr.op is Opcode.NOP
+              if (b and b not in reached)
+              or any(instr.op is Opcode.NOP
                      and instr.role in (Role.RECOVERY, Role.VOTE)
                      for instr in blk.instrs)}
     owners = _owners(cfunc)

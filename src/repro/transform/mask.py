@@ -15,6 +15,7 @@ iteration, protecting the whole loop body downstream.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable
 
 from ..analysis.cfg import CFG
@@ -38,6 +39,34 @@ def _popcount(value: int) -> int:
     return bin(value).count("1")
 
 
+#: Per source function: each loop header's live virtual integer
+#: registers with their known-zero masks at entry.  Every technique
+#: built from one function shares them.
+_LOOP_INVARIANTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def loop_invariants(function: Function
+                    ) -> dict[str, tuple[tuple[Register, int], ...]]:
+    """Header name -> ``(register, known-zero mask)`` pairs, analysed once
+    per function object.  Registers survive around the loop: they are
+    live into the header both from outside and along the back edge."""
+    facts = _LOOP_INVARIANTS.get(function)
+    if facts is None:
+        cfg = CFG(function)
+        knownbits = KnownBits(function, cfg)
+        liveness = Liveness(function, cfg)
+        facts = _LOOP_INVARIANTS[function] = {}
+        for loop in find_loops(function, cfg):
+            if loop.header in facts:
+                continue
+            live = sorted(liveness.live_in[loop.header],
+                          key=lambda r: (r.cls, r.index))
+            facts[loop.header] = tuple(
+                (reg, knownbits.known_zero_at_entry(loop.header, reg))
+                for reg in live if reg.is_virtual and reg.is_int)
+    return facts
+
+
 def mask_function(
     function: Function,
     program: Program,
@@ -51,23 +80,11 @@ def mask_function(
     instructions already tolerant of faults need no masking).
     """
     new_fn = clone_function(function)
-    cfg = CFG(new_fn)
-    knownbits = KnownBits(new_fn, cfg)
-    liveness = Liveness(new_fn, cfg)
-    inserted: set[tuple[str, Register]] = set()
-    for loop in find_loops(new_fn, cfg):
-        header = new_fn.block(loop.header)
-        # Registers whose values survive around the loop: live into the
-        # header both from outside and along the back edge.
-        live = liveness.live_in[header.name]
-        for reg in sorted(live, key=lambda r: (r.cls, r.index)):
-            if not (reg.is_virtual and reg.is_int):
-                continue
+    for header_name, live in loop_invariants(function).items():
+        header = new_fn.block(header_name)
+        for reg, known_zero in live:
             if skip is not None and skip(reg):
                 continue
-            if (header.name, reg) in inserted:
-                continue
-            known_zero = knownbits.known_zero_at_entry(header.name, reg)
             if _popcount(known_zero) < min_bits:
                 continue
             keep = MASK64 & ~known_zero
@@ -78,7 +95,6 @@ def mask_function(
                     role=Role.MASK,
                 ),
             )
-            inserted.add((header.name, reg))
     return new_fn
 
 

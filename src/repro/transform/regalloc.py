@@ -38,6 +38,7 @@ from ..isa.opcodes import Opcode, OpKind
 from ..isa.operands import Imm
 from ..isa.program import Program, WORD
 from ..isa.registers import Register, SP, fpr, gpr
+from ..isa.verify import verify_program
 from ..obs.spans import span
 from .base import transform_program
 
@@ -379,11 +380,15 @@ def allocate_function(function: Function, program: Program | None = None
 
 
 def allocate_program(program: Program) -> Program:
-    """Allocate every function; the result uses physical registers only."""
+    """Allocate every function; the result uses physical registers only,
+    which is verified here, once."""
     with span("regalloc", functions=len(program.functions)):
-        return transform_program(
-            program, lambda fn, prog: allocate_function(fn, prog)
+        binary = transform_program(
+            program, lambda fn, prog: allocate_function(fn, prog),
+            verify=False,
         )
+        verify_program(binary, require_physical=True)
+        return binary
 
 
 def allocation_stats(program: Program) -> AllocationStats:

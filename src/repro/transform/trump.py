@@ -15,7 +15,9 @@ SWIFT-R (hybrid, Section 6.1).
 
 from __future__ import annotations
 
-from ..analysis.valuerange import ValueBounds
+import weakref
+
+from ..analysis.valuerange import UNBOUNDED, ValueBounds
 from ..isa.function import Function
 from ..isa.instruction import Instruction
 from ..isa.opcodes import ANTransparency, Opcode
@@ -29,6 +31,19 @@ from .engine import (
     REENCODE_OPS,
     ShadowAssignment,
 )
+
+#: ``ValueBounds.bits`` per source function, shared by every technique
+#: built from it (passes return new functions, never rewrite their
+#: input); a transient function takes its own along when it dies.
+_VALUE_BOUNDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def value_bounds(function: Function) -> dict[Register, int]:
+    """``function``'s value bounds, analysed once per function object."""
+    bits = _VALUE_BOUNDS.get(function)
+    if bits is None:
+        bits = _VALUE_BOUNDS[function] = ValueBounds(function).bits
+    return bits
 
 
 def compute_an_candidates(
@@ -51,15 +66,14 @@ def compute_an_candidates(
     rule that the TRUMP segment must contain the *end* of the chain.
     """
     config = config or ProtectionConfig()
-    bounds = ValueBounds(function)
+    bits = value_bounds(function)
     defs: dict[Register, list[Instruction]] = {}
     for instr in function.instructions():
         dest = instr.dest
         if dest is not None and dest.is_virtual and dest.is_int:
             defs.setdefault(dest, []).append(instr)
-    candidates = {
-        reg for reg in defs if bounds.fits_an_code(reg, config.an_power)
-    }
+    limit = 63 - config.an_power  # as in ``ValueBounds.fits_an_code``
+    candidates = {reg for reg in defs if bits.get(reg, UNBOUNDED) <= limit}
     changed = True
     while changed:
         changed = False

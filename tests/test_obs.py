@@ -146,10 +146,10 @@ def test_pipeline_emits_spans(simple_program):
     names = {s.name for s in collected}
     assert {"protect", "regalloc", "verify"} <= names
     # Every build layer shows up in ``obs summarize``: each pass's output
-    # is verified inside ``protect`` and ``regalloc``, and the binary once
-    # more after allocation.
+    # is verified inside ``protect`` and ``regalloc``, and the binary is
+    # verified once, strictly, inside ``regalloc``.
     verifies = [s for s in collected if s.name == "verify"]
-    assert {s.parent for s in verifies} == {"protect", "regalloc", None}
+    assert {s.parent for s in verifies} == {"protect", "regalloc"}
     assert all(s.attrs["functions"] == len(simple_program.functions)
                for s in verifies)
     summary = summarize_records([s.to_dict() for s in collected])
