@@ -10,7 +10,7 @@ Run:  pytest benchmarks/bench_fig8_reliability.py --benchmark-only -s
 
 from conftest import TRIALS
 
-from repro.bench import write_bench
+from repro.obs import write_bench
 from repro.eval import evaluate_reliability, render_figure8
 from repro.transform import Technique
 from repro.workloads import PAPER_BENCHMARKS

@@ -8,7 +8,7 @@ factors; paper geomeans: 1.00 / 1.36 / 1.37 / 1.98 / 1.99).
 Run:  pytest benchmarks/bench_fig9_performance.py --benchmark-only -s
 """
 
-from repro.bench import write_bench
+from repro.obs import write_bench
 from repro.eval import evaluate_performance, render_figure9
 from repro.transform import Technique
 

@@ -18,7 +18,6 @@ Subcommands:
 * ``obs runs``                   list / gc the persistent run ledger
 * ``obs diff A B``               compare two stored runs statistically
 * ``obs history [METRIC]``       metric trajectory across stored runs
-* ``bench``                      run the bench suite, gate vs baselines
 
 ``campaign``, ``fig8`` and ``fig9`` share their output options
 (``--telemetry``, ``--profile``, ``--store``); ``campaign`` and
@@ -43,6 +42,8 @@ from .errors import (
 )
 from .faults import run_campaign
 from .lang import compile_source
+from .obs.registry import RegistryError
+from .obs.sink import TelemetryError
 from .sim import Machine, TimingSimulator, run_program
 from .transform import Technique, allocate_program, protect
 from .workloads import PAPER_BENCHMARKS, WORKLOADS
@@ -583,16 +584,12 @@ def _cmd_obs_runs(args) -> int:
 
 def _cmd_obs_diff(args) -> int:
     from .obs import emit_tables
-    from .obs.registry import RegistryError, RunRegistry, diff_tables
+    from .obs.registry import RunRegistry, diff_tables
 
     registry = RunRegistry(args.runs_dir or None)
-    try:
-        tables = diff_tables(registry, args.run_a, args.run_b,
-                             confidence=args.confidence, top=args.top,
-                             force=args.force)
-    except RegistryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    tables = diff_tables(registry, args.run_a, args.run_b,
+                         confidence=args.confidence, top=args.top,
+                         force=args.force)
     print(emit_tables(tables, args.format, kind="run_diff",
                       meta={"runs_dir": registry.root}))
     return 0
@@ -600,28 +597,18 @@ def _cmd_obs_diff(args) -> int:
 
 def _cmd_obs_history(args) -> int:
     from .obs import emit_tables
-    from .obs.registry import RegistryError, RunRegistry, history_tables
+    from .obs.registry import RunRegistry, history_tables
 
     registry = RunRegistry(args.runs_dir or None)
-    try:
-        tables = history_tables(registry, metric=args.metric,
-                                tag=args.tag, workload=args.workload,
-                                technique=args.technique,
-                                tolerance=args.tolerance)
-    except RegistryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    tables = history_tables(registry, metric=args.metric,
+                            tag=args.tag, workload=args.workload,
+                            technique=args.technique,
+                            tolerance=args.tolerance)
     print(emit_tables(
         tables, args.format, kind="run_history",
         meta={"runs_dir": registry.root, "metric": args.metric},
         empty=f"(no stored runs match in {registry.root})"))
     return 0
-
-
-def _cmd_bench(args) -> int:
-    from .bench.cli import run_bench
-
-    return run_bench(args)
 
 
 def _cmd_profile(args) -> int:
@@ -1016,11 +1003,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_history = obs_sub.add_parser(
         "history",
         help="metric trajectory across stored runs, oldest first, "
-             "with bench-gate regression flagging")
+             "with regression flagging")
     p_history.add_argument("metric", nargs="?", default="unace",
-                           choices=["unace", "sdc", "segv", "detected",
-                                    "failure"],
-                           help="rate to track (default unace)")
+                           help="rate to track: unace, sdc, segv, "
+                                "detected or failure (default unace)")
     p_history.add_argument("--runs-dir", default="",
                            help="ledger directory (default: "
                                 "$REPRO_RUNS_DIR or .repro/runs)")
@@ -1037,15 +1023,6 @@ def build_parser() -> argparse.ArgumentParser:
                            default="text",
                            help="output format (default text)")
     p_history.set_defaults(func=_cmd_obs_history)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="run the bench suite; with --check, gate against the "
-             "committed BENCH_*.json baselines")
-    from .bench.cli import add_bench_arguments
-
-    add_bench_arguments(p_bench)
-    p_bench.set_defaults(func=_cmd_bench)
 
     return parser
 
@@ -1070,6 +1047,9 @@ def main(argv: list[str] | None = None) -> int:
     except SpecError as exc:
         # An out-of-range campaign knob (--trials, --ci-width, ...).
         return _input_error(f"invalid campaign: {exc}")
+    except (RegistryError, TelemetryError) as exc:
+        # A bad run ref or history metric, or a corrupt ledger file.
+        return _input_error(str(exc))
     except ShardLostError as exc:
         # The harness failed, not the input: exit status 3.
         print(f"repro: error: {exc}", file=sys.stderr)

@@ -8,8 +8,8 @@ The measurement substrate for everything quantitative in this repo:
   histograms in a process-global registry;
 * :mod:`repro.obs.campaign_log` -- one structured record per
   fault-injection trial, including detection latency;
-* :mod:`repro.obs.sink` -- JSONL export and the summary renderer
-  behind ``python -m repro obs summarize``;
+* :mod:`repro.obs.sink` -- JSONL export, versioned bench files, and
+  the summary renderer behind ``python -m repro obs summarize``;
 * :mod:`repro.obs.forensics` -- per-trial fault-mechanism
   classification over taint streams (``obs forensics``);
 * :mod:`repro.obs.trace_export` -- Chrome ``trace_event`` JSON export
@@ -95,6 +95,7 @@ from .sink import (
     read_jsonl,
     summarize_path,
     summarize_records,
+    write_bench,
 )
 
 # Importing the ``repro.obs.registry`` submodule above rebound this
@@ -163,4 +164,5 @@ __all__ = [
     "store_timing",
     "summarize_path",
     "summarize_records",
+    "write_bench",
 ]

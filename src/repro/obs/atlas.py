@@ -29,9 +29,10 @@ associatively and a ``--jobs N`` campaign produces an atlas JSON
 bit-identical to the serial one, which CI diffs.
 
 The exported artifact is versioned (:data:`ATLAS_SCHEMA_VERSION`,
-schema discipline as in :mod:`repro.bench.schema`) and
-:meth:`Atlas.top_escapes` is the machine-readable ranked-instruction
-feed a selective-hardening pass (``repro tune``) consumes.
+the same discipline as :func:`repro.obs.sink.write_bench`'s bench
+files) and :meth:`Atlas.top_escapes` is the machine-readable
+ranked-instruction feed a selective-hardening pass (``repro tune``)
+consumes.
 """
 
 from __future__ import annotations

@@ -45,7 +45,12 @@ shared :mod:`repro.obs.emit` table layer:
   detection-latency shift; refuses when the manifests differ on more
   than one identity axis;
 * ``obs history``  -- one metric's trajectory across stored runs with
-  ``repro bench --check``-style regression flagging.
+  direction-aware regression flagging (:func:`is_regression`).
+
+The ledger and its artifacts are read through
+:func:`~repro.obs.sink.load_telemetry`, so a file cut mid-record
+raises :class:`~repro.obs.sink.TelemetryError` naming its path and
+line instead of a ``json`` traceback.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ import time
 from dataclasses import dataclass
 
 from .emit import Table
-from .sink import JsonlSink, read_jsonl
+from .sink import JsonlSink, environment_fingerprint, load_telemetry
 
 #: Bump when the manifest shape changes incompatibly.
 REGISTRY_SCHEMA_VERSION = 1
@@ -120,8 +125,6 @@ def build_manifest(*, workload: dict, technique: str, config: dict,
                    code_sha256: str, results: dict) -> dict:
     """Assemble the identity part of a run manifest (no artifacts yet;
     :meth:`RunRegistry.store` adds those and derives the run id)."""
-    from ..bench.schema import environment_fingerprint
-
     return {
         "kind": "run_manifest",
         "schema_version": REGISTRY_SCHEMA_VERSION,
@@ -241,7 +244,7 @@ class RunRegistry:
         if not os.path.isfile(self.ledger_path):
             return []
         runs: dict[str, dict] = {}
-        for event in read_jsonl(self.ledger_path):
+        for event in load_telemetry(self.ledger_path):
             run_id = event.get("run")
             if not run_id:
                 continue
@@ -300,8 +303,8 @@ class RunRegistry:
         entry = self.manifest(run_id).get("artifacts", {}).get(name)
         if entry is None:
             return []
-        return read_jsonl(os.path.join(self.run_dir(run_id),
-                                       entry["file"]))
+        return load_telemetry(os.path.join(self.run_dir(run_id),
+                                           entry["file"]))
 
     def atlas_of(self, run_id: str):
         """The run's stored :class:`~repro.obs.atlas.Atlas`, or None."""
@@ -722,15 +725,23 @@ def diff_tables(registry: RunRegistry, ref_a: str, ref_b: str,
 
 
 # -------------------------------------------------------------- obs history
+def is_regression(previous: float, current: float, direction: str,
+                  tolerance: float) -> bool:
+    """A higher-is-better metric regresses when it falls more than
+    ``tolerance`` (a fraction) below the previous value, a
+    lower-is-better one when it rises more than ``tolerance`` above
+    it."""
+    if direction == "higher":
+        return current < previous * (1.0 - tolerance)
+    return current > previous * (1.0 + tolerance)
+
+
 def history_tables(registry: RunRegistry, metric: str = "unace",
                    tag: str = "", workload: str = "",
                    technique: str = "",
                    tolerance: float = 0.2) -> list[Table]:
     """One metric's trajectory across stored runs, oldest first, with
-    the bench gate's direction-aware regression rule applied between
-    consecutive runs."""
-    from ..bench.compare import is_regression
-
+    :func:`is_regression` applied between consecutive runs."""
     if metric not in HISTORY_METRICS:
         raise RegistryError(
             f"unknown history metric {metric!r}; pick one of "

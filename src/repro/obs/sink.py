@@ -8,6 +8,11 @@ append-only -- campaigns can stream records as trials finish, shards
 can concatenate their files, and ``python -m repro obs summarize``
 can render any mix of kinds.  See ``docs/observability.md`` for the
 field-by-field schema.
+
+A bench file (:func:`write_bench`) is the same JSONL with a
+``bench_meta`` header record first: schema version, which bench wrote
+it, the determinism knobs, and the host fingerprint that run-ledger
+manifests share.
 """
 
 from __future__ import annotations
@@ -155,6 +160,48 @@ def read_jsonl(path: str) -> list[dict]:
             if line:
                 records.append(json.loads(line))
     return records
+
+
+#: Bump when the shape of bench records changes incompatibly.
+BENCH_SCHEMA_VERSION = 1
+
+
+def environment_fingerprint() -> dict:
+    """Where these numbers came from (host + interpreter + package).
+
+    Shared between bench files and run-registry manifests
+    (:mod:`repro.obs.registry`), so both sides of a cross-machine
+    comparison can tell environments apart the same way.
+    """
+    import platform
+
+    from .. import __version__
+
+    return {
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count() or 1,
+        "version": __version__,
+    }
+
+
+def write_bench(path: str, bench: str, records: list[dict],
+                seed: int | None = None, **extra) -> None:
+    """Write a bench file: ``bench_meta`` header, then the records."""
+    meta = {
+        "kind": "bench_meta",
+        "schema_version": BENCH_SCHEMA_VERSION,
+        "bench": bench,
+        "environment": environment_fingerprint(),
+    }
+    if seed is not None:
+        meta["seed"] = seed
+    meta.update(extra)
+    with JsonlSink(path) as sink:
+        sink.write(meta)
+        sink.write_many(records)
 
 
 class TelemetryError(ValueError):

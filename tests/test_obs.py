@@ -17,6 +17,7 @@ from repro.obs import (
     read_jsonl,
     summarize_path,
     summarize_records,
+    write_bench,
 )
 from repro.obs import metrics, spans
 from repro.lang import compile_source
@@ -290,6 +291,22 @@ def test_sink_buffers_until_threshold(tmp_path):
     sink.write({"trial": 10})
     sink.close()
     assert len(read_jsonl(path)) == 11
+
+
+def test_write_bench_roundtrip(tmp_path):
+    from repro.obs.sink import BENCH_SCHEMA_VERSION, environment_fingerprint
+
+    path = str(tmp_path / "bench.jsonl")
+    records = [{"kind": "fig9_cell", "benchmark": "crc32", "cycles": 7}]
+    write_bench(path, "fig9_performance", records, seed=2006, trials=60)
+    meta, *body = read_jsonl(path)
+    assert meta["kind"] == "bench_meta"
+    assert meta["schema_version"] == BENCH_SCHEMA_VERSION
+    assert meta["bench"] == "fig9_performance"
+    assert meta["seed"] == 2006
+    assert meta["trials"] == 60
+    assert set(meta["environment"]) == set(environment_fingerprint())
+    assert body == records
 
 
 def test_summarize_matches_campaign(tmp_path, swiftr_binary):

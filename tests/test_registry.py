@@ -357,6 +357,27 @@ def test_cli_diff_bad_ref_exits_2(tmp_path, capsys):
     assert "no stored run matches" in capsys.readouterr().err
 
 
+def test_cli_truncated_ledger_is_one_line_error(tmp_path, capsys):
+    source = _write_demo(tmp_path)
+    runs = tmp_path / "runs"
+    store = ["campaign", source, "-t", "swiftr", "--trials", "20",
+             "--store", "--runs-dir", str(runs)]
+    assert cli_main(store) == 0
+    ledger = runs / "ledger.jsonl"
+    text = ledger.read_text()
+    ledger.write_text(text[: len(text) - 10])       # cut mid-record
+    capsys.readouterr()
+    for argv in (["obs", "runs", "--runs-dir", str(runs)],
+                 ["obs", "history", "--runs-dir", str(runs)],
+                 store):
+        assert cli_main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(f"repro: error: {ledger}:1: ")
+
+
 def test_cli_summarize_empty_file_exits_1(tmp_path, capsys):
     path = tmp_path / "empty.jsonl"
     path.write_text("")

@@ -202,6 +202,16 @@ def test_cli_bad_campaign_knob_is_one_line_error(tmp_path, capsys, knobs,
         f"repro: error: invalid campaign: {detail}"
 
 
+@pytest.mark.parametrize("argv,detail", [
+    (["obs", "diff", "nope", "nope"], "no stored run matches 'nope'"),
+    (["obs", "history", "bogus"], "unknown history metric 'bogus'"),
+])
+def test_cli_bad_ledger_query_is_one_line_error(tmp_path, capsys, argv,
+                                                detail):
+    assert cli_main([*argv, "--runs-dir", str(tmp_path)]) == 2
+    assert _one_line_error(capsys).startswith(f"repro: error: {detail}")
+
+
 def test_cli_codegen_error_is_one_line_error(tmp_path, capsys, monkeypatch):
     from repro import __main__ as cli
     from repro.errors import CodegenError
