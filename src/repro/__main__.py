@@ -12,7 +12,6 @@ Subcommands:
 * ``obs forensics PATH``         per-trial fault-mechanism report
 * ``obs export-trace PATH``      convert telemetry to a Chrome trace
 * ``obs hotspots``               simulator hot-block / JIT-candidate report
-* ``obs top PATH``               follow a live campaign's heartbeat file
 * ``obs atlas``                  program-anchored reliability map
 * ``obs convergence``            stratum coverage / CI convergence audit
 * ``obs runs``                   list / gc the persistent run ledger
@@ -132,12 +131,6 @@ def _cmd_campaign(args) -> int:
                             or args.profile)
             and _answer_from_ledger(args, spec, binary)):
         return 0
-    monitor = None
-    if args.progress or args.heartbeat:
-        from .obs import CampaignMonitor
-
-        monitor = CampaignMonitor(heartbeat_path=args.heartbeat or None,
-                                  progress=args.progress)
     if args.adaptive:
         if args.taint:
             print("error: --taint is not supported with --adaptive",
@@ -148,8 +141,7 @@ def _cmd_campaign(args) -> int:
                   "(batch sizes depend on observed variance, so the "
                   "profile would not be reproducible)", file=sys.stderr)
             return 2
-        return _adaptive_campaign(args, spec, binary, sink, log,
-                                  monitor)
+        return _adaptive_campaign(args, spec, binary, sink, log)
     profile = None
     if args.profile:
         from .obs import SimProfiler
@@ -161,11 +153,8 @@ def _cmd_campaign(args) -> int:
 
         atlas = AtlasAccumulator()
     run = run_spec(spec, binary, log=log, taint=args.taint,
-                   profile=profile, monitor=monitor, jit=args.jit,
-                   atlas=atlas)
+                   profile=profile, jit=args.jit, atlas=atlas)
     campaign = run.result
-    if monitor is not None:
-        monitor.finish()
     print(f"technique : {args.technique.label}")
     print(f"trials    : {campaign.trials}")
     _print_outcomes(campaign)
@@ -282,17 +271,13 @@ def _write_atlas(path: str, atlas) -> None:
     print(f"            (render with: python -m repro obs atlas {path})")
 
 
-def _adaptive_campaign(args, spec, binary, sink, log,
-                       monitor=None) -> int:
+def _adaptive_campaign(args, spec, binary, sink, log) -> int:
     """Run one adaptive campaign and print its stopping summary."""
     from .eval.spec import run_spec
     from .eval.telemetry import export_session
 
-    run = run_spec(spec, binary, log=log, monitor=monitor,
-                   jit=args.jit)
+    run = run_spec(spec, binary, log=log, jit=args.jit)
     result = run.adaptive
-    if monitor is not None:
-        monitor.finish()
     campaign = result.result
     estimate = result.estimate
     print(f"technique : {args.technique.label}")
@@ -333,26 +318,16 @@ def _adaptive_campaign(args, spec, binary, sink, log,
 
 
 def _cmd_obs_summarize(args) -> int:
-    from .obs.sink import TelemetryError, load_telemetry, summarize_records
+    from .obs.sink import load_telemetry, summarize_records
 
-    try:
-        records = load_telemetry(args.path)
-    except TelemetryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(summarize_records(records, fmt=args.format))
+    print(summarize_records(load_telemetry(args.path), fmt=args.format))
     return 0
 
 
 def _cmd_obs_forensics(args) -> int:
     from .obs.forensics import forensics_path
-    from .obs.sink import TelemetryError
 
-    try:
-        print(forensics_path(args.path, fmt=args.format))
-    except TelemetryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    print(forensics_path(args.path, fmt=args.format))
     return 0
 
 
@@ -366,10 +341,10 @@ def _cmd_obs_export_trace(args) -> int:
 
 
 def _cmd_obs_hotspots(args) -> int:
-    from .obs import read_jsonl, render_hotspots
+    from .obs import load_telemetry, render_hotspots
 
     if args.path:
-        records = read_jsonl(args.path)
+        records = load_telemetry(args.path)
     elif args.workload:
         # Direct mode: run a profiled campaign on a suite workload and
         # render immediately, no intermediate file.
@@ -390,15 +365,6 @@ def _cmd_obs_hotspots(args) -> int:
         return 2
     print(render_hotspots(records, top=args.top, fmt=args.format))
     return 0
-
-
-def _cmd_obs_top(args) -> int:
-    from .obs import follow_path
-
-    return follow_path(args.path, interval=args.interval,
-                       iterations=1 if args.once else None,
-                       stale_after=args.stale_after,
-                       fmt=args.format)
 
 
 def _atlas_program(args, records):
@@ -443,7 +409,7 @@ def _cmd_obs_atlas(args) -> int:
     import json
 
     from .obs import Atlas, AtlasAccumulator, atlas_from_records
-    from .obs.sink import TelemetryError, load_telemetry
+    from .obs.sink import load_telemetry
 
     program = None
     if args.path:
@@ -454,21 +420,12 @@ def _cmd_obs_atlas(args) -> int:
             try:
                 with open(args.path) as handle:
                     single = json.loads(handle.read())
-            except OSError as exc:
-                detail = getattr(exc, "strerror", None) or exc
-                print(f"error: cannot read {args.path}: {detail}",
-                      file=sys.stderr)
-                return 1
             except ValueError:
                 single = None
         if not (isinstance(single, dict)
                 and single.get("kind") == "atlas"):
             # Telemetry JSONL: rebuild the binary and anchor onto it.
-            try:
-                records = load_telemetry(args.path)
-            except TelemetryError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
+            records = load_telemetry(args.path)
             program = _atlas_program(args, records)
             if program is None:
                 return 2
@@ -530,10 +487,10 @@ def _cmd_obs_atlas(args) -> int:
 
 def _cmd_obs_convergence(args) -> int:
     from .obs import convergence_tables, emit_tables
-    from .obs.sink import read_jsonl
+    from .obs.sink import load_telemetry
 
     if args.path:
-        records = read_jsonl(args.path)
+        records = load_telemetry(args.path)
     elif args.workload:
         # One-shot audit: run an adaptive campaign and feed its batch
         # and stratum telemetry straight into the tables.
@@ -736,12 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="write a program-anchored reliability "
                                  "atlas (JSON) here; render with "
                                  "'obs atlas PATH'")
-    p_campaign.add_argument("--progress", action="store_true",
-                            help="live progress line on stderr "
-                                 "(trials/s, ETA)")
-    p_campaign.add_argument("--heartbeat", default="",
-                            help="stream heartbeat records to this JSONL "
-                                 "file; follow with 'obs top PATH'")
     p_campaign.add_argument("--adaptive", action="store_true",
                             help="stratified sequential campaign: stop "
                                  "when the metric's CI half-width hits "
@@ -873,24 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
                             default="text",
                             help="output format (default text)")
     p_hotspots.set_defaults(func=_cmd_obs_hotspots)
-    p_top = obs_sub.add_parser(
-        "top",
-        help="follow a running campaign's heartbeat file "
-             "(shards, trials/s, CI trajectory, ETA)")
-    p_top.add_argument("path")
-    p_top.add_argument("--interval", type=float, default=2.0,
-                       help="seconds between refreshes (default 2)")
-    p_top.add_argument("--once", action="store_true",
-                       help="render one snapshot and exit")
-    p_top.add_argument("--stale-after", type=float, default=60.0,
-                       help="flag shards whose last heartbeat is older "
-                            "than this many seconds as DEAD "
-                            "(default 60)")
-    p_top.add_argument("--format", choices=["text", "json"],
-                       default="text",
-                       help="output format (default text; json emits "
-                            "one document per refresh, best with --once)")
-    p_top.set_defaults(func=_cmd_obs_top)
     p_atlas = obs_sub.add_parser(
         "atlas",
         help="program-anchored reliability map: per-instruction outcome "

@@ -122,7 +122,7 @@ class SpecRun:
 
 
 def run_spec(spec: CampaignSpec, program, *, machine=None, log=None,
-             monitor=None, taint: bool = False, profile=None,
+             taint: bool = False, profile=None,
              atlas=None, jit: bool | None = None) -> SpecRun:
     """Execute one spec against its protected ``program`` -- the
     single path every consumer shares.
@@ -131,8 +131,8 @@ def run_spec(spec: CampaignSpec, program, *, machine=None, log=None,
     (sharded for ``jobs > 1``); adaptive specs go through
     :func:`~repro.stats.sequential.run_adaptive_campaign`.  ``machine``
     may be passed to reuse a prepared simulator.  The instrumentation
-    hooks (``log``, ``monitor``, ``taint``, ``profile``, ``atlas``,
-    ``jit``) thread straight through and never change outcomes.
+    hooks (``log``, ``taint``, ``profile``, ``atlas``, ``jit``) thread
+    straight through and never change outcomes.
     """
     if spec.adaptive:
         if taint:
@@ -149,15 +149,14 @@ def run_spec(spec: CampaignSpec, program, *, machine=None, log=None,
 
         adaptive = run_adaptive_campaign(
             program, config=spec.adaptive_config(), seed=spec.seed,
-            jobs=spec.jobs, machine=machine, log=log, monitor=monitor,
-            jit=jit)
+            jobs=spec.jobs, machine=machine, log=log, jit=jit)
         return SpecRun(result=adaptive.result, adaptive=adaptive, log=log)
     from ..faults import run_campaign
 
     result = run_campaign(
         program, trials=spec.trials, seed=spec.seed, jobs=spec.jobs,
         machine=machine, log=log, taint=taint, profile=profile,
-        monitor=monitor, jit=jit, atlas=atlas)
+        jit=jit, atlas=atlas)
     return SpecRun(result=result, log=log)
 
 

@@ -233,10 +233,14 @@ def run_campaign(
 
     Pass a :class:`~repro.obs.profile.SimProfiler` as ``profile`` to
     collect per-block execution counts over the golden run and every
-    trial (execution stays bit-identical), and a
-    :class:`~repro.obs.monitor.CampaignMonitor` as ``monitor`` to
-    stream progress: per-trial ticks, or with ``jobs > 1`` per-shard
-    heartbeats that the parent polls into the live progress line.
+    trial (execution stays bit-identical).
+
+    ``monitor`` is a trial clock: an object with two methods and no
+    other attribute read.  ``monitor.begin(total=n)`` is called once,
+    after the checkpoints are built and the ``n`` sites sampled and
+    before the first trial; ``monitor.trial_done(done)`` is called
+    after each trial with the count finished so far, or once with
+    ``n`` after the merge when ``jobs > 1`` shards the trials.
 
     ``jit`` selects the block-compiled execution engine (see
     :mod:`repro.sim.jit`): ``True`` forces it on, ``False`` off, and
@@ -280,7 +284,8 @@ def run_campaign(
             result, _ = run_batch(
                 store, sites,
                 CampaignResult(golden_instructions=golden.instructions),
-                trial_log, jobs=jobs, taint=taint, monitor=monitor)
+                trial_log, jobs=jobs, taint=taint,
+                tick=None if monitor is None else monitor.trial_done)
     record_campaign_metrics(result, trial_log, log_start)
     if atlas is not None:
         if (atlas.golden_instructions and atlas.golden_instructions
@@ -309,7 +314,7 @@ def run_campaign(
 def run_batch(store, sites: list, result: CampaignResult,
               log: CampaignLog | None = None, *, jobs: int = 1,
               first_trial: int = 0, strata: list | None = None,
-              taint: bool = False, monitor=None
+              taint: bool = False, tick=None
               ) -> tuple[CampaignResult, list[Outcome]]:
     """Run ``sites`` on a built ``store`` and record them into ``result``.
 
@@ -317,20 +322,25 @@ def run_batch(store, sites: list, result: CampaignResult,
     this process, or with ``jobs > 1`` (``0`` = one per CPU) sharded
     over forked workers that each run it on their slice
     (:func:`~repro.faults.parallel.run_shards`); outcomes, records and
-    counts are the same either way.  Returns ``(result, outcomes)``:
-    the sharded path returns a merged copy of ``result``.
+    counts are the same either way.  ``tick(done)`` is called after
+    each trial, or once with ``len(sites)`` after a sharded merge.
+    Returns ``(result, outcomes)``: the sharded path returns a merged
+    copy of ``result``.
     """
     if jobs != 1 and len(sites) > 1:
         from .parallel import default_jobs, run_shards
 
         jobs = jobs or default_jobs()
         if jobs > 1:
-            return run_shards(store, sites, result, log, jobs=jobs,
-                              first_trial=first_trial, strata=strata,
-                              taint=taint, monitor=monitor)
+            merged = run_shards(store, sites, result, log, jobs=jobs,
+                                first_trial=first_trial, strata=strata,
+                                taint=taint)
+            if tick is not None:
+                tick(len(sites))
+            return merged
     return result, run_trials(
         store, sites, result, log, first_trial=first_trial, strata=strata,
-        taint=taint, tick=monitor.trial_done if monitor is not None else None)
+        taint=taint, tick=tick)
 
 
 def run_sites(

@@ -61,8 +61,7 @@ def _partition(sites: list, shards: int) -> list[tuple[int, list]]:
 
 
 def _run_shard(store, shard: int, first_trial: int, sites: list,
-               strata: list | None, logged: bool, taint: bool,
-               monitor) -> tuple:
+               strata: list | None, logged: bool, taint: bool) -> tuple:
     """Run one contiguous shard of trials in a forked worker.
 
     Returns ``(result, outcomes, records, taint_records, profile)``.
@@ -70,13 +69,6 @@ def _run_shard(store, shard: int, first_trial: int, sites: list,
     parent's profile already holds the golden run, so merged shard
     profiles equal the serial campaign's.
     """
-    tick = None
-    if monitor is not None and monitor.heartbeat_path is not None:
-        from ..obs.monitor import HeartbeatWriter
-
-        tick = HeartbeatWriter(monitor.heartbeat_path, role="shard",
-                               shard=shard, total=len(sites),
-                               every=monitor.every).tick
     machine = store.machine
     if machine.profile is not None:
         from ..obs.profile import SimProfiler
@@ -87,7 +79,7 @@ def _run_shard(store, shard: int, first_trial: int, sites: list,
     log = CampaignLog() if logged else None
     outcomes = run_trials(store, sites, result, log,
                           first_trial=first_trial, strata=strata,
-                          taint=taint, tick=tick)
+                          taint=taint)
     if log is None:
         return result, outcomes, [], [], machine.profile
     return (result, outcomes, log.records, log.taint_records,
@@ -109,15 +101,13 @@ def _shard_worker(conn, *args) -> None:
 def run_shards(store, sites: list, result: CampaignResult,
                log: CampaignLog | None = None, *, jobs: int,
                first_trial: int = 0, strata: list | None = None,
-               taint: bool = False, monitor=None
+               taint: bool = False
                ) -> tuple[CampaignResult, list[Outcome]]:
     """Run ``sites`` on a built ``store`` sharded over ``jobs`` workers.
 
     The sharded half of :func:`~repro.faults.campaign.run_batch`, with
     its signature and return value.  A ``profile`` attached to the
-    store's machine receives every shard's counts; a ``monitor``'s
-    heartbeat file receives per-shard heartbeats, which the parent
-    polls into the live progress line while it waits.
+    store's machine receives every shard's counts.
     """
     profile = store.machine.profile
     context = multiprocessing.get_context("fork")
@@ -132,14 +122,11 @@ def run_shards(store, sites: list, result: CampaignResult,
                 args=(sender, store, shard, first_trial + lo, chunk,
                       None if strata is None
                       else strata[lo:lo + len(chunk)],
-                      log is not None, taint, monitor))
+                      log is not None, taint))
             worker.start()
             sender.close()
             workers.append((worker, receiver))
         for shard, (worker, receiver) in enumerate(workers):
-            if monitor is not None:
-                while not receiver.poll(monitor.refresh):
-                    monitor.shard_progress()
             try:
                 error, payload = receiver.recv()
             except EOFError:
@@ -167,6 +154,4 @@ def run_shards(store, sites: list, result: CampaignResult,
         for worker, receiver in workers:
             receiver.close()
             worker.join()
-    if monitor is not None:
-        monitor.trial_done(len(sites))
     return result, outcomes

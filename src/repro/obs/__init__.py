@@ -16,8 +16,6 @@ The measurement substrate for everything quantitative in this repo:
   (``obs export-trace``);
 * :mod:`repro.obs.profile` -- deterministic simulator hot-path
   profiler and JIT-candidate report (``obs hotspots``);
-* :mod:`repro.obs.monitor` -- live campaign heartbeats, progress
-  lines, and the ``obs top`` follow mode;
 * :mod:`repro.obs.emit` -- the shared table model behind every report
   renderer's ``--format text|json`` switch;
 * :mod:`repro.obs.atlas` -- program-anchored reliability maps: per
@@ -68,14 +66,6 @@ from .metrics import (
     MetricsRegistry,
     registry,
 )
-from .monitor import (
-    CampaignMonitor,
-    HeartbeatWriter,
-    aggregate_shards,
-    follow_path,
-    read_heartbeats,
-    render_top,
-)
 from .profile import SimProfiler, render_hotspots
 from .registry import (
     REGISTRY_SCHEMA_VERSION,
@@ -110,12 +100,10 @@ __all__ = [
     "Atlas",
     "AtlasAccumulator",
     "CampaignLog",
-    "CampaignMonitor",
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
     "ForensicsReport",
     "Gauge",
-    "HeartbeatWriter",
     "Histogram",
     "JsonlSink",
     "MECHANISMS",
@@ -130,7 +118,6 @@ __all__ = [
     "SpanCollector",
     "Table",
     "TrialRecord",
-    "aggregate_shards",
     "analyze_log",
     "analyze_records",
     "atlas_from_records",
@@ -148,16 +135,13 @@ __all__ = [
     "enabled",
     "export_trace",
     "export_trace_path",
-    "follow_path",
     "forensics_path",
     "history_tables",
     "load_telemetry",
-    "read_heartbeats",
     "read_jsonl",
     "registry",
     "render_hotspots",
     "render_report",
-    "render_top",
     "runs_tables",
     "span",
     "store_campaign",

@@ -216,9 +216,10 @@ class TelemetryError(ValueError):
 def load_telemetry(path: str) -> list[dict]:
     """:func:`read_jsonl` with diagnostics instead of tracebacks.
 
-    CLI entry points use this so a half-written file from a killed
-    campaign produces ``error: <path>:<line>: ...`` and a nonzero
-    exit, not a JSONDecodeError stack.  An empty file is an error too:
+    Every ``obs`` file reader uses this, so a half-written file from a
+    killed campaign produces one ``repro: error: <path>:<line>: ...``
+    line and exit status 2 (mapped in ``repro.__main__.main``), not a
+    JSONDecodeError stack.  An empty file is an error too:
     every producer writes at least one record, so "no records" means
     the reader was pointed at the wrong file or a crashed writer.
     """

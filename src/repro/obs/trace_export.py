@@ -111,6 +111,6 @@ def export_trace(records: list[dict], out_path: str) -> int:
 
 def export_trace_path(path: str, out_path: str) -> int:
     """Convert a JSONL telemetry file into a Chrome trace file."""
-    from .sink import read_jsonl
+    from .sink import load_telemetry
 
-    return export_trace(read_jsonl(path), out_path)
+    return export_trace(load_telemetry(path), out_path)

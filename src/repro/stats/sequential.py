@@ -339,8 +339,8 @@ class _Arm:
 
 
 def _run_engine(machines: list[tuple[str, Machine, CampaignLog | None]],
-                config: AdaptiveConfig, seed: int, jobs: int, jit: bool,
-                monitor=None) -> AdaptiveResult:
+                config: AdaptiveConfig, seed: int, jobs: int,
+                jit: bool) -> AdaptiveResult:
     """Campaign equal-weight arms, one per ``(name, machine, log)``."""
     weight = 1.0 / len(machines)
     batches: list[BatchRecord] = []
@@ -350,8 +350,7 @@ def _run_engine(machines: list[tuple[str, Machine, CampaignLog | None]],
             engines.enter_context(engine(machine, jit))
             arms.append(_Arm(name, machine, weight, config, seed, log))
         start_time = perf_counter()
-        total, target_met = _run_batches(arms, config, jobs, monitor,
-                                         batches)
+        total, target_met = _run_batches(arms, config, jobs, batches)
     elapsed = perf_counter() - start_time
     if total > 0:
         for arm in arms:
@@ -372,7 +371,7 @@ def _run_engine(machines: list[tuple[str, Machine, CampaignLog | None]],
 
 
 def _run_batches(arms: list[_Arm], config: AdaptiveConfig, jobs: int,
-                 monitor, batches: list[BatchRecord]) -> tuple[int, bool]:
+                 batches: list[BatchRecord]) -> tuple[int, bool]:
     """Schedule batches until the target is met or the cap is hit;
     returns ``(trials run, target met)``."""
 
@@ -414,12 +413,6 @@ def _run_batches(arms: list[_Arm], config: AdaptiveConfig, jobs: int,
             allocation=allocation, estimate=estimate.value,
             low=estimate.low, high=estimate.high,
             half_width=estimate.half_width, met=met))
-        if monitor is not None:
-            monitor.adaptive_batch(
-                batch=batch_index, trials=ran, total_trials=total,
-                cap=config.max_trials, estimate=estimate.value,
-                half_width=estimate.half_width, target=config.ci_width,
-                met=met)
         if obs_enabled():
             registry = obs_registry()
             registry.counter("adaptive.batches").inc()
@@ -442,20 +435,16 @@ def run_adaptive_campaign(
     log: CampaignLog | None = None,
     max_instructions: int = 10_000_000,
     name: str = "campaign",
-    monitor=None,
     jit: bool | None = None,
 ) -> AdaptiveResult:
     """Adaptively campaign one binary until the metric's CI is tight.
 
-    A ``monitor`` :class:`~repro.obs.monitor.CampaignMonitor` receives
-    one progress update per batch: total trials so far, the CI-width
-    trajectory, and a shrinkage-based projection of the trials still
-    needed.  ``jit`` defaults to on (the adaptive path never traces or
+    ``jit`` defaults to on (the adaptive path never traces or
     profiles); results are bit-identical either way.
     """
     machine = machine or Machine(program, max_instructions=max_instructions)
     return _run_engine([(name, machine, log)], config or AdaptiveConfig(),
-                       seed, jobs, jit is not False, monitor=monitor)
+                       seed, jobs, jit is not False)
 
 
 def run_adaptive_suite(
@@ -465,7 +454,6 @@ def run_adaptive_suite(
     seed: int = 0,
     jobs: int = 1,
     logs: dict[str, CampaignLog] | None = None,
-    monitor=None,
     jit: bool | None = None,
 ) -> AdaptiveResult:
     """Adaptively campaign a suite of binaries as equal-weight arms.
@@ -480,5 +468,4 @@ def run_adaptive_suite(
     return _run_engine(
         [(name, machine, (logs or {}).get(name))
          for name, machine in machines],
-        config or AdaptiveConfig(), seed, jobs, jit is not False,
-        monitor=monitor)
+        config or AdaptiveConfig(), seed, jobs, jit is not False)

@@ -413,6 +413,34 @@ def test_campaign_runs_sites_in_ascending_order(simple_program,
     assert log.records == reference.records
 
 
+def test_run_campaign_trial_clock(simple_program):
+    """``monitor`` is a two-method trial clock: ``begin`` once, then one
+    ``trial_done`` per trial (one after the merge when sharded), and it
+    never changes the result.  Any other attribute read would raise."""
+
+    class Clock:
+        def __init__(self):
+            self.calls = []
+
+        def begin(self, total):
+            self.calls.append(("begin", total))
+
+        def trial_done(self, done):
+            self.calls.append(("trial_done", done))
+
+    golden = golden_run(Machine(simple_program)).instructions
+    sites = sample_sites(5, golden, 12)
+    plain = run_campaign(simple_program, sites=sites).summary_dict()
+    serial, sharded = Clock(), Clock()
+    assert run_campaign(simple_program, sites=sites,
+                        monitor=serial).summary_dict() == plain
+    assert serial.calls == [("begin", 12)] + [
+        ("trial_done", n) for n in range(1, 13)]
+    assert run_campaign(simple_program, sites=sites, jobs=2,
+                        monitor=sharded).summary_dict() == plain
+    assert sharded.calls == [("begin", 12), ("trial_done", 12)]
+
+
 def test_run_trials_ticks_and_returns_in_trial_order():
     """The kernel runs sites in ascending order, ticking as it goes,
     then classifies, records and logs them in trial order."""

@@ -378,11 +378,12 @@ def test_cli_truncated_ledger_is_one_line_error(tmp_path, capsys):
         assert lines[0].startswith(f"repro: error: {ledger}:1: ")
 
 
-def test_cli_summarize_empty_file_exits_1(tmp_path, capsys):
+def test_cli_summarize_empty_file_is_one_line_error(tmp_path, capsys):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    assert cli_main(["obs", "summarize", str(path)]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert cli_main(["obs", "summarize", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        f"repro: error: {path}: no telemetry records (empty file)\n"
 
 
 def test_cli_forensics_json_format(tmp_path, capsys):
@@ -396,18 +397,6 @@ def test_cli_forensics_json_format(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["kind"] == "forensics"
     assert any("trials" in t["title"] for t in doc["tables"])
-
-
-def test_cli_top_once_json_format(tmp_path, capsys):
-    source = _write_demo(tmp_path)
-    beat = str(tmp_path / "beat.jsonl")
-    assert cli_main(["campaign", source, "-t", "swiftr", "--trials",
-                     "30", "--heartbeat", beat]) == 0
-    capsys.readouterr()
-    assert cli_main(["obs", "top", beat, "--once",
-                     "--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["kind"] == "top" and doc["tables"]
 
 
 # ------------------------------------------------------------ staging litter

@@ -212,6 +212,21 @@ def test_cli_bad_ledger_query_is_one_line_error(tmp_path, capsys, argv,
     assert _one_line_error(capsys).startswith(f"repro: error: {detail}")
 
 
+@pytest.mark.parametrize("command", ["summarize", "forensics",
+                                     "export-trace", "hotspots",
+                                     "convergence", "atlas"])
+def test_cli_bad_telemetry_is_one_line_error(tmp_path, capsys, command):
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text('{"kind":"span","name":"campaign"}\n{"kind":"tri')
+    assert cli_main(["obs", command, str(cut)]) == 2
+    assert _one_line_error(capsys) == (
+        f"repro: error: {cut}:2: truncated or corrupt JSONL record "
+        "(campaign killed mid-write?)")
+    missing = tmp_path / "missing.jsonl"
+    assert cli_main(["obs", command, str(missing)]) == 2
+    assert str(missing) in _one_line_error(capsys)
+
+
 def test_cli_codegen_error_is_one_line_error(tmp_path, capsys, monkeypatch):
     from repro import __main__ as cli
     from repro.errors import CodegenError
@@ -333,26 +348,6 @@ def test_cli_obs_summarize_and_hotspots_json(tmp_path, capsys):
                      "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["kind"] == "hotspots" and doc["tables"]
-
-
-def test_cli_obs_top_stale_after(tmp_path, capsys):
-    import json
-    import time
-
-    path = tmp_path / "hb.jsonl"
-    beat = {"kind": "heartbeat", "role": "shard", "shard": 0,
-            "completed": 10, "total": 60, "trials_per_sec": 5.0,
-            "ts": time.time() - 300}
-    path.write_text(json.dumps(beat) + "\n")
-    # A generous threshold keeps the 5-minute-old beat alive...
-    assert cli_main(["obs", "top", str(path), "--once",
-                     "--stale-after", "600"]) == 0
-    assert "DEAD" not in capsys.readouterr().out
-    # ...but the default 60s threshold flags it.
-    assert cli_main(["obs", "top", str(path), "--once"]) == 0
-    out = capsys.readouterr().out
-    assert "DEAD" in out
-    assert "no beat in 60s" in out
 
 
 def test_cli_campaign_zero_elapsed_reports_rate_na(tmp_path, capsys,
