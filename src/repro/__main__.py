@@ -131,22 +131,13 @@ def _cmd_campaign(args) -> int:
                             or args.profile)
             and _answer_from_ledger(args, spec, binary)):
         return 0
-    if args.adaptive:
-        if args.taint:
-            print("error: --taint is not supported with --adaptive",
-                  file=sys.stderr)
-            return 2
-        if args.profile:
-            print("error: --profile is not supported with --adaptive "
-                  "(batch sizes depend on observed variance, so the "
-                  "profile would not be reproducible)", file=sys.stderr)
-            return 2
-        return _adaptive_campaign(args, spec, binary, sink, log)
     profile = None
     if args.profile:
         from .obs import SimProfiler
 
         profile = SimProfiler()
+    if args.adaptive:
+        return _adaptive_campaign(args, spec, binary, sink, log, profile)
     atlas = None
     if args.atlas:
         from .obs import AtlasAccumulator
@@ -271,12 +262,14 @@ def _write_atlas(path: str, atlas) -> None:
     print(f"            (render with: python -m repro obs atlas {path})")
 
 
-def _adaptive_campaign(args, spec, binary, sink, log) -> int:
-    """Run one adaptive campaign and print its stopping summary."""
+def _adaptive_campaign(args, spec, binary, sink, log, profile) -> int:
+    """Run one adaptive campaign and print its stopping summary;
+    ``run_spec`` rejects ``--taint`` and ``--profile`` here."""
     from .eval.spec import run_spec
     from .eval.telemetry import export_session
 
-    run = run_spec(spec, binary, log=log, jit=args.jit)
+    run = run_spec(spec, binary, log=log, taint=args.taint,
+                   profile=profile, jit=args.jit)
     result = run.adaptive
     campaign = result.result
     estimate = result.estimate

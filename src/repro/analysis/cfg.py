@@ -68,11 +68,3 @@ class CFG:
 
     def reachable(self) -> set[str]:
         return {blk.name for blk in self.reverse_postorder()}
-
-    def succ_blocks(self, block: BasicBlock) -> list[BasicBlock]:
-        by_name = {blk.name: blk for blk in self.function.blocks}
-        return [by_name[name] for name in self.successors[block.name]]
-
-    def pred_blocks(self, block: BasicBlock) -> list[BasicBlock]:
-        by_name = {blk.name: blk for blk in self.function.blocks}
-        return [by_name[name] for name in self.predecessors[block.name]]

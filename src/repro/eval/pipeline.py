@@ -12,14 +12,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ..isa.program import Program
-from ..sim.machine import Machine
+# MAX_INSTRUCTIONS is re-exported: the instruction cap of every run.
+from ..sim.machine import MAX_INSTRUCTIONS, Machine  # noqa: F401
 from ..transform.engine import ProtectionConfig, VoteStyle
 from ..transform.protect import Technique, protect
 from ..transform.regalloc import allocate_program
 from ..workloads.suite import build as build_workload
-
-#: Ample budget: the largest protected workload runs ~0.5M instructions.
-MAX_INSTRUCTIONS = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -62,5 +60,4 @@ def prepare_machine(
     options: PipelineOptions = PipelineOptions(),
 ) -> Machine:
     """Cached: compiled simulator for a prepared binary."""
-    return Machine(prepare(workload, technique, options),
-                   max_instructions=MAX_INSTRUCTIONS)
+    return Machine(prepare(workload, technique, options))

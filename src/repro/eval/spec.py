@@ -183,6 +183,7 @@ def expected_config(spec: CampaignSpec) -> dict:
     :func:`~repro.obs.registry.store_campaign` adds -- the cache-probe
     round-trip tests in ``tests/test_spec.py`` pin this agreement.
     """
+    from ..faults.injector import HANG_FACTOR, HANG_FLOOR
     from ..faults.model import FaultSite
 
     config: dict = {"fault_model": FaultSite.fault_model,
@@ -194,6 +195,8 @@ def expected_config(spec: CampaignSpec) -> dict:
             "trials": spec.trials,
             "checkpoint_interval": None,
             "presampled_sites": False,
+            "hang_factor": HANG_FACTOR,
+            "hang_floor": HANG_FLOOR,
         })
     return config
 

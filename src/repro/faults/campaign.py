@@ -19,7 +19,7 @@ from ..obs.campaign_log import CampaignLog
 from ..obs.metrics import registry as obs_registry
 from ..obs.spans import enabled as obs_enabled, span
 from ..sim.machine import Machine
-from .injector import build_checkpoints
+from .injector import HANG_FACTOR, HANG_FLOOR, build_checkpoints
 from .model import FaultSite, sample_fault_site
 from .outcomes import Outcome
 from .stats import Proportion
@@ -47,9 +47,10 @@ class CampaignResult:
     elapsed_seconds: float = field(default=0.0, compare=False)
     #: The knobs this campaign was run with, captured at run time for
     #: run-registry manifests (fault model, seed, trials,
-    #: checkpointing).  Deliberately excludes ``jobs`` -- sharding does
-    #: not change results, so it must not change a manifest hash --
-    #: and is excluded from equality for the same reason as timings.
+    #: checkpointing, the hang rule's factor and floor).  Deliberately
+    #: excludes ``jobs`` -- sharding does not change results, so it
+    #: must not change a manifest hash -- and is excluded from equality
+    #: for the same reason as timings.
     config: dict = field(default_factory=dict, compare=False)
     #: Trials whose result was spliced from the golden suffix (see
     #: :class:`~repro.faults.injector.CheckpointStore`); 0 on the
@@ -150,8 +151,8 @@ class CampaignResult:
             never_landed=self.never_landed + other.never_landed,
             fast_forwards=self.fast_forwards + other.fast_forwards,
             # Shards ran concurrently, so summing their elapsed times
-            # over-counts wall clock; the parallel runner overwrites
-            # this with its own wall measurement after the last merge.
+            # over-counts wall clock; ``run_campaign`` and the adaptive
+            # engine overwrite this with their own wall measurement.
             elapsed_seconds=self.elapsed_seconds + other.elapsed_seconds,
         )
         for outcome in Outcome:
@@ -186,7 +187,6 @@ def run_campaign(
     program: Program,
     trials: int = 250,
     seed: int = 0,
-    max_instructions: int = 10_000_000,
     machine: Machine | None = None,
     log: CampaignLog | None = None,
     checkpoint_interval: int | None = None,
@@ -263,7 +263,7 @@ def run_campaign(
     if taint and log is None and atlas is None:
         raise ValueError("taint tracing requires a CampaignLog "
                          "to receive the event streams")
-    machine = machine or Machine(program, max_instructions=max_instructions)
+    machine = machine or Machine(program)
     if jit is None:
         jit = not taint and profile is None
     trial_log = log if atlas is None or log is not None else CampaignLog()
@@ -306,6 +306,8 @@ def run_campaign(
         "trials": len(sites),
         "checkpoint_interval": checkpoint_interval,
         "presampled_sites": presampled,
+        "hang_factor": HANG_FACTOR,
+        "hang_floor": HANG_FLOOR,
     }
     result.elapsed_seconds = perf_counter() - start_time
     return result
@@ -346,7 +348,6 @@ def run_batch(store, sites: list, result: CampaignResult,
 def run_sites(
     program: Program,
     sites: list[FaultSite],
-    max_instructions: int = 10_000_000,
     machine: Machine | None = None,
 ) -> list[Outcome]:
     """Classify an explicit list of fault sites (used by tests).
@@ -356,7 +357,7 @@ def run_sites(
     :func:`run_campaign`: classifying faults against a golden run that
     itself failed would be meaningless.
     """
-    machine = machine or Machine(program, max_instructions=max_instructions)
+    machine = machine or Machine(program)
     with engine(machine, jit=True):
         store = build_checkpoints(machine)
         return run_trials(store, sites, CampaignResult(

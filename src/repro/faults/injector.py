@@ -72,6 +72,19 @@ MIN_CHECKPOINT_INTERVAL = 512
 #: block delays the rejoined main flow by its own length.
 MAX_SPLICE_SHIFT = 256
 
+#: A faulty run hangs after this many times its golden run's
+#: instructions (the longest terminating one in five 250-trial paper
+#: grids ran 182 times), but never before :data:`HANG_FLOOR`.
+HANG_FACTOR = 200
+HANG_FLOOR = 1_000_000
+
+
+def hang_budget(machine: Machine, golden: RunResult) -> int:
+    """A faulty run's instruction budget, at most the machine's cap; a
+    run that reaches it ends HANG with exactly that many instructions."""
+    return min(machine.max_instructions,
+               max(HANG_FACTOR * golden.instructions, HANG_FLOOR))
+
 
 def run_with_fault(machine: Machine, site: FaultSite,
                    taint=None) -> RunResult:
@@ -116,12 +129,16 @@ class FullReplay:
     def __init__(self, machine: Machine) -> None:
         self.machine = machine
         self.golden: RunResult | None = None
+        #: A trial's instruction budget: the machine's cap until
+        #: :meth:`build` narrows it to :func:`hang_budget`.
+        self.budget = machine.max_instructions
         #: Whether the last trial reached its injection point.
         self.landed = False
 
     def build(self) -> RunResult:
-        """Run (and keep) the golden execution."""
+        """Run (and keep) the golden execution, and set the budget."""
         self.golden = golden_run(self.machine)
+        self.budget = hang_budget(self.machine, self.golden)
         return self.golden
 
     def run_with_fault(self, site: FaultSite, taint=None,
@@ -135,14 +152,16 @@ class FullReplay:
         if not self.landed:
             # The program terminated before the injection point
             # (possible only if the site was sampled against a longer
-            # golden run, or under a shrunken max_instructions).
+            # golden run, or under a cap below the site).
             return first
         machine.taint = taint
+        cap, machine.max_instructions = machine.max_instructions, self.budget
         try:
             result = site.inject(machine)
             return machine.run(None) if result is None else result
         finally:
             machine.taint = None
+            machine.max_instructions = cap
 
 
 class CheckpointStore:
@@ -161,6 +180,8 @@ class CheckpointStore:
         self.fast_forward = fast_forward
         self.snapshots: list[MachineSnapshot] = []
         self.golden: RunResult | None = None
+        #: A trial's instruction budget (see :class:`FullReplay`).
+        self.budget = machine.max_instructions
         #: Golden state at the last landed trial's site (see
         #: :meth:`run_with_fault`).
         self.cursor: MachineSnapshot | None = None
@@ -175,7 +196,8 @@ class CheckpointStore:
         """Run the golden execution once, checkpointing as it goes.
 
         Returns the golden :class:`RunResult` (this *is* the campaign's
-        golden run -- no extra reference execution is needed).  With
+        golden run -- no extra reference execution is needed), and sets
+        the trials' :func:`hang_budget` from it.  With
         ``interval=None`` at construction, the spacing auto-tunes to the
         golden length in the same single pass: checkpoints start
         :data:`MIN_CHECKPOINT_INTERVAL` apart, and whenever the count
@@ -195,6 +217,7 @@ class CheckpointStore:
             result = machine.run(limit)
             if result.status is not RunStatus.PAUSED:
                 self.golden = result
+                self.budget = hang_budget(machine, result)
                 return result
             self.snapshots.append(machine.snapshot())
             if auto and len(self.snapshots) > MAX_CHECKPOINTS:
@@ -256,6 +279,7 @@ class CheckpointStore:
         self.cursor = cursor = (start if start.icount == target
                                 else machine.snapshot())
         machine.taint = taint
+        cap, machine.max_instructions = machine.max_instructions, self.budget
         try:
             result = site.inject(machine)
             if result is not None:
@@ -308,6 +332,7 @@ class CheckpointStore:
             return machine.run(None)
         finally:
             machine.taint = None
+            machine.max_instructions = cap
 
     def _next_site_point(self, icount: int, target: int
                          ) -> MachineSnapshot | None:
@@ -377,15 +402,15 @@ class CheckpointStore:
         the golden run's, the instruction count and any suffix
         first-recovery icount are shifted by ``delta``, and the output
         and recovery counters splice the faulty prefix onto the golden
-        suffix.  Returns ``None`` when the shifted run would reach
-        ``max_instructions`` (it hangs instead), or when the recovery
+        suffix.  Returns ``None`` when the shifted run would reach the
+        trial :attr:`budget` (it hangs instead), or when the recovery
         bookkeeping cannot be reconstructed exactly (golden runs that
         themselves entered repair blocks both before and after the
         checkpoint); the caller then simply keeps executing.
         """
         machine = self.machine
         golden = self.golden
-        if golden.instructions + delta >= machine.max_instructions:
+        if golden.instructions + delta >= self.budget:
             return None
         suffix_recoveries = golden.recoveries - snap.recoveries
         first_recovery = machine.first_recovery_icount

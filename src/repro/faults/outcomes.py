@@ -13,7 +13,11 @@ A faulty run is compared against the golden (fault-free) run:
   "execution abnormally terminated");
 * **DETECTED** -- a SWIFT check fired (detection without recovery; a DUE
   in the hardware taxonomy).  Only the SWIFT baseline produces these;
-* **HANG** -- the instruction budget was exhausted.  The paper's three-way
+* **HANG** -- the run reached its instruction budget, set once per
+  campaign from the golden run: ``HANG_FACTOR`` (200) times the golden
+  run's instructions, at least ``HANG_FLOOR`` (1M), at most the
+  machine's cap (``MAX_INSTRUCTIONS``, 20M) -- see
+  :func:`repro.faults.injector.hang_budget`.  The paper's three-way
   taxonomy has no hang bucket; report helpers fold HANG into SDC (the
   program failed to produce its correct output and did not terminate
   abnormally).

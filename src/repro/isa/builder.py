@@ -35,10 +35,6 @@ class IRBuilder:
         self.block = self.function.add_block(name)
         return self.block
 
-    def use_block(self, block: BasicBlock) -> BasicBlock:
-        self.block = block
-        return block
-
     def emit(self, instr: Instruction) -> Instruction:
         if self.block is None:
             raise IRError("no current block; call start_block first")

@@ -73,8 +73,3 @@ class FImm:
 
 #: An instruction source operand.
 Operand = Register | Imm | FImm
-
-
-def is_constant(operand: Operand) -> bool:
-    """True when the operand is a compile-time constant."""
-    return isinstance(operand, (Imm, FImm))

@@ -27,8 +27,6 @@ Convention (mirroring the paper's PPC970 setup):
 
 from __future__ import annotations
 
-from typing import Iterator
-
 #: Number of architectural registers per class (PPC970 has 32 GPRs).
 NUM_GPRS = 32
 NUM_FPRS = 32
@@ -163,12 +161,6 @@ class RegisterPool:
         """Ensure future registers do not collide with indices below these."""
         self._next_int = max(self._next_int, num_int)
         self._next_float = max(self._next_float, num_float)
-
-
-def all_physical_gprs() -> Iterator[Register]:
-    """All physical integer registers, in index order."""
-    for i in range(NUM_GPRS):
-        yield gpr(i)
 
 
 def allocatable_gprs() -> list[Register]:

@@ -32,10 +32,6 @@ class Type:
         return self.base == "float" and not self.pointer
 
     @property
-    def is_integerish(self) -> bool:
-        return self.pointer or self.base in ("int", "long")
-
-    @property
     def value_bits(self) -> int | None:
         """Width annotation for loads/params of this type (None = 64)."""
         if self.pointer:

@@ -60,9 +60,6 @@ class RunResult:
     def completed(self) -> bool:
         return self.status is RunStatus.EXITED
 
-    def output_equals(self, other: "RunResult") -> bool:
-        return self.output == other.output
-
     def __repr__(self) -> str:
         return (
             f"<RunResult {self.status.value} exit={self.exit_code} "

@@ -71,6 +71,10 @@ from .semantics import (
 )
 
 
+#: Instruction cap of a run; the largest fault-free one runs about 0.5M.
+#: Faulty runs get a tighter :func:`repro.faults.injector.hang_budget`.
+MAX_INSTRUCTIONS = 20_000_000
+
 _TWO63 = 1 << 63
 _TWO64 = 1 << 64
 #: Stands for a cell absent from ``Memory.cells`` (``_live_cells_match``).
@@ -144,7 +148,8 @@ class MachineSnapshot:
 class Machine:
     """Compile once, run many times (``reset`` between runs)."""
 
-    def __init__(self, program: Program, max_instructions: int = 10_000_000):
+    def __init__(self, program: Program,
+                 max_instructions: int = MAX_INSTRUCTIONS):
         self.program = program
         self.max_instructions = max_instructions
         program.assign_addresses()
@@ -1118,7 +1123,7 @@ _COMPILERS = {
 }
 
 
-def run_program(program: Program, max_instructions: int = 10_000_000
+def run_program(program: Program, max_instructions: int = MAX_INSTRUCTIONS
                 ) -> RunResult:
     """Convenience: compile and execute a program once."""
     machine = Machine(program, max_instructions=max_instructions)

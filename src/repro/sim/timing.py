@@ -28,7 +28,7 @@ from ..isa.instruction import Role
 from ..isa.operands import MASK64
 from .events import RunResult, RunStatus
 from .loop import hooks, merge, render
-from .machine import Machine
+from .machine import MAX_INSTRUCTIONS, Machine
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,6 @@ class TimingResult:
     @property
     def ipc(self) -> float:
         return self.instructions / self.cycles if self.cycles else 0.0
-
-    @property
-    def miss_rate(self) -> float:
-        return self.load_misses / self.loads if self.loads else 0.0
 
 
 #: The cycle model as hooks on the shared run loop (:mod:`repro.sim.loop`).
@@ -225,7 +221,7 @@ class TimingSimulator:
 
 
 def measure_cycles(program, config: TimingConfig | None = None,
-                   max_instructions: int = 10_000_000) -> TimingResult:
+                   max_instructions: int = MAX_INSTRUCTIONS) -> TimingResult:
     """Compile and time one fault-free execution of ``program``."""
     machine = Machine(program, max_instructions=max_instructions)
     return TimingSimulator(machine, config).run()

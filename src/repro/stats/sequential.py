@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass
 from time import perf_counter
 
 from ..faults.campaign import CampaignResult, run_batch
-from ..faults.injector import build_checkpoints
+from ..faults.injector import HANG_FACTOR, HANG_FLOOR, build_checkpoints
 from ..faults.outcomes import Outcome
 from ..faults.trials import engine
 from ..isa.program import Program
@@ -90,9 +90,10 @@ class AdaptiveConfig:
             raise ValueError("batch_size and max_trials must be positive")
 
     def config_dict(self) -> dict:
-        """The stopping rule's knobs, flattened for a run-registry
-        manifest config fingerprint."""
-        return {"adaptive": True, **asdict(self)}
+        """The stopping rule's knobs and the hang rule's, flattened for
+        a run-registry manifest config fingerprint."""
+        return {"adaptive": True, **asdict(self),
+                "hang_factor": HANG_FACTOR, "hang_floor": HANG_FLOOR}
 
 
 @dataclass(frozen=True)
@@ -247,16 +248,6 @@ class AdaptiveResult:
                 )
                 records.append(record)
         return records
-
-    def describe_cells(self) -> list[dict]:
-        """Summary rows for the final per-stratum observations."""
-        return [
-            {"stratum": c.key, "weight": round(c.weight, 6),
-             "trials": c.trials, "successes": c.successes,
-             "rate": round(c.rate, 6)}
-            for c in sorted(self.cells.values(),
-                            key=lambda c: -c.weight)
-        ]
 
 
 class _Arm:
@@ -433,7 +424,6 @@ def run_adaptive_campaign(
     jobs: int = 1,
     machine: Machine | None = None,
     log: CampaignLog | None = None,
-    max_instructions: int = 10_000_000,
     name: str = "campaign",
     jit: bool | None = None,
 ) -> AdaptiveResult:
@@ -442,7 +432,7 @@ def run_adaptive_campaign(
     ``jit`` defaults to on (the adaptive path never traces or
     profiles); results are bit-identical either way.
     """
-    machine = machine or Machine(program, max_instructions=max_instructions)
+    machine = machine or Machine(program)
     return _run_engine([(name, machine, log)], config or AdaptiveConfig(),
                        seed, jobs, jit is not False)
 

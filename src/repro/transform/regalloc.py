@@ -181,9 +181,6 @@ class _Rewriter:
         self.spill_slots = spill_slots
         self.used_phys: set[Register] = set()
 
-    def _slot_offset(self, slot: int, saved_count: int) -> int:
-        return (saved_count + slot) * WORD
-
     def rewrite(self) -> Function:
         # First pass: rewrite instructions, collecting used registers;
         # spill offsets need the saved-register count, which depends on

@@ -320,6 +320,97 @@ def test_shifted_splice_refuses_past_max_instructions():
     _results_identical(checkpointed, run_with_fault(tight, site))
 
 
+#: A counted loop whose bound is read once into a register: flipping the
+#: bound's bit 17 lengthens the run about 130-fold, and its bit 62 makes
+#: the loop practically endless.
+BOUNDED_LOOP_SOURCE = r"""
+int data[64];
+int n = 1000;
+
+int main() {
+    int limit = n;
+    int total = 0;
+    for (int i = 0; i < limit; i++) { total += data[i & 63] + i; }
+    print(total);
+    return 0;
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def bound_flips():
+    """The loop program, its golden run, and two flips of the loop
+    bound at one site: one that lengthens the run past ``HANG_FLOOR``,
+    and one that never lets it end."""
+    from repro.faults.injector import HANG_FLOOR
+    from repro.faults.model import INJECTABLE_GPRS
+
+    program = _protected(BOUNDED_LOOP_SOURCE, Technique.NOFT)
+    machine = Machine(program)
+    store = build_checkpoints(machine)
+    middle = store.golden.instructions // 2
+    for reg in INJECTABLE_GPRS:
+        site = FaultSite(dynamic_index=middle, reg_index=reg, bit=17)
+        if store.run_with_fault(site).instructions > HANG_FLOOR:
+            return (program, store.golden, site,
+                    FaultSite(dynamic_index=middle, reg_index=reg, bit=62))
+    pytest.fail("no register holds the loop bound")
+
+
+@pytest.mark.parametrize("jit", [False, True], ids=["interp", "jit"])
+@pytest.mark.parametrize("interval", [None, 0],
+                         ids=["checkpointed", "full-replay"])
+def test_hang_budget_scales_with_the_golden_run(bound_flips, jit,
+                                                interval):
+    """A faulty run ends Hang at exactly ``HANG_FACTOR`` times its golden
+    run; one that ends sooner runs out, even past ``HANG_FLOOR``."""
+    from repro.faults.injector import HANG_FACTOR, HANG_FLOOR
+    from repro.sim.machine import MAX_INSTRUCTIONS
+
+    program, golden, long_site, endless_site = bound_flips
+    budget = HANG_FACTOR * golden.instructions
+    assert HANG_FLOOR < budget < MAX_INSTRUCTIONS   # the factor governs
+    log = CampaignLog()
+    result = run_campaign(program, sites=[long_site, endless_site],
+                          log=log, checkpoint_interval=interval, jit=jit)
+    long, endless = log.records
+    assert (long.outcome, long.status) == ("SDC", "exited")
+    assert HANG_FLOOR < long.instructions < budget
+    assert (endless.outcome, endless.status) == ("Hang", "hang")
+    assert endless.instructions == budget
+    assert result.config["hang_factor"] == HANG_FACTOR
+    assert result.config["hang_floor"] == HANG_FLOOR
+
+
+def test_hang_floor_covers_short_golden_runs(simple_program):
+    from repro.faults.injector import HANG_FACTOR, HANG_FLOOR
+
+    store = build_checkpoints(Machine(simple_program))
+    assert HANG_FACTOR * store.golden.instructions < HANG_FLOOR
+    assert store.budget == HANG_FLOOR
+
+
+def test_campaigns_leave_the_machine_cap_alone():
+    """``prepare_machine`` machines are shared: no campaign, serial,
+    sharded or adaptive, may leave its trial budget behind on one."""
+    from repro.eval.pipeline import MAX_INSTRUCTIONS, prepare_machine
+    from repro.faults.injector import hang_budget
+    from repro.stats import AdaptiveConfig, run_adaptive_campaign
+
+    machine = prepare_machine("crc32", Technique.NOFT)
+    store = build_checkpoints(machine)
+    assert store.budget == hang_budget(machine, store.golden) \
+        < MAX_INSTRUCTIONS
+    for jobs in (1, 2):
+        run_campaign(machine.program, trials=8, seed=3, machine=machine,
+                     jobs=jobs)
+        assert machine.max_instructions == MAX_INSTRUCTIONS
+    run_adaptive_campaign(machine.program, machine=machine,
+                          config=AdaptiveConfig(max_trials=8,
+                                                batch_size=4))
+    assert machine.max_instructions == MAX_INSTRUCTIONS
+
+
 def _flip_site(store, icounts, dead=True):
     """The first fault site at one of ``icounts`` whose flip leaves a
     state that matches the golden one at the same icount (``dead``), or

@@ -105,7 +105,6 @@ def test_differential_fuzz_campaign_telemetry(seed):
     for jit in (True, False):
         log = CampaignLog()
         results[jit] = run_campaign(binary, trials=25, seed=seed,
-                                    max_instructions=2_000_000,
                                     log=log, jit=jit)
         logs[jit] = log
     assert results[True] == results[False]
@@ -659,7 +658,6 @@ def test_campaign_jobs_parity_with_jit():
     ):
         log = CampaignLog()
         result = run_campaign(binary, trials=30, seed=47,
-                              max_instructions=2_000_000,
                               log=log, **kwargs)
         outcomes[label] = (result, log.to_dicts())
     assert outcomes["jit-serial"] == outcomes["jit-jobs2"]

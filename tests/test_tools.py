@@ -193,6 +193,11 @@ def test_cli_bad_source_is_one_line_error(tmp_path, capsys, text, detail):
 @pytest.mark.parametrize("knobs,detail", [
     (["--adaptive", "--ci-width", "150"], "ci_width out of (0, 1): 1.5"),
     (["--trials", "0"], "trials must be a positive integer, got 0"),
+    (["--adaptive", "--taint"],
+     "taint tracing is not supported with adaptive campaigns"),
+    (["--adaptive", "--profile", "unwritten.jsonl"],
+     "profiling is not supported with adaptive campaigns (batch sizes "
+     "depend on observed variance)"),
 ])
 def test_cli_bad_campaign_knob_is_one_line_error(tmp_path, capsys, knobs,
                                                  detail):
