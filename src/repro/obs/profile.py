@@ -112,8 +112,9 @@ class SimProfiler:
         compiled code rather than in the interpreter.
 
         This is the JIT's *static* decision per block: every block of
-        an uncompilable function, and every SWIFT-R/TRUMP repair block,
-        is interpreted (``JitProgram.interpreted``).  The rare dynamic
+        an uncompilable function, every SWIFT-R/TRUMP repair block, and
+        every block of run-once code is interpreted
+        (``JitProgram.interpreted``).  The rare dynamic
         exits -- injection pauses, mid-block resumes, bails -- re-enter
         compiled code at the next block with a compiled entry, so block
         granularity is the honest approximation.

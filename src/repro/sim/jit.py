@@ -37,16 +37,23 @@ Execution model ("side exits"):
   opcode-fault stepping) are interpreted until the next control
   transfer, then splice back into compiled dispatch.
 * **Cold paths bail to the interpreter:** a same-base access run whose
-  hoisted span check fails, a load that misses ``cells``, a store to
-  a new address that is not a mapped word, and every other path that
-  would trap are not compiled.  The code *bails* instead: it writes
-  back its dirty locals, records the exact icount and ``(function,
-  block, index)`` of the instruction it stopped before, and returns
-  ``ACT_BAIL``; the run loop interprets from there in the same
-  iteration.  SWIFT-R/TRUMP repair blocks (entered only after a vote
-  mismatch) are never compiled at all: each one's dispatch entry is a
-  fuel stop, so the run loop, the one place recoveries are counted,
-  interprets every repair.
+  hoisted span check fails, a load or store at an address that is not
+  a mapped, aligned word, and every other path that would trap are
+  not compiled.  The code *bails* instead: it writes back its dirty
+  locals, records the exact icount and ``(function, block, index)`` of
+  the instruction it stopped before, and returns ``ACT_BAIL``; the run
+  loop interprets from there in the same iteration.  (A single load
+  that misses ``cells`` at a mapped, aligned word reads zero.)
+  SWIFT-R/TRUMP repair blocks (entered only after a vote mismatch) are
+  never compiled at all: each one's dispatch entry is a fuel stop, so
+  the run loop, the one place recoveries are counted, interprets every
+  repair.
+* **Run-once code stays interpreted:** outside the *hot* functions
+  (those called from a loop, from a hot function, or from
+  themselves), every block outside a loop runs a bounded number of
+  times per run.  It is a fuel stop like a repair block: about a
+  quarter of the paper grid's static code outside repair blocks, and
+  under 0.5% of any golden run's instructions.
 * **Traps:** memory traps -- and every other guest trap (DIV/REM by
   zero, CVTFI of a non-finite value, PARAM out of range, falling off
   the function's end) -- come only from the interpreter, after a
@@ -57,14 +64,17 @@ Execution model ("side exits"):
   the blocks the JIT would run compiled, ``JitProgram.interpreted``
   being the rest; see :mod:`repro.obs.profile`).
 
-Code size stays linear in program size: every block is rendered once.
-A block that nothing dispatches to -- reached only by its unique
-predecessor's fallthrough or ``JMP`` (``_owners``) -- is rendered only
-inside that predecessor's straight-line chain, and its own dispatch
-entry is a fuel stop.  Every other block heads a chain at its own
-entry.  A leaf callee is expanded in place at a call site only while
-the caller stays within ``_INLINE_BUDGET``; past it the call is a
-plain side exit.
+Code size stays linear in program size: every compiled block is
+rendered once.  A block that nothing dispatches to -- reached only by
+its unique predecessor's fallthrough or ``JMP`` (``_owners``) -- is
+rendered only inside that predecessor's straight-line chain, and its
+own dispatch entry is a fuel stop.  Every other compiled block heads a
+chain at its own entry.  A dispatch range of nothing but fuel stops is
+one shared leaf, and a function with nothing compiled has no driver.
+A leaf callee is expanded in place at a call site only while the
+caller stays within ``_INLINE_BUDGET``; past it the call is a plain
+side exit.  The CFG facts all of this reads (``_Facts``) are computed
+once per function per compile.
 
 Generated code holds no per-run state: drivers read the register files
 and memory afresh from the ``Machine`` argument on every activation,
@@ -112,6 +122,14 @@ def _bail(m, icount, func, block, index):
     m._position = (m.functions[func], block, index)
     return ACT_BAIL
 
+
+def _unmapped(m, a):
+    """``a`` is not a mapped, aligned word of ``m``'s memory."""
+    mem = m.memory
+    return a & 7 or not (mem.global_lo <= a < mem.global_hi
+                         or mem.heap_lo <= a < mem.heap_hi
+                         or mem.stack_lo <= a < mem.stack_hi)
+
 # Namespace the generated code executes in.  Builtins are emptied so the
 # templates are explicit about every name they touch; helpers keep IEEE
 # float division byte-compatible with the interpreter's closures.
@@ -121,6 +139,7 @@ _GLOBALS = {
     "_b2f": bits_to_float,
     "_fdiv": _fop_div,
     "_bail": _bail,
+    "_unmapped": _unmapped,
     "abs": abs,
     "_INF": float("inf"),
     "_NINF": float("-inf"),
@@ -146,21 +165,21 @@ class JitProgram:
     ``driver(m, ic, stop, bi)`` executes from block ``bi`` (instruction
     0) and ``resumes[(block, i)]`` maps each post-``CALL`` resume point
     to ``(segment_fn, need)`` where ``need`` is the most instructions
-    the segment can retire (the dispatch loop's pause-safety precheck).
+    the segment can retire (the dispatch loop's pause-safety precheck);
+    a function with nothing compiled has ``(None, {})``.
     ``sources`` keeps the generated Python per function for debugging.
     ``interpreted`` holds the ``(function, block name)`` pairs the
     interpreter always runs: every block of a function with no driver,
-    and every SWIFT-R/TRUMP repair block.
+    every SWIFT-R/TRUMP repair block, and every block of run-once code
+    (``_Facts.interpreted``).
     """
 
-    __slots__ = ("tables_by_name", "sources", "segment_count", "interpreted")
+    __slots__ = ("tables_by_name", "sources", "interpreted")
 
     def __init__(self, tables_by_name: dict, sources: dict[str, str],
-                 segment_count: int,
                  interpreted: frozenset[tuple[str, str]]) -> None:
         self.tables_by_name = tables_by_name
         self.sources = sources
-        self.segment_count = segment_count
         self.interpreted = interpreted
 
     def tables(self, func_name: str):
@@ -204,7 +223,7 @@ class _Emitter:
                  int_cells: bool = False,
                  local_int: set[int] | None = None,
                  local_float: set[int] | None = None,
-                 call_summaries: dict | None = None) -> None:
+                 facts: dict | None = None) -> None:
         self.machine = machine
         self.func_name = func_name
         self.block_index = block_index
@@ -220,11 +239,11 @@ class _Emitter:
         # (resume segments are too short to be worth planning).
         self.local_int = local_int
         self.local_float = local_float
-        # Per-function (is_inline_leaf, use_counts...) summaries: a CALL
-        # to a compilable leaf expands the callee's whole block
-        # structure in place, running on the caller's locals (the
-        # register file is shared, so no state crosses the boundary).
-        self.call_summaries = call_summaries
+        # Per-function CFG facts (``_Facts``): a CALL to an inline leaf
+        # expands the callee's whole block structure in place, running
+        # on the caller's locals (the register file is shared, so no
+        # state crosses the boundary).
+        self.facts = facts
         # Function objects referenced by emitted frames, hoisted to the
         # prologue as ``_fnN = m.functions[name]`` (one load per
         # activation instead of one dict lookup per call).
@@ -640,27 +659,32 @@ def _emit_addr(e, base, offset: int) -> None:
         e.emit(f"_a = {e.ireg(base)}")
 
 
-def _emit_load_miss(e, delta: int) -> None:
+def _emit_load_miss(e, delta: int, dest: str) -> None:
     # ``cells`` keys are exactly the validly stored (aligned,
     # in-segment) addresses plus the initial data image, so a
     # subscript hit *proves* the address valid -- no per-load
     # alignment/segment check on the hot path (zero-cost try on
-    # 3.11+).  A miss (a bad address, or a word never stored, which
-    # reads as zero) bails to the interpreter.
+    # 3.11+).  A miss at a mapped, aligned word (one never stored)
+    # reads zero; a bad address bails, and the interpreter traps.  The
+    # test is a call: it runs only on a miss, and inline it would be
+    # compiled into every load.
     e.emit("except KeyError:")
-    e.emit_bail(delta - 1, indent="    ")
+    e.emit("    if _unmapped(m, _a):")
+    e.emit_bail(delta - 1, indent="        ")
+    e.emit(f"    {dest} = 0")
 
 
 def _emit_load(e, instr, delta):
     _emit_addr(e, instr.srcs[0], instr.srcs[1].signed)
     if e.int_cells:
+        dest = e.iwrite(instr.dest)
         e.emit("try:")
-        e.emit(f"    {e.iwrite(instr.dest)} = cells[_a]")
-        _emit_load_miss(e, delta)
+        e.emit(f"    {dest} = cells[_a]")
+        _emit_load_miss(e, delta, dest)
         return False
     e.emit("try:")
     e.emit("    _v = cells[_a]")
-    _emit_load_miss(e, delta)
+    _emit_load_miss(e, delta, "_v")
     e.emit("if type(_v) is float:")
     e.emit("    _v = _f2b(_v)")
     e.emit(f"{e.iwrite(instr.dest)} = _v")
@@ -727,11 +751,11 @@ def _emit_call(e, instr, delta):
         dest = e.machine.slot_of(instr.dest)
         dest_float = instr.dest.is_float
     resume = e.entry + delta    # absolute index within the block
-    summary = (e.call_summaries.get(instr.callee)
-               if e.whole and e.call_summaries is not None else None)
+    callee_facts = (e.facts.get(instr.callee)
+                    if e.whole and e.facts is not None else None)
     # An expansion renders each callee block once.
-    inline = (summary is not None and summary[0]
-              and e.rendered + summary[3] <= e.inline_limit)
+    inline = (callee_facts is not None and callee_facts.inline
+              and e.rendered + callee_facts.size <= e.inline_limit)
     if not inline:
         # Push the return frame directly -- identical to the frame the
         # interpreter's run loop builds (state_matches compares call
@@ -795,10 +819,9 @@ def _emit_call(e, instr, delta):
     e.lines = []
     e._indent = ""
     e.machine._current_function = callee
-    bodies = _render_block_loops(
+    tree = _render_block_loops(
         e, cfunc,
-        lambda cur: [f"m.pending_callee = {sym}", f"return {-7 - cur}"])
-    tree = _dispatch_tree(bodies, 0, len(cfunc.blocks), "    ", "_cb")
+        lambda cur: [f"m.pending_callee = {sym}", f"return -7 - {cur}"])
     (e.func_name, e.block_index, e.block, e.entry,
      e.chain_entry, e.chain_next, e.dispatch_var, e.ret_break,
      e.inline_arg_kinds, e.lines, e._indent,
@@ -962,7 +985,7 @@ def _emit_fload(e, instr, delta):
     _emit_addr(e, instr.srcs[0], instr.srcs[1].signed)
     e.emit("try:")
     e.emit("    _v = cells[_a]")
-    _emit_load_miss(e, delta)
+    _emit_load_miss(e, delta, "_v")
     e.emit("if type(_v) is not float:")
     e.emit("    _v = _b2f(_v)")
     e.emit(f"{e.fwrite(instr.dest)} = _v")
@@ -1032,16 +1055,20 @@ _EMITTERS = {
 
 # ----------------------------------------------------------------- drivers
 def _dispatch_tree(bodies: dict[int, list[str]], lo: int, hi: int,
-                   indent: str, var: str = "bi") -> list[str]:
+                   indent: str, var: str, stop: list[str]) -> list[str]:
     """Binary dispatch over block indices [lo, hi): O(log n) compares
-    per transition instead of a linear if-chain."""
+    per transition instead of a linear if-chain.  A block with no body
+    is a fuel stop, and a range of nothing but fuel stops is one shared
+    ``stop`` leaf, which returns the dispatch variable's block."""
+    if not any(b in bodies for b in range(lo, hi)):
+        return [indent + line for line in stop]
     if hi - lo == 1:
         return [indent + line for line in bodies[lo]]
     mid = (lo + hi) // 2
     out = [f"{indent}if {var} < {mid}:"]
-    out += _dispatch_tree(bodies, lo, mid, indent + "    ", var)
+    out += _dispatch_tree(bodies, lo, mid, indent + "    ", var, stop)
     out.append(f"{indent}else:")
-    out += _dispatch_tree(bodies, mid, hi, indent + "    ", var)
+    out += _dispatch_tree(bodies, mid, hi, indent + "    ", var, stop)
     return out
 
 
@@ -1052,7 +1079,7 @@ def _dispatch_tree(bodies: dict[int, list[str]], lo: int, hi: int,
 _INLINE_BUDGET = 64
 
 
-def _flow_edges(cfunc):
+def _flow_edges(cfunc) -> list[tuple[int, int, bool]]:
     """Block-to-block ``(src, dst, is_branch)`` edges of ``cfunc``.
 
     Conditional-branch (``is_branch``) and jump targets plus layout
@@ -1063,60 +1090,37 @@ def _flow_edges(cfunc):
     """
     index = cfunc.block_index
     nblocks = len(cfunc.blocks)
+    edges = []
     for j, blk in enumerate(cfunc.blocks):
         for instr in blk.instrs:
             if (instr.op.kind in (OpKind.BRANCH, OpKind.JUMP)
                     and instr.role not in (Role.RECOVERY, Role.VOTE)):
-                yield j, index[instr.label], instr.op.kind is OpKind.BRANCH
+                edges.append((j, index[instr.label],
+                              instr.op.kind is OpKind.BRANCH))
         last = blk.instrs[-1] if blk.instrs else None
         if j + 1 < nblocks and (last is None or not last.is_terminator
                                 or last.op.kind is OpKind.BRANCH):
-            yield j, j + 1, False
+            edges.append((j, j + 1, False))
+    return edges
 
 
-def _repair_blocks(cfunc) -> set[int]:
-    """Indices of ``cfunc``'s SWIFT-R/TRUMP repair blocks.
-
-    A repair block holds the RECOVERY/VOTE NOP that marks a repair's
-    entry (always its first instruction), or is owned (``_owners``) by
-    one, like the fix-up block a repair falls through into.  A block
-    past the entry that no ``_flow_edges`` edge reaches -- a SWIFT-R
-    ``vfixb`` or TRUMP ``anfixt`` fix-up -- is one too: only a
-    RECOVERY/VOTE branch out of a repair enters it.
-    Majority-vote recovery only enters one after a vote mismatch, so
-    they are left to the interpreter -- the run loop is the one place
-    recoveries are counted.
-    """
-    reached = {dst for _src, dst, _branch in _flow_edges(cfunc)}
-    repair = {b for b, blk in enumerate(cfunc.blocks)
-              if (b and b not in reached)
-              or any(instr.op is Opcode.NOP
-                     and instr.role in (Role.RECOVERY, Role.VOTE)
-                     for instr in blk.instrs)}
-    owners = _owners(cfunc)
-    while True:
-        owned = {b for b, owner in enumerate(owners) if owner in repair}
-        if owned <= repair:
-            return repair
-        repair |= owned
-
-
-def _owners(cfunc) -> list[int | None]:
+def _owners(cfunc, edges) -> list[int | None]:
     """Per block: the block whose chain renders it, or None.
 
     A block is owned -- *chain-interior* -- when its unique predecessor
-    over ``_flow_edges`` reaches it by fallthrough or ``JMP`` and
-    nothing else can dispatch to it: it is not the function entry, not
-    a conditional-branch target, and its predecessor holds no ``CALL``
-    (returns and resume segments land on that block's successors).
-    Every other block (None) keeps a dispatch entry and heads a chain.
-    The owned-by relation is a forest, so every block is rendered once.
+    over ``edges`` (``_flow_edges``) reaches it by fallthrough or
+    ``JMP`` and nothing else can dispatch to it: it is not the function
+    entry, not a conditional-branch target, and its predecessor holds
+    no ``CALL`` (returns and resume segments land on that block's
+    successors).  Every other block (None) keeps a dispatch entry and
+    heads a chain.  The owned-by relation is a forest, so every block
+    is rendered once.
     """
     preds: list[set[int]] = [set() for _ in cfunc.blocks]
     heads = {0}
     calls = {b for b, blk in enumerate(cfunc.blocks)
              if any(instr.op is Opcode.CALL for instr in blk.instrs)}
-    for src, dst, branch in _flow_edges(cfunc):
+    for src, dst, branch in edges:
         preds[dst].add(src)
         if branch or src in calls:
             heads.add(dst)
@@ -1124,43 +1128,162 @@ def _owners(cfunc) -> list[int | None]:
             else None for b, p in enumerate(preds)]
 
 
-def _use_counts(machine: Machine, cfunc, summaries: dict | None = None
+def _with_owned(blocks: set[int], owners: list[int | None]) -> set[int]:
+    """``blocks`` plus every block their chains own, transitively."""
+    blocks = set(blocks)
+    while True:
+        owned = {b for b, owner in enumerate(owners) if owner in blocks}
+        if owned <= blocks:
+            return blocks
+        blocks |= owned
+
+
+class _Facts:
+    """What codegen needs to know about one function, computed once per
+    :func:`compile_program` and read by its driver, its resume segments
+    and every inline expansion of it.
+
+    * ``owners`` -- :func:`_owners`;
+    * ``loops[b]`` -- block ``b`` lies inside a backward-edge interval
+      of ``_flow_edges`` (the classic interval approximation of a loop
+      body; every CFG cycle lies inside one);
+    * ``repair`` -- the SWIFT-R/TRUMP repair blocks: each one holding
+      the RECOVERY/VOTE NOP that opens a repair, every block past the
+      entry that no ``_flow_edges`` edge reaches (a SWIFT-R ``vfixb`` or
+      TRUMP ``anfixt`` fix-up, entered only by a RECOVERY/VOTE branch),
+      and the blocks these own.  Only a vote mismatch enters one, and
+      the run loop is the one place recoveries are counted;
+    * ``interpreted`` -- the repair blocks and, unless the function is
+      hot (:func:`_hot_functions`), every block outside its loops, with
+      the blocks these own: never rendered, each one's dispatch entry
+      is a fuel stop;
+    * ``calls`` -- ``(block, callee)`` of every CALL;
+    * ``inline`` -- a CALL to the function may be expanded in place: it
+      is a leaf (bounding expansion depth at one) and every opcode has
+      a template (so the ``-7 - block`` fuel-stop protocol has a
+      standalone driver to resume into);
+    * ``size`` -- static instructions, an expansion's budget charge;
+    * ``icounts``/``fcounts`` -- an inline leaf's :func:`_use_counts`,
+      merged into its callers' local plans (inlined code runs on the
+      caller's locals).
+    """
+
+    __slots__ = ("owners", "loops", "repair", "interpreted", "calls",
+                 "inline", "size", "icounts", "fcounts")
+
+    def __init__(self, cfunc) -> None:
+        edges = _flow_edges(cfunc)
+        self.owners = _owners(cfunc, edges)
+        self.loops = [False] * len(cfunc.blocks)
+        for j, t, _branch in edges:
+            if t <= j:
+                for b in range(t, j + 1):
+                    self.loops[b] = True
+        reached = {dst for _src, dst, _branch in edges}
+        self.repair = _with_owned(
+            {b for b, blk in enumerate(cfunc.blocks)
+             if (b and b not in reached)
+             or any(instr.op is Opcode.NOP
+                    and instr.role in (Role.RECOVERY, Role.VOTE)
+                    for instr in blk.instrs)}, self.owners)
+        self.interpreted = self.repair
+        self.calls = [(b, instr.callee)
+                      for b, blk in enumerate(cfunc.blocks)
+                      for instr in blk.instrs if instr.op is Opcode.CALL]
+        self.inline = not self.calls and all(
+            instr.op in _EMITTERS
+            for blk in cfunc.blocks for instr in blk.instrs)
+        self.size = sum(len(blk.instrs) for blk in cfunc.blocks)
+        self.icounts: dict[int, int] = {}
+        self.fcounts: dict[int, int] = {}
+
+
+def _callees(facts: dict, names) -> set[str]:
+    """``names`` and every function they call, transitively."""
+    seen: set[str] = set()
+    work = list(names)
+    while work:
+        name = work.pop()
+        if name not in seen and name in facts:
+            seen.add(name)
+            work += [callee for _b, callee in facts[name].calls]
+    return seen
+
+
+def _hot_functions(facts: dict) -> set[str]:
+    """Functions that may run more than a bounded number of times per
+    program run: those called from a loop block, from a hot function,
+    or from themselves (directly or through other calls).
+
+    Every other function's blocks outside its loops run at most once
+    per activation, and it is activated a bounded number of times, so
+    that code stays interpreted (see ``_Facts.interpreted``).  Over the
+    paper grid it is about a quarter of the static instructions outside
+    repair blocks, and under 0.5% of every golden run's instructions
+    (CI step "JIT coverage pin").
+    """
+    seeds = {callee for f in facts.values()
+             for b, callee in f.calls if f.loops[b]}
+    seeds |= {name for name, f in facts.items()
+              if name in _callees(facts, [c for _b, c in f.calls])}
+    return _callees(facts, seeds)
+
+
+def _program_facts(machine: Machine) -> dict[str, _Facts]:
+    """:class:`_Facts` of every function of ``machine``'s program."""
+    facts = {name: _Facts(cfunc) for name, cfunc in machine.functions.items()}
+    hot = _hot_functions(facts)
+    for name, f in facts.items():
+        if name not in hot:
+            f.interpreted = _with_owned(
+                f.repair | {b for b, loop in enumerate(f.loops)
+                            if not loop}, f.owners)
+    saved = machine._current_function
+    try:
+        for name, f in facts.items():
+            if f.inline:
+                machine._current_function = name
+                f.icounts, f.fcounts = _use_counts(
+                    machine, machine.functions[name], facts)
+    finally:
+        machine._current_function = saved
+    return facts
+
+
+def _use_counts(machine: Machine, cfunc, facts: dict
                 ) -> tuple[dict[int, int], dict[int, int]]:
     """Loop-weighted static register-use counts for ``cfunc``.
 
-    Uses are counted with an 8x weight inside any backward-edge
-    interval of ``_flow_edges`` (the classic interval approximation of
-    a loop body).  With ``summaries``, each inline-expanded CALL merges
-    the callee's own counts at the site's weight -- inlined code runs
-    on the caller's locals, so the callee's hot slots are the caller's.
+    Uses in rendered blocks are counted, with an 8x weight inside a
+    loop (``_Facts.loops``).  Each inline-expanded CALL merges the
+    callee's own counts at the site's weight -- inlined code runs on
+    the caller's locals, so the callee's hot slots are the caller's.
     """
-    loopy = [False] * len(cfunc.blocks)
-    for j, t, _branch in _flow_edges(cfunc):
-        if t <= j:
-            for b in range(t, j + 1):
-                loopy[b] = True
+    f = facts[cfunc.name]
     icounts: dict[int, int] = {}
     fcounts: dict[int, int] = {}
     for j, blk in enumerate(cfunc.blocks):
-        weight = 8 if loopy[j] else 1
+        if j in f.interpreted:
+            continue
+        weight = 8 if f.loops[j] else 1
         for instr in blk.instrs:
             for operand in (*instr.srcs, instr.dest):
                 if isinstance(operand, Register):
                     slot = machine.slot_of(operand)
                     counts = fcounts if operand.is_float else icounts
                     counts[slot] = counts.get(slot, 0) + weight
-            if summaries is not None and instr.op is Opcode.CALL:
-                summary = summaries.get(instr.callee)
-                if summary is not None and summary[0]:
-                    for s, c in summary[1].items():
+            if instr.op is Opcode.CALL:
+                callee = facts.get(instr.callee)
+                if callee is not None and callee.inline:
+                    for s, c in callee.icounts.items():
                         icounts[s] = icounts.get(s, 0) + weight * c
-                    for s, c in summary[2].items():
+                    for s, c in callee.fcounts.items():
                         fcounts[s] = fcounts.get(s, 0) + weight * c
     return icounts, fcounts
 
 
 def _plan_locals(machine: Machine, cfunc,
-                 summaries: dict) -> tuple[set[int], set[int]]:
+                 facts: dict) -> tuple[set[int], set[int]]:
     """Choose the register slots a driver promotes to Python locals.
 
     A promoted slot costs one preamble read plus one writeback line at
@@ -1170,50 +1293,14 @@ def _plan_locals(machine: Machine, cfunc,
     uses inside inline-expanded callees, which share this function's
     locals) beat the activation overhead.
     """
-    icounts, fcounts = _use_counts(machine, cfunc, summaries)
+    icounts, fcounts = _use_counts(machine, cfunc, facts)
     local_int = {s for s, c in icounts.items() if c >= 3}
     local_float = {s for s, c in fcounts.items() if c >= 3}
     return local_int, local_float
 
 
-def _call_summaries(machine: Machine) -> dict:
-    """Per function: can a CALL to it be inline-expanded, plus counts.
-
-    A callee is inline-eligible when it is a *leaf* (no CALL anywhere,
-    bounding inline expansion depth at one) and every opcode has a
-    template (the same condition under which its own driver compiles,
-    so the ``-7 - block`` fuel-stop protocol always has a standalone
-    driver to resume into).  The use counts feed the callers' local
-    plans: inlined code runs on the caller's locals.  The static size
-    feeds the callers' inline budgets.
-    """
-    saved = machine._current_function
-    summaries: dict[str, tuple] = {}
-    try:
-        for name, cfunc in machine.functions.items():
-            machine._current_function = name
-            inline = True
-            for blk in cfunc.blocks:
-                for instr in blk.instrs:
-                    if instr.op is Opcode.CALL or instr.op not in _EMITTERS:
-                        inline = False
-            if inline:
-                icounts, fcounts = _use_counts(machine, cfunc)
-                summaries[name] = (True, icounts, fcounts,
-                                   _static_size(cfunc))
-            else:
-                summaries[name] = (False, {}, {}, 0)
-    finally:
-        machine._current_function = saved
-    return summaries
-
-
-def _static_size(cfunc) -> int:
-    return sum(len(blk.instrs) for blk in cfunc.blocks)
-
-
 def _render_driver(machine: Machine, cfunc, int_cells: bool,
-                   summaries: dict) -> str:
+                   facts: dict) -> str:
     """One generated function executing whole blocks of ``cfunc``.
 
     ``driver(m, ic, stop, bi)`` runs from block ``bi`` until a side
@@ -1228,21 +1315,18 @@ def _render_driver(machine: Machine, cfunc, int_cells: bool,
     place in the chain, so the pause-safety predicate is
     per-block-activation regardless of fusion.
     """
-    local_int, local_float = _plan_locals(machine, cfunc, summaries)
+    local_int, local_float = _plan_locals(machine, cfunc, facts)
     emitter = _Emitter(machine, cfunc.name, cfunc.block_index, whole=True,
                        int_cells=int_cells, local_int=local_int,
-                       local_float=local_float, call_summaries=summaries)
-    emitter.inline_limit = _INLINE_BUDGET * _static_size(cfunc)
-    bodies = _render_block_loops(emitter, cfunc,
-                                 lambda cur: [f"return {cur}"])
-    dispatch = _dispatch_tree(bodies, 0, len(cfunc.blocks), "    ")
-    loop = ["while True:"] + dispatch
+                       local_float=local_float, facts=facts)
+    emitter.inline_limit = _INLINE_BUDGET * facts[cfunc.name].size
+    loop = ["while True:"] + _render_block_loops(
+        emitter, cfunc, lambda cur: [f"return {cur}"])
     return emitter.assemble("_driver", "m, ic, stop, bi", loop)
 
 
-def _render_block_loops(emitter: _Emitter, cfunc, fuel_stop
-                        ) -> dict[int, list[str]]:
-    """Leaf-loop bodies for every block of ``cfunc``.
+def _render_block_loops(emitter: _Emitter, cfunc, fuel_stop) -> list[str]:
+    """The dispatch tree over every block of ``cfunc``, one level in.
 
     Each block's dispatch entry is its own inner loop: a back-edge to
     the entry block is a bare ``continue`` (no dispatch round trip,
@@ -1251,23 +1335,22 @@ def _render_block_loops(emitter: _Emitter, cfunc, fuel_stop
     ``emitter.dispatch_var``.  Each unowned block's entry runs the
     chain of owned (chain-interior) successors it heads, so each block
     is rendered exactly once.  ``fuel_stop(cur)`` supplies the exit
-    lines for a block that cannot complete under ``stop`` (emitted
-    after the icount sync): a driver returns the block index; an
-    inlined callee returns the ``-7 - block`` encoding with the callee
-    pending.  A repair block's entry is nothing but that fuel stop, and
-    no chain runs into one, so the interpreter runs every repair.  An
-    owned block's entry is the same fuel stop: only the interpreter
-    dispatches there (a repair's ``JMP`` back, a pause, bail or restore
-    inside the chain), and it interprets on to the next block with an
-    entry.
+    lines for a block ``cur`` (a literal or the dispatch variable) that
+    cannot complete under ``stop`` (emitted after the icount sync): a
+    driver returns the block index; an inlined callee returns the ``-7
+    - block`` encoding with the callee pending.  An interpreted block's
+    entry (``_Facts.interpreted``) is nothing but that fuel stop, and no
+    chain runs into one, so the interpreter runs it.  An owned block's
+    entry is the same fuel stop: only the interpreter dispatches there
+    (a repair's ``JMP`` back, a pause, bail or restore inside the
+    chain), and it interprets on to the next block with an entry.
     """
-    owners = _owners(cfunc)
-    repair = _repair_blocks(cfunc)
+    f = emitter.facts[cfunc.name]
+    owners, interpreted = f.owners, f.interpreted
     nblocks = len(cfunc.blocks)
     bodies: dict[int, list[str]] = {}
     for b, owner in enumerate(owners):
-        if b in repair or owner is not None:
-            bodies[b] = ["m.icount = ic", *fuel_stop(b)]
+        if b in interpreted or owner is not None:
             continue
         chain: list[str] = []
         emitter.chain_entry = b
@@ -1293,13 +1376,15 @@ def _render_block_loops(emitter: _Emitter, cfunc, fuel_stop
             if target == b:
                 chain.append("continue")
                 break
-            if owners[target] != cur or target in repair:
+            if owners[target] != cur or target in interpreted:
                 chain.append(f"{emitter.dispatch_var} = {target}")
                 chain.append("break")
                 break
             cur = target
         bodies[b] = ["while True:"] + ["    " + line for line in chain]
-    return bodies
+    var = emitter.dispatch_var
+    return _dispatch_tree(bodies, 0, nblocks, "    ", var,
+                          ["m.icount = ic", *fuel_stop(var)])
 
 
 def _render_resume(machine: Machine, cfunc, b: int, entry: int,
@@ -1313,15 +1398,21 @@ def _render_resume(machine: Machine, cfunc, b: int, entry: int,
 
 
 def _compile_function(machine: Machine, cfunc, int_cells: bool,
-                      summaries: dict):
+                      facts: dict):
+    interpreted = facts[cfunc.name].interpreted
+    if len(interpreted) == len(cfunc.blocks):
+        # Nothing to compile: the function runs interpreted, exactly as
+        # if it had no template (the dispatch loop handles a missing
+        # driver).
+        return (None, {}), ""
     machine._current_function = cfunc.name
     pieces: list[str] = []
     resume_specs: list[tuple[int, int, str, int]] = []
-    count = 0
     try:
-        pieces.append(_render_driver(machine, cfunc, int_cells, summaries))
-        count += 1
+        pieces.append(_render_driver(machine, cfunc, int_cells, facts))
         for b, blk in enumerate(cfunc.blocks):
+            if b in interpreted:
+                continue
             for j, instr in enumerate(blk.instrs):
                 if instr.op is Opcode.CALL and j + 1 < len(blk.instrs):
                     name = f"_resume_{b}_{j + 1}"
@@ -1329,18 +1420,17 @@ def _compile_function(machine: Machine, cfunc, int_cells: bool,
                         machine, cfunc, b, j + 1, name, int_cells))
                     resume_specs.append((b, j + 1, name,
                                          len(blk.instrs) - (j + 1)))
-                    count += 1
     except _Uncompilable:
         # An opcode without a template: leave the whole function to the
-        # interpreter (the dispatch loop handles a missing driver).
-        return (None, {}), "", 0
+        # interpreter.
+        return (None, {}), ""
     source = "\n\n".join(pieces)
     namespace = dict(_GLOBALS)
     code = compile(source, f"<jit:{cfunc.name}>", "exec")
     exec(code, namespace)  # noqa: S102 - our own generated source
     resumes = {(b, i): (namespace[name], need)
                for b, i, name, need in resume_specs}
-    return (namespace["_driver"], resumes), source, count
+    return (namespace["_driver"], resumes), source
 
 
 def compile_program(machine: Machine) -> JitProgram:
@@ -1349,7 +1439,6 @@ def compile_program(machine: Machine) -> JitProgram:
     tables = {}
     sources = {}
     interpreted = set()
-    count = 0
     # Floats can only reach memory via FSTORE or the initial data
     # image; absent both, every LOAD can skip its coercion check.
     int_cells = not any(
@@ -1360,19 +1449,18 @@ def compile_program(machine: Machine) -> JitProgram:
         isinstance(v, float) for v in machine._initial_cells.values()
     )
     try:
-        summaries = _call_summaries(machine)
+        facts = _program_facts(machine)
         for name, cfunc in machine.functions.items():
-            table, source, segments = _compile_function(
-                machine, cfunc, int_cells, summaries)
+            table, source = _compile_function(machine, cfunc, int_cells,
+                                              facts)
             tables[name] = table
             sources[name] = source
-            count += segments
             left = (range(len(cfunc.blocks)) if table[0] is None
-                    else _repair_blocks(cfunc))
+                    else facts[name].interpreted)
             interpreted.update((name, cfunc.blocks[b].name) for b in left)
     finally:
         machine._current_function = saved
-    return JitProgram(tables, sources, count, frozenset(interpreted))
+    return JitProgram(tables, sources, frozenset(interpreted))
 
 
 # One compiled JitProgram per *program identity*, shared by every

@@ -10,8 +10,30 @@ scheduling, protected/unprotected) is a genuine transformation bug.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 
 from repro.isa import Function, IRBuilder, Imm, Program
+
+
+@contextmanager
+def repeat(builder: IRBuilder, passes: int, label: str = "loop",
+           then: str | None = "after"):
+    """Build the code of the ``with`` body as a counted loop that runs
+    ``passes`` times, then open block ``then`` (none if ``None``).
+
+    The block JIT compiles only code that can run more than once per
+    program run -- loop blocks and functions called from one -- so a
+    test that means to run compiled code builds it in here; one pass
+    keeps a straight-line body's output unchanged.
+    """
+    count = builder.li(passes)
+    builder.jmp(label)
+    builder.start_block(label)
+    yield
+    builder.sub(count, 1, dest=count)
+    builder.bne(count, 0, label)
+    if then is not None:
+        builder.start_block(then)
 
 
 def random_program(seed: int, num_blocks: int = 4,
@@ -21,6 +43,8 @@ def random_program(seed: int, num_blocks: int = 4,
     The CFG is a chain of blocks, each optionally guarded by a bounded
     loop; the instruction mix covers arithmetic, logical, shift,
     compare, memory, and move operations over a scratch global array.
+    All of it runs in a loop that makes one pass, so the block JIT
+    compiles every block but the entry and exit blocks.
     """
     rng = random.Random(seed)
     program = Program()
@@ -30,6 +54,14 @@ def random_program(seed: int, num_blocks: int = 4,
     builder = IRBuilder(fn)
     builder.start_block("entry")
     program.assign_addresses()
+    with repeat(builder, 1, label="once", then="exit"):
+        _random_body(rng, program, builder, num_blocks, instrs_per_block)
+    builder.ret()
+    fn.renumber_pool()
+    return program
+
+
+def _random_body(rng, program, builder, num_blocks, instrs_per_block):
     base = builder.li(program.address_of("scratch"))
 
     # A pool of live registers to draw operands from.
@@ -115,6 +147,3 @@ def random_program(seed: int, num_blocks: int = 4,
     builder.blt(index, 32, "digest")
     builder.start_block("done")
     builder.print_(total)
-    builder.ret()
-    fn.renumber_pool()
-    return program

@@ -14,7 +14,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irgen import random_program
+from irgen import random_program, repeat
 from repro.eval import prepare_machine
 from repro.faults import campaign as campaign_module
 from repro.faults import parallel as parallel_module
@@ -71,6 +71,16 @@ def _binaries(seed):
                                           Technique.TRUMP)]
 
 
+def _assert_main_compiled(machine):
+    """A random program's ``main`` is compiled but for its entry and
+    exit blocks (outside its one-pass loop) and repair blocks."""
+    assert jit_program_for(machine).tables("main")[0] is not None
+    facts = jit._program_facts(machine)["main"]
+    blocks = machine.functions["main"].blocks
+    assert {blocks[b].name for b in facts.interpreted - facts.repair} \
+        == {"entry", "exit"}
+
+
 # --------------------------------------------------------------- fuzz
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=100_000))
@@ -80,6 +90,7 @@ def test_differential_fuzz_golden_and_faulty(seed):
     architectural state."""
     for binary in _binaries(seed):
         jit_machine, ref_machine = _machine_pair(binary)
+        _assert_main_compiled(jit_machine)
         jit_golden = golden_run(jit_machine)
         ref_golden = golden_run(ref_machine)
         assert jit_golden == ref_golden, (seed, "golden")
@@ -100,6 +111,7 @@ def test_differential_fuzz_campaign_telemetry(seed):
     """Whole campaigns agree trial for trial, including the telemetry
     records a CampaignLog captures (fault site, outcome, latency)."""
     binary = _binaries(seed)[1]
+    _assert_main_compiled(Machine(binary))
     logs = {}
     results = {}
     for jit in (True, False):
@@ -111,37 +123,61 @@ def test_differential_fuzz_campaign_telemetry(seed):
     assert logs[True].to_dicts() == logs[False].to_dicts()
 
 
-def _load_program(address):
-    """main: print(load(address)); ret -- one LOAD, nothing else."""
+def _load_program(address, op):
+    """main: print(load(address)) in a loop that runs twice -- one LOAD
+    or FLOAD (printed through CVTFI), nothing else."""
     program = Program()
     fn = Function("main")
     program.add_function(fn)
     builder = IRBuilder(fn)
     builder.start_block("entry")
     program.assign_addresses()
-    base = builder.li(address)
-    builder.print_(builder.load(base))
+    with repeat(builder, 2):
+        base = builder.li(address)
+        if op is Opcode.LOAD:
+            builder.print_(builder.load(base))
+        else:
+            builder.print_(builder.cvtfi(builder.fload(base)))
     builder.ret()
     fn.renumber_pool()
     return program
 
 
-def test_load_miss_paths_match_interpreter():
-    """Regression: the compiled LOAD's fast path subscripts ``cells``
-    directly and only a miss runs the interpreter's full check.  Both
-    miss flavours -- a mapped-but-never-written word (reads as zero)
-    and an unmapped address (segfault) -- must behave identically to
-    the interpreter.  (The miss handler once referenced a name absent
-    from the generated code's emptied-builtins namespace, which no
+def test_load_miss_paths_match_interpreter(monkeypatch):
+    """Regression: the compiled LOAD's and FLOAD's fast path subscripts
+    ``cells`` directly and only a miss checks the address.  Every miss
+    flavour -- a mapped-but-never-written word (reads as zero,
+    compiled), and an unmapped or misaligned address (bails; the
+    interpreter segfaults) -- must behave identically to the
+    interpreter.  (The miss handler once referenced a name absent from
+    the generated code's emptied-builtins namespace, which no
     golden-path test could see.)"""
-    for address in (HEAP_BASE,          # mapped, never stored: loads 0
-                    HEAP_BASE - 8,      # unmapped: segfault trap
-                    HEAP_BASE + 1):     # misaligned: segfault trap
-        program = _load_program(address)
-        jit_machine, ref_machine = _machine_pair(program)
-        jit_result = golden_run(jit_machine)
-        assert jit_result == golden_run(ref_machine), hex(address)
-        assert _final_state(jit_machine) == _final_state(ref_machine)
+    bails = []
+    real = jit._GLOBALS["_bail"]
+
+    def recording(m, icount, func, block, index):
+        bails.append(icount)
+        return real(m, icount, func, block, index)
+
+    monkeypatch.setitem(jit._GLOBALS, "_bail", recording)
+    for op in (Opcode.LOAD, Opcode.FLOAD):
+        for address, bail in ((HEAP_BASE, False),      # never stored: 0
+                              (HEAP_BASE - 8, True),   # unmapped
+                              (HEAP_BASE + 1, True)):  # misaligned
+            where = (op.name, hex(address))
+            program = _load_program(address, op)
+            jit_machine, ref_machine = Machine(program), Machine(program)
+            jit_machine.jit = jit.compile_program(jit_machine)
+            assert jit_machine.jit.tables("main")[0] is not None
+            bails.clear()
+            jit_result = golden_run(jit_machine)
+            assert jit_result == golden_run(ref_machine), where
+            assert _final_state(jit_machine) == _final_state(ref_machine)
+            assert jit_result.status.value == (
+                "trapped" if bail else "exited"), where
+            # A bad address bails at the load, after the loop's set-up
+            # (li, jmp) and the address's li.
+            assert bails == ([3] if bail else []), where
 
 
 # --------------------------------------- mid-block injection side exits
@@ -151,6 +187,7 @@ def test_mid_block_injection_every_icount():
     the interpreter, at the pause and at the end of the faulty run."""
     binary = _binaries(11)[1]
     jit_machine, ref_machine = _machine_pair(binary)
+    _assert_main_compiled(jit_machine)
     golden = golden_run(ref_machine)
     assert golden_run(jit_machine) == golden
     span = min(golden.instructions, 240)
@@ -219,6 +256,36 @@ def test_inlined_leaf_pause_at_every_icount():
     assert repaired
 
 
+@pytest.mark.parametrize("technique", [Technique.NOFT, Technique.TRUMP],
+                         ids=lambda t: t.value)
+def test_pause_at_every_icount_in_interpreted_code_of_compiled_function(
+        technique):
+    """``main`` has a driver for its loop, but its code outside the loop
+    runs once per run, so those blocks are interpreted: their dispatch
+    entries are fuel stops.  Pausing at every icount inside them, with
+    a register flip at each pause, matches the interpreter at the pause
+    and at the end of the run."""
+    binary = allocate_program(protect(compile_source(_LEAF_SOURCE),
+                                      technique))
+    jit_machine, ref_machine = _machine_pair(binary)
+    compiled = jit_program_for(jit_machine)
+    assert compiled.tables("main")[0] is not None
+    ref_machine.reset()
+    icounts = []
+    icount = 0
+    while True:
+        func, block, _ = ref_machine._position
+        if (func.name, func.blocks[block].name) in compiled.interpreted:
+            assert compiled.tables(func.name)[0] is not None
+            icounts.append(icount)
+        if ref_machine.run(icount + 1).status.value != "paused":
+            break
+        icount += 1
+    assert len(icounts) >= 10
+    for icount in icounts:
+        _flip_and_finish(jit_machine, ref_machine, icount)
+
+
 # ------------------------------------------ entries into chain interiors
 # A block reached only by its unique predecessor's fallthrough or JMP is
 # rendered only inside that predecessor's chain, and its own dispatch
@@ -231,13 +298,11 @@ _CHAIN_TECHNIQUES = pytest.mark.parametrize(
 
 
 def _chain_interior(machine):
-    """``(function, block)`` of every chain-interior block."""
+    """``(function, block)`` of every compiled chain-interior block."""
     interior = set()
-    for name, cfunc in machine.functions.items():
-        repair = jit._repair_blocks(cfunc)
-        interior.update((name, b)
-                        for b, owner in enumerate(jit._owners(cfunc))
-                        if owner is not None and b not in repair)
+    for name, facts in jit._program_facts(machine).items():
+        interior.update((name, b) for b, owner in enumerate(facts.owners)
+                        if owner is not None and b not in facts.interpreted)
     return interior
 
 
@@ -302,13 +367,13 @@ def test_pause_and_restore_at_every_chain_interior_block(technique):
 def _longest_chain(machine):
     """``(instructions, function, blocks)`` of the longest chain."""
     best = (0, None, [])
-    for name, cfunc in machine.functions.items():
-        repair = jit._repair_blocks(cfunc)
-        owners = jit._owners(cfunc)
+    for name, facts in jit._program_facts(machine).items():
+        cfunc = machine.functions[name]
+        owners, interpreted = facts.owners, facts.interpreted
         interior = {owner: b for b, owner in enumerate(owners)
-                    if owner is not None and b not in repair}
+                    if owner is not None and b not in interpreted}
         for head, owner in enumerate(owners):
-            if owner is not None or head in repair:
+            if owner is not None or head in interpreted:
                 continue
             chain = [head]
             while chain[-1] in interior:
@@ -339,8 +404,9 @@ def test_recovery_jump_lands_on_chain_interior_block():
     interior = _chain_interior(ref_machine)
     arrivals = _first_arrivals(ref_machine)
     checks = set()
+    facts = jit._program_facts(ref_machine)
     for name, cfunc in ref_machine.functions.items():
-        owners = jit._owners(cfunc)
+        owners = facts[name].owners
         for blk in cfunc.blocks:
             for instr in blk.instrs:
                 if instr.op is Opcode.JMP and instr.role is Role.RECOVERY:
@@ -363,7 +429,8 @@ def test_recovery_jump_lands_on_chain_interior_block():
 # Each site below reaches one cold path the compiled code leaves to the
 # interpreter ("bails"): the interpreter picks up at the exact
 # instruction, with the exact icount, and raises any trap itself.  All
-# but the valid first store bail.
+# but the valid first store and the load of a mapped word never stored
+# bail.
 def _wild_run(b):
     """A same-base access run off an unmapped base: SEGV at its first
     access."""
@@ -389,6 +456,11 @@ def _load_miss(b):
     nonzero register, so a skipped load would show)."""
     dest = b.li(5)
     b.print_(b.load(b.li(HEAP_BASE + 64), dest=dest))
+
+
+def _unmapped_load(b):
+    """A single load of an unmapped word: SEGV."""
+    b.print_(b.load(b.li(HEAP_BASE - 8)))
 
 
 def _first_store(b):
@@ -421,34 +493,36 @@ def _param_out_of_range(b):
 
 def _bail_program(site, placement):
     """``site`` inside ``main``'s driver, inside the post-CALL resume
-    segment of ``main``'s entry block (the call goes to a non-leaf, so
-    it side-exits), or inside a leaf that ``main`` inlines."""
+    segment of ``main``'s loop block (the call goes to a non-leaf, so
+    it side-exits), or inside a leaf that ``main`` inlines there.  The
+    loop runs twice: code that runs once per run is not compiled."""
     program = Program()
     functions = [Function("main")]
     b = IRBuilder(functions[0])
     b.start_block("entry")
     program.assign_addresses()
-    b.print_(b.li(1))
-    if placement == "driver":
-        site(b)
-    elif placement == "resume":
-        b.call("outer", want_result=False)
-        site(b)
-        for name, callee in (("outer", "inner"), ("inner", None)):
-            functions.append(Function(name))
-            callee_b = IRBuilder(functions[-1])
-            callee_b.start_block("entry")
-            if callee:
-                callee_b.call(callee, want_result=False)
-            callee_b.print_(callee_b.li(7))
-            callee_b.ret()
-    else:
-        b.call("leaf", want_result=False)
-        functions.append(Function("leaf"))
-        leaf_b = IRBuilder(functions[-1])
-        leaf_b.start_block("entry")
-        site(leaf_b)
-        leaf_b.ret()
+    with repeat(b, 2):
+        b.print_(b.li(1))
+        if placement == "driver":
+            site(b)
+        elif placement == "resume":
+            b.call("outer", want_result=False)
+            site(b)
+            for name, callee in (("outer", "inner"), ("inner", None)):
+                functions.append(Function(name))
+                callee_b = IRBuilder(functions[-1])
+                callee_b.start_block("entry")
+                if callee:
+                    callee_b.call(callee, want_result=False)
+                callee_b.print_(callee_b.li(7))
+                callee_b.ret()
+        else:
+            b.call("leaf", want_result=False)
+            functions.append(Function("leaf"))
+            leaf_b = IRBuilder(functions[-1])
+            leaf_b.start_block("entry")
+            site(leaf_b)
+            leaf_b.ret()
     b.print_(b.li(2))
     b.ret()
     for fn in functions:
@@ -459,7 +533,8 @@ def _bail_program(site, placement):
 
 @pytest.mark.parametrize("placement", ["driver", "resume", "leaf"])
 @pytest.mark.parametrize("site", [_wild_run, _straddling_run, _load_miss,
-                                  _first_store, _bad_first_store,
+                                  _unmapped_load, _first_store,
+                                  _bad_first_store,
                                   _div_by_zero, _rem_by_zero_constant,
                                   _cvtfi_of_inf, _param_out_of_range],
                          ids=lambda f: f.__name__.strip("_"))
@@ -489,9 +564,11 @@ def test_bail_matches_interpreter_at_every_pause(site, placement,
     golden = golden_run(ref_machine)
     assert golden_run(jit_machine) == golden
     assert _final_state(jit_machine) == _final_state(ref_machine)
-    # A valid first store stays compiled; every other site bails.
+    # A valid first store and a load of a word never stored stay
+    # compiled; every other site bails.
     expected = "leaf" if placement == "leaf" else "main"
-    assert set(bails) == (set() if site is _first_store else {expected})
+    assert set(bails) == (set() if site in (_first_store, _load_miss)
+                          else {expected})
 
     for icount in range(golden.instructions + 1):
         results = []
@@ -506,17 +583,21 @@ def test_bail_matches_interpreter_at_every_pause(site, placement,
 
 
 # Straight-line code over bounded loads, so TRUMP AN-codes its values
-# (and emits repair blocks) as well as SWIFT-R.
+# (and emits repair blocks) as well as SWIFT-R.  ``main`` calls it from
+# a loop, so it is compiled.
 _REPAIR_SOURCE = """
 int data[6] = { 7, 1, 8, 2, 8, 1 };
 int out[6];
-int main() {
+int work(int k) {
     int a = data[0] + data[1];
     int b = a + data[2] - data[3];
     out[0] = a;
     out[1] = b + data[4];
     if (b > 10) { print(b); }
-    print(a + b + data[5]);
+    return a + b + data[5];
+}
+int main() {
+    for (int k = 0; k < 2; k++) { print(work(k)); }
     return 0;
 }
 """
@@ -525,18 +606,24 @@ int main() {
 @pytest.mark.parametrize("inline", [False, True], ids=["driver", "leaf"])
 def test_falling_off_a_function_traps_like_the_interpreter(inline):
     """A function whose last block has no terminator bails at its end;
-    the interpreter raises the wild-PC trap, in ``main`` or in an
-    inlined leaf."""
+    the interpreter raises the wild-PC trap, in ``main`` (its last
+    block is a loop) or in a leaf inlined in ``main``'s loop."""
     program = Program()
     names = ["main", "leaf"] if inline else ["main"]
     for name in names:
         fn = Function(name)
         b = IRBuilder(fn)
         b.start_block("entry")
-        b.print_(b.li(3))
-        if name == "main" and inline:
-            b.call("leaf", want_result=False)
-            b.ret()
+        if name == "main":
+            with repeat(b, 2, then="done" if inline else None):
+                if inline:
+                    b.call("leaf", want_result=False)
+                else:
+                    b.print_(b.li(3))
+            if inline:
+                b.ret()
+        else:
+            b.print_(b.li(3))
         fn.renumber_pool()
         program.add_function(fn)
     jit_machine, ref_machine = _machine_pair(program)
@@ -575,8 +662,9 @@ def test_repairs_run_interpreted_and_count_the_same(technique):
                          ids=lambda t: t.value)
 def test_generated_code_leaves_cold_paths_out(technique, monkeypatch):
     """No repair block is rendered (each one's dispatch entry is a fuel
-    stop, and it is listed as interpreted), no compiled code counts a
-    recovery, and no compiled code checks a memory address."""
+    stop, and it is listed as interpreted), nor is ``main``'s run-once
+    code; no compiled code counts a recovery, and no compiled code
+    checks a memory address."""
     rendered = []
     real = jit._Emitter.emit_body
 
@@ -589,12 +677,17 @@ def test_generated_code_leaves_cold_paths_out(technique, monkeypatch):
                                       technique))
     machine = Machine(binary)
     compiled = jit.compile_program(machine)
-    repair = {(name, b) for name, cfunc in machine.functions.items()
-              for b in jit._repair_blocks(cfunc)}
-    assert repair
-    assert not repair & set(rendered)
+    facts = jit._program_facts(machine)
+    assert facts["work"].repair
+    # ``work`` runs in a loop, so only its repairs are left out.
+    assert facts["work"].interpreted == facts["work"].repair
+    interpreted = {(name, b) for name, f in facts.items()
+                   for b in f.interpreted}
+    assert ("work", 0) in set(rendered)
+    assert not interpreted & set(rendered)
     assert compiled.interpreted == {
-        (name, machine.functions[name].blocks[b].name) for name, b in repair}
+        (name, machine.functions[name].blocks[b].name)
+        for name, b in interpreted}
     for source in compiled.sources.values():
         assert "m.recoveries" not in source
         assert "m.memory.check" not in source

@@ -1,13 +1,15 @@
 """Generated-code size of the block JIT (repro.sim.jit).
 
-Every block is rendered once -- a block nothing dispatches to only in
-its owner's chain, every other block only at its own dispatch entry --
-the dirty-local writeback is one shared ``finally`` per function, and
-leaf inlining stops at a per-function budget: together these keep
-generated Python linear in program size.  These tests hold that bound
-and the render-once rule on every paper cell and on random programs,
-and pin the budget's fallback: a leaf call past the budget is a plain
-side exit, still bit-identical to the interpreter.
+Every compiled block is rendered once -- a block nothing dispatches to
+only in its owner's chain, every other block only at its own dispatch
+entry -- code that runs a bounded number of times per run and repair
+blocks are not rendered at all, the dirty-local writeback is one shared
+``finally`` per function, and leaf inlining stops at a per-function
+budget: together these keep generated Python linear in program size.
+These tests hold that bound and the render-once rule on every paper
+cell and on random programs, pin which code stays interpreted, and pin
+the budget's fallback: a leaf call past the budget is a plain side
+exit, still bit-identical to the interpreter.
 """
 
 from collections import Counter
@@ -18,6 +20,7 @@ from irgen import random_program
 from repro.eval import prepare_machine
 from repro.faults.injector import golden_run, run_with_fault
 from repro.faults.model import sample_sites
+from repro.lang import compile_source
 from repro.sim import Machine
 from repro.sim import jit
 from repro.transform import (PAPER_TECHNIQUES, Technique, allocate_program,
@@ -26,24 +29,24 @@ from repro.workloads import PAPER_BENCHMARKS
 
 # Generated source lines allowed per static instruction of a program.
 # Every paper cell renders at most ~8 today: each block is rendered
-# once, and cold paths (access-run slow paths, load misses, bad stores,
-# SWIFT-R/TRUMP repair blocks) bail to the interpreter instead of being
-# compiled.
+# once, and cold paths (access-run slow paths, bad loads and stores,
+# SWIFT-R/TRUMP repair blocks, run-once code) are left to the
+# interpreter instead of being compiled.
 LINES_PER_INSTRUCTION = 12
 
 
 @pytest.fixture
 def render_counts(monkeypatch):
     """Record whole-mode ``emit_body`` calls per block, one ``(cfunc,
-    Counter)`` entry per driver and per inline expansion."""
+    facts, Counter)`` entry per driver and per inline expansion."""
     renders = []
     open_counts = []
     real_loops = jit._render_block_loops
     real_body = jit._Emitter.emit_body
 
     def loops(emitter, cfunc, fuel_stop):
-        renders.append((cfunc, Counter()))
-        open_counts.append(renders[-1][1])
+        renders.append((cfunc, emitter.facts[cfunc.name], Counter()))
+        open_counts.append(renders[-1][2])
         try:
             return real_loops(emitter, cfunc, fuel_stop)
         finally:
@@ -60,13 +63,13 @@ def render_counts(monkeypatch):
 
 
 def _assert_rendered_once(renders):
-    """Every non-repair block once per driver or expansion; no repair
-    block at all."""
+    """Every compiled block once per driver or expansion; no
+    interpreted block at all."""
     assert renders
-    for cfunc, counts in renders:
-        repair = jit._repair_blocks(cfunc)
+    for cfunc, facts, counts in renders:
         assert {b: counts[b] for b in range(len(cfunc.blocks))} == {
-            b: int(b not in repair) for b in range(len(cfunc.blocks))
+            b: int(b not in facts.interpreted)
+            for b in range(len(cfunc.blocks))
         }, cfunc.name
 
 
@@ -77,8 +80,12 @@ def test_paper_cell_codegen_is_linear(bench, technique, render_counts):
     machine = prepare_machine(bench, technique)
     compiled = jit.compile_program(machine)
     _assert_rendered_once(render_counts)
-    assert all(driver is not None
-               for driver, _resumes in compiled.tables_by_name.values())
+    # A function has a driver unless all of it runs interpreted.
+    facts = jit._program_facts(machine)
+    for name, (driver, _resumes) in compiled.tables_by_name.items():
+        assert (driver is None) == (
+            len(facts[name].interpreted)
+            == len(machine.functions[name].blocks)), name
     lines = sum(src.count("\n") for src in compiled.sources.values())
     assert lines <= LINES_PER_INSTRUCTION * machine.program.num_instructions()
     # Recoveries are counted, and memory traps raised, only by the
@@ -93,8 +100,71 @@ def test_random_programs_render_each_block_once(seed, render_counts):
     for binary in [program] + [allocate_program(protect(program, technique))
                                for technique in (Technique.SWIFTR,
                                                  Technique.TRUMP)]:
-        jit.compile_program(Machine(binary))
+        machine = Machine(binary)
+        assert jit.compile_program(machine).tables("main")[0] is not None
+        # Only the entry and exit blocks lie outside the one-pass loop
+        # that holds a random program.
+        facts = jit._program_facts(machine)["main"]
+        blocks = machine.functions["main"].blocks
+        assert {blocks[b].name for b in facts.interpreted - facts.repair} \
+            == {"entry", "exit"}
     _assert_rendered_once(render_counts)
+
+
+_HOT_SOURCE = """
+int data[8] = { 3, 1, 4, 1, 5, 9, 2, 6 };
+int sq(int x) { return x * x; }
+int half(int x) { return x / 2; }
+int depth(int n) {
+    if (n > 0) { return depth(n - 1) + half(n); }
+    return 0;
+}
+int setup(int n) {
+    int t = n;
+    for (int i = 0; i < n; i++) { t = t * 3 + data[i]; }
+    return t & 255;
+}
+int main() {
+    int s = setup(3);
+    for (int i = 0; i < 8; i++) { s += sq(data[i]); }
+    print(s + depth(3));
+    return 0;
+}
+"""
+
+
+def test_run_once_code_stays_interpreted(render_counts):
+    """A function called from a loop block (``sq``), from itself
+    (``depth``) or from a hot function (``half``) is hot, and all of it
+    but its repair blocks (here ``depth``'s unreachable block) is
+    rendered.  In every other function (``main``, ``setup``) only the
+    loop blocks are rendered: each block outside its loops is a fuel
+    stop listed in ``JitProgram.interpreted``.  The program runs as it
+    does on the interpreter."""
+    machine = Machine(compile_source(_HOT_SOURCE))
+    compiled = jit.compile_program(machine)
+    facts = jit._program_facts(machine)
+    assert jit._hot_functions(facts) == {"sq", "half", "depth"}
+    interpreted = set()
+    for name, cfunc in machine.functions.items():
+        f = facts[name]
+        if name in ("sq", "half", "depth"):
+            assert f.interpreted == f.repair
+        else:
+            assert any(f.loops) and not all(f.loops)
+            assert f.interpreted == {b for b, loop in enumerate(f.loops)
+                                     if not loop}
+        interpreted |= {(name, cfunc.blocks[b].name)
+                        for b in f.interpreted}
+    assert compiled.interpreted == interpreted
+    _assert_rendered_once(render_counts)
+    # ``sq`` is expanded in ``main``'s loop; ``depth`` is not a leaf.
+    assert [cfunc.name for cfunc, _f, _c in render_counts].count("sq") == 2
+    assert "_cb = 0" in compiled.sources["main"]
+
+    jit_machine = Machine(machine.program)
+    jit_machine.jit = compiled
+    assert golden_run(jit_machine) == golden_run(Machine(machine.program))
 
 
 def test_inline_budget_falls_back_to_side_exit_call(monkeypatch):

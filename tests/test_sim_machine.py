@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from irgen import repeat
 from repro.isa import (
     FImm,
     Function,
@@ -465,65 +466,68 @@ def _int_cases(op):
 
 def _semantics_program():
     """Every templated opcode in every operand shape it has, each
-    result printed; returns the program and the expected output."""
+    result printed; returns the program and the expected output.  The
+    code sits in a loop that makes one pass, so that the JIT compiles
+    it."""
     program = Program()
     fn = Function("main")
     program.add_function(fn)
     b = IRBuilder(fn)
     b.start_block("entry")
-    x, y, r = b.new_reg(), b.new_reg(), b.new_reg()
-    fx, fy, fr = b.new_freg(), b.new_freg(), b.new_freg()
-    expected = []
+    with repeat(b, 1):
+        x, y, r = b.new_reg(), b.new_reg(), b.new_reg()
+        fx, fy, fr = b.new_freg(), b.new_freg(), b.new_freg()
+        expected = []
 
-    def operands(a, bv, shape, fl=False):
-        load = b.fli if fl else b.li
-        left = load(a, dest=fx if fl else x) if shape[0] == "r" else a
-        right = load(bv, dest=fy if fl else y) if shape[1] == "r" else bv
-        return left, right
+        def operands(a, bv, shape, fl=False):
+            load = b.fli if fl else b.li
+            left = load(a, dest=fx if fl else x) if shape[0] == "r" else a
+            right = load(bv, dest=fy if fl else y) if shape[1] == "r" else bv
+            return left, right
 
-    for op in REFERENCE:
-        if op in (*_BRANCHES, Opcode.NEG, Opcode.NOT, Opcode.FNEG):
-            continue
-        fl = op in _FLOAT_BINOPS or op in _FLOAT_COMPARES
-        cases = ([(a, c) for a in FLOATS for c in FLOATS] if fl
-                 else _int_cases(op))
-        shapes = ("rr",) if op in _FLOAT_COMPARES else ("rr", "ri", "ir")
-        for shape in shapes:
-            for a, c in cases:
-                left, right = operands(a, c, shape, fl)
-                if op in _FLOAT_BINOPS:
-                    b._binop(op, left, right, fr, is_float=True)
-                    b.fprint(fr)
-                else:
-                    b._binop(op, left, right, r)
-                    b.print_(r)
-                expected.append(REFERENCE[op](a, c))
-    for op in (Opcode.NEG, Opcode.NOT):
-        for a in EDGES:
-            b.emit(Instruction(op, dest=r, srcs=(b.li(a, dest=x),)))
+        for op in REFERENCE:
+            if op in (*_BRANCHES, Opcode.NEG, Opcode.NOT, Opcode.FNEG):
+                continue
+            fl = op in _FLOAT_BINOPS or op in _FLOAT_COMPARES
+            cases = ([(a, c) for a in FLOATS for c in FLOATS] if fl
+                     else _int_cases(op))
+            shapes = ("rr",) if op in _FLOAT_COMPARES else ("rr", "ri", "ir")
+            for shape in shapes:
+                for a, c in cases:
+                    left, right = operands(a, c, shape, fl)
+                    if op in _FLOAT_BINOPS:
+                        b._binop(op, left, right, fr, is_float=True)
+                        b.fprint(fr)
+                    else:
+                        b._binop(op, left, right, r)
+                        b.print_(r)
+                    expected.append(REFERENCE[op](a, c))
+        for op in (Opcode.NEG, Opcode.NOT):
+            for a in EDGES:
+                b.emit(Instruction(op, dest=r, srcs=(b.li(a, dest=x),)))
+                b.print_(r)
+                b.emit(Instruction(op, dest=r, srcs=(Imm(a),)))
+                b.print_(r)
+                expected += [REFERENCE[op](a)] * 2
+        for a in FLOATS:
+            b.fneg(b.fli(a, dest=fx), dest=fr)
+            b.fprint(fr)
+            expected.append(-a)
+        for k, (op, shape, a, c) in enumerate(
+                (op, shape, a, c) for op in _BRANCHES
+                for shape in ("rr", "ri", "ir")
+                for a in EDGES for c in EDGES):
+            left, right = operands(a, c, shape)
+            b.li(0, dest=r)
+            b.emit(Instruction(op, srcs=(b._operand(left), b._operand(right)),
+                               label=f"taken{k}"))
+            b.start_block(f"fall{k}")
+            b.jmp(f"join{k}")
+            b.start_block(f"taken{k}")
+            b.li(1, dest=r)
+            b.start_block(f"join{k}")
             b.print_(r)
-            b.emit(Instruction(op, dest=r, srcs=(Imm(a),)))
-            b.print_(r)
-            expected += [REFERENCE[op](a)] * 2
-    for a in FLOATS:
-        b.fneg(b.fli(a, dest=fx), dest=fr)
-        b.fprint(fr)
-        expected.append(-a)
-    for k, (op, shape, a, c) in enumerate(
-            (op, shape, a, c) for op in _BRANCHES
-            for shape in ("rr", "ri", "ir")
-            for a in EDGES for c in EDGES):
-        left, right = operands(a, c, shape)
-        b.li(0, dest=r)
-        b.emit(Instruction(op, srcs=(b._operand(left), b._operand(right)),
-                           label=f"taken{k}"))
-        b.start_block(f"fall{k}")
-        b.jmp(f"join{k}")
-        b.start_block(f"taken{k}")
-        b.li(1, dest=r)
-        b.start_block(f"join{k}")
-        b.print_(r)
-        expected.append(int(REFERENCE[op](a, c)))
+            expected.append(int(REFERENCE[op](a, c)))
     b.ret()
     return program, expected
 
@@ -549,12 +553,16 @@ def test_templated_opcodes_match_reference(jit):
 
 
 def _memory_program(body):
+    """``main`` runs ``body`` in a loop that makes one pass, so that the
+    JIT compiles it; the loop's block is ``main``'s block 1, entered
+    after two instructions."""
     program = Program()
     fn = Function("main")
     program.add_function(fn)
     b = IRBuilder(fn)
     b.start_block("entry")
-    body(b)
+    with repeat(b, 1):
+        body(b)
     b.ret()
     return program
 
@@ -587,16 +595,16 @@ def test_bad_store_traps_before_writing(jit, addr, store):
         b.print_(b.li(1))
 
     program = _memory_program(body)
-    instrs = program.functions["main"].blocks[0].instructions
+    instrs = program.functions["main"].blocks[1].instructions
     stored_at = next(k for k, instr in enumerate(instrs)
                      if instr.op in (Opcode.STORE, Opcode.FSTORE))
     machine = Machine(program)
     if jit:
-        attach_jit(machine)
+        assert attach_jit(machine).tables("main")[0] is not None
     result = machine.run()
     assert result.status is RunStatus.TRAPPED
     assert result.trap_kind is TrapKind.SEGFAULT
-    assert result.instructions == stored_at + 1
+    assert result.instructions == 2 + stored_at + 1
     assert addr not in machine.memory.cells
     assert result.output == []
 
@@ -612,7 +620,7 @@ def test_load_miss_on_valid_address_reads_zero(jit):
 
     machine = Machine(_memory_program(body))
     if jit:
-        attach_jit(machine)
+        assert attach_jit(machine).tables("main")[0] is not None
     result = machine.run()
     assert result.status is RunStatus.EXITED
     assert result.output == [0, 0.0, 5]
