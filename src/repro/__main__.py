@@ -2,25 +2,30 @@
 
 Subcommands:
 
-* ``run FILE.c``                 compile and execute a mini-C program
-* ``asm FILE.c [-t TECH]``       show the (protected) assembly
-* ``campaign FILE.c [-t TECH]``  SEU fault-injection campaign
+* ``run PROGRAM``                compile and execute a program
+* ``asm PROGRAM [-t TECH]``      show the (protected) assembly
+* ``campaign PROGRAM [-t TECH]`` SEU fault-injection campaign
 * ``profile WORKLOAD [-t TECH]`` per-function cycle profile
 * ``workloads``                  list the benchmark suite
 * ``fig8`` / ``fig9``            regenerate the paper's figures
 * ``obs summarize PATH``         render a JSONL telemetry file
 * ``obs forensics PATH``         per-trial fault-mechanism report
 * ``obs export-trace PATH``      convert telemetry to a Chrome trace
-* ``obs hotspots``               simulator hot-block / JIT-candidate report
-* ``obs atlas``                  program-anchored reliability map
-* ``obs convergence``            stratum coverage / CI convergence audit
+* ``obs hotspots PATH``          simulator hot-block / JIT-candidate report
+* ``obs atlas PATH``             program-anchored reliability map
+* ``obs convergence PATH``       stratum coverage / CI convergence audit
 * ``obs runs``                   list / gc the persistent run ledger
 * ``obs diff A B``               compare two stored runs statistically
 * ``obs history [METRIC]``       metric trajectory across stored runs
 
-``campaign``, ``fig8`` and ``fig9`` share their output options
-(``--telemetry``, ``--profile``, ``--store``); ``campaign`` and
-``fig8`` also take ``--jobs N``, ``--taint`` and ``--adaptive``.
+A PROGRAM is a suite workload name (see ``workloads``), built as a
+``fig8`` cell builds it, or else a mini-C file path (a file named like
+a workload is given as ``./mcf``).  The producers ``campaign``,
+``fig8`` and ``fig9`` run; ``obs`` only reads what they recorded.
+They share their output options (``--telemetry``, ``--profile``,
+``--store``); ``campaign`` and ``fig8`` also take ``--jobs N``,
+``--taint`` and ``--adaptive``.  ``fig8``/``fig9`` take exactly the
+flags of ``python -m repro.eval.reliability``/``performance``.
 ``--help`` lists every option, and ``docs/`` explains them.  A
 ``campaign --store`` whose identical run is already in the ledger is
 answered from it without running a trial.
@@ -38,14 +43,19 @@ from .errors import (
     SemanticError,
     ShardLostError,
     SpecError,
+    WorkloadError,
 )
-from .faults import run_campaign
+from .eval import performance, reliability
 from .lang import compile_source
 from .obs.registry import RegistryError
 from .obs.sink import TelemetryError
-from .sim import Machine, TimingSimulator, run_program
+from .sim import Machine, run_program
 from .transform import Technique, allocate_program, protect
 from .workloads import PAPER_BENCHMARKS, WORKLOADS
+
+
+_PROGRAM_HELP = ("suite workload name (see 'repro workloads') or mini-C "
+                "file path (a file named like a workload: ./NAME)")
 
 
 def _technique(text: str) -> Technique:
@@ -58,15 +68,21 @@ def _technique(text: str) -> Technique:
         ) from None
 
 
-def _load_binary(path: str, technique: Technique):
-    with open(path) as handle:
+def _load_binary(program: str, technique: Technique):
+    """The protected binary ``program`` names: a suite workload (see
+    ``repro workloads``), built as a ``fig8`` cell builds it, or else a
+    mini-C file -- a file named like a workload is given as ``./mcf``."""
+    if program in WORKLOADS:
+        from .eval.pipeline import prepare
+
+        return prepare(program, technique)
+    with open(program) as handle:
         source = handle.read()
-    program = compile_source(source)
-    return allocate_program(protect(program, technique))
+    return allocate_program(protect(compile_source(source), technique))
 
 
 def _cmd_run(args) -> int:
-    binary = _load_binary(args.file, args.technique)
+    binary = _load_binary(args.program, args.technique)
     result = run_program(binary)
     for item in result.output:
         print(item)
@@ -80,7 +96,7 @@ def _cmd_run(args) -> int:
 def _cmd_asm(args) -> int:
     from .isa import print_program
 
-    binary = _load_binary(args.file, args.technique)
+    binary = _load_binary(args.program, args.technique)
     print(print_program(binary))
     return 0
 
@@ -88,12 +104,15 @@ def _cmd_asm(args) -> int:
 def _campaign_spec(args):
     """The :class:`~repro.eval.spec.CampaignSpec` a ``campaign``
     invocation describes (``--ci-width`` arrives in percentage
-    points)."""
+    points).  Its program axis follows :func:`_load_binary`'s rule, so
+    ``campaign crc32`` shares its ledger identity with a ``fig8``
+    cell."""
     from .eval.spec import CampaignSpec
 
     kwargs: dict = {
+        "workload" if args.program in WORKLOADS else "source":
+            args.program,
         "technique": args.technique.value,
-        "source": args.file,
         "seed": args.seed,
         "jobs": args.jobs,
     }
@@ -112,6 +131,9 @@ def _cmd_campaign(args) -> int:
     from .eval.telemetry import export_session, open_sink
     from .obs import CampaignLog
 
+    spec = _campaign_spec(args)
+    context = dict(spec.workload_dict(), technique=spec.technique,
+                   seed=spec.seed)
     sink = open_sink(args.telemetry)
     log = None
     if (sink is not None or args.taint or args.store
@@ -120,11 +142,8 @@ def _cmd_campaign(args) -> int:
         # nothing is exported: forensics renders from the log directly.
         # (Adaptive atlases also anchor from the log, post-hoc; stored
         # runs keep the trial records as their primary artifact.)
-        log = CampaignLog(context={"source": args.file,
-                                   "technique": args.technique.value,
-                                   "seed": args.seed})
-    binary = _load_binary(args.file, args.technique)
-    spec = _campaign_spec(args)
+        log = CampaignLog(context=context)
+    binary = _load_binary(args.program, args.technique)
     # A stored identical campaign answers the request, unless it asks
     # for per-run output that only running the trials can produce.
     if (args.store and not (args.telemetry or args.taint or args.atlas
@@ -137,7 +156,8 @@ def _cmd_campaign(args) -> int:
 
         profile = SimProfiler()
     if args.adaptive:
-        return _adaptive_campaign(args, spec, binary, sink, log, profile)
+        return _adaptive_campaign(args, spec, binary, sink, log, profile,
+                                  context)
     atlas = None
     if args.atlas:
         from .obs import AtlasAccumulator
@@ -157,16 +177,10 @@ def _cmd_campaign(args) -> int:
         from .obs import Atlas
 
         _write_atlas(args.atlas, Atlas.from_accumulator(
-            atlas, context={"source": args.file,
-                            "technique": args.technique.value,
-                            "seed": args.seed,
-                            "trials": campaign.trials}))
+            atlas, context=dict(context, trials=campaign.trials)))
     if profile is not None:
         _write_profile(args.profile, profile,
-                       context={"source": args.file,
-                                "technique": args.technique.value,
-                                "seed": args.seed,
-                                "trials": campaign.trials})
+                       context=dict(context, trials=campaign.trials))
     if sink is not None:
         sink.write_many(log.to_dicts())
         sink.write_many(log.taint_dicts())
@@ -262,7 +276,8 @@ def _write_atlas(path: str, atlas) -> None:
     print(f"            (render with: python -m repro obs atlas {path})")
 
 
-def _adaptive_campaign(args, spec, binary, sink, log, profile) -> int:
+def _adaptive_campaign(args, spec, binary, sink, log, profile,
+                       context) -> int:
     """Run one adaptive campaign and print its stopping summary;
     ``run_spec`` rejects ``--taint`` and ``--profile`` here."""
     from .eval.spec import run_spec
@@ -287,8 +302,6 @@ def _adaptive_campaign(args, spec, binary, sink, log, profile) -> int:
     if campaign.elapsed_seconds > 0:
         print(f"elapsed   : {campaign.elapsed_seconds:6.2f}s "
               f"({campaign.trials_per_sec:.1f} trials/s)")
-    context = {"source": args.file, "technique": args.technique.value,
-               "seed": args.seed}
     if sink is not None:
         sink.write_many(log.to_dicts())
         sink.write_many(result.batch_dicts(context=context))
@@ -336,134 +349,68 @@ def _cmd_obs_export_trace(args) -> int:
 def _cmd_obs_hotspots(args) -> int:
     from .obs import load_telemetry, render_hotspots
 
-    if args.path:
-        records = load_telemetry(args.path)
-    elif args.workload:
-        # Direct mode: run a profiled campaign on a suite workload and
-        # render immediately, no intermediate file.
-        from .eval.pipeline import prepare
-        from .obs import SimProfiler
-
-        profile = SimProfiler()
-        program = prepare(args.workload, args.technique)
-        run_campaign(program, trials=args.trials, seed=args.seed,
-                     jobs=args.jobs, profile=profile, jit=args.jit)
-        records = profile.to_records(
-            context={"workload": args.workload,
-                     "technique": args.technique.value,
-                     "seed": args.seed, "trials": args.trials})
-    else:
-        print("error: give a profile JSONL path or --workload NAME",
-              file=sys.stderr)
-        return 2
-    print(render_hotspots(records, top=args.top, fmt=args.format))
+    print(render_hotspots(load_telemetry(args.path), top=args.top,
+                          fmt=args.format))
     return 0
 
 
-def _atlas_program(args, records):
-    """Resolve the binary the trials in ``records`` ran on.
-
-    The atlas must anchor onto the *same* binary the campaign injected
-    into, or the location strings are meaningless -- so the records'
-    own identity (benchmark / source / technique context keys) wins
-    over the command-line defaults.
-    """
-    trials = [r for r in records if r.get("kind") == "trial"]
-    cells = sorted({(r.get("benchmark", r.get("source", "?")),
-                     r.get("technique", "?")) for r in trials})
-    if len(cells) > 1:
-        print("error: telemetry mixes several campaign cells "
-              f"({', '.join('/'.join(c) for c in cells)}); export one "
-              "campaign per file to build an atlas", file=sys.stderr)
+def _recorded_program(context: dict):
+    """Rebuild the binary a recorded campaign ran on from its own
+    ``benchmark``/``source`` and ``technique`` keys (``None`` when
+    they name none): an atlas must anchor onto the binary the campaign
+    injected into, or its location strings are meaningless."""
+    program = context.get("benchmark") or context.get("source")
+    if not program or "technique" not in context:
         return None
-    sample = trials[0] if trials else {}
-    technique = args.technique
-    if "technique" in sample:
-        technique = _technique(str(sample["technique"]))
-    workload = str(sample.get("benchmark", "")) or args.workload
-    if workload in WORKLOADS:
-        from .eval.pipeline import prepare
-
-        return prepare(workload, technique)
-    source = str(sample.get("source", ""))
-    if source:
-        try:
-            return _load_binary(source, technique)
-        except OSError as exc:
-            print(f"error: cannot rebuild campaign binary: {exc}",
-                  file=sys.stderr)
-            return None
-    print("error: records name no benchmark or source file; pass "
-          "--workload NAME to anchor the atlas", file=sys.stderr)
-    return None
+    return _load_binary(str(program),
+                        _technique(str(context["technique"])))
 
 
 def _cmd_obs_atlas(args) -> int:
     import json
 
-    from .obs import Atlas, AtlasAccumulator, atlas_from_records
+    from .obs import Atlas, atlas_from_records
     from .obs.sink import load_telemetry
 
-    program = None
-    if args.path:
-        # A saved atlas is one pretty-printed JSON document; telemetry
-        # is JSONL (one record per line), which json.loads rejects.
-        single = None
-        if not str(args.path).endswith(".gz"):
-            try:
-                with open(args.path) as handle:
-                    single = json.loads(handle.read())
-            except ValueError:
-                single = None
-        if not (isinstance(single, dict)
-                and single.get("kind") == "atlas"):
-            # Telemetry JSONL: rebuild the binary and anchor onto it.
-            records = load_telemetry(args.path)
-            program = _atlas_program(args, records)
-            if program is None:
-                return 2
-            weights = {r["stratum"]: r["weight"] for r in records
-                       if r.get("kind") == "fault_space_stratum"
-                       and "stratum" in r} or None
-            atlas = atlas_from_records(
-                records, Machine(program), weights=weights,
-                context={"telemetry": args.path})
-        else:
-            # A saved atlas artifact: render it directly.  The heatmap
-            # needs the program back; rebuild it when the context (or
-            # --workload) says which one, else fall back to tables.
-            atlas = Atlas(single)
-            context = atlas.context
-            workload = str(context.get("benchmark", "")) or args.workload
-            technique = _technique(str(
-                context.get("technique", args.technique.value)))
-            if workload in WORKLOADS:
-                from .eval.pipeline import prepare
-
-                program = prepare(workload, technique)
-            elif context.get("source"):
-                try:
-                    program = _load_binary(str(context["source"]),
-                                           technique)
-                except OSError:
-                    program = None  # tables-only fallback
-    elif args.workload:
-        # One-shot mode: run a campaign on a suite workload with atlas
-        # accumulation (taint on by default so escape routes resolve).
-        from .eval.pipeline import prepare
-
-        program = prepare(args.workload, args.technique)
-        acc = AtlasAccumulator()
-        run_campaign(program, trials=args.trials, seed=args.seed,
-                     jobs=args.jobs, taint=args.taint, atlas=acc)
-        atlas = Atlas.from_accumulator(
-            acc, context={"benchmark": args.workload,
-                          "technique": args.technique.value,
-                          "seed": args.seed, "trials": args.trials})
+    # A saved atlas is one pretty-printed JSON document; telemetry
+    # is JSONL (one record per line), which json.loads rejects.
+    single = None
+    if not str(args.path).endswith(".gz"):
+        try:
+            with open(args.path) as handle:
+                single = json.loads(handle.read())
+        except ValueError:
+            single = None
+    if isinstance(single, dict) and single.get("kind") == "atlas":
+        # A saved atlas artifact: render it directly.  The heatmap
+        # needs the program back; rebuild it when the context names
+        # it, else fall back to tables.
+        atlas = Atlas(single)
+        try:
+            program = _recorded_program(atlas.context)
+        except OSError:
+            program = None
     else:
-        print("error: give a telemetry/atlas path or --workload NAME",
-              file=sys.stderr)
-        return 2
+        # Telemetry JSONL: rebuild the binary and anchor onto it.
+        records = load_telemetry(args.path)
+        trials = [r for r in records if r.get("kind") == "trial"]
+        cells = sorted({(r.get("benchmark", r.get("source", "?")),
+                         r.get("technique", "?")) for r in trials})
+        if len(cells) > 1:
+            return _input_error(
+                "telemetry mixes several campaign cells "
+                f"({', '.join('/'.join(c) for c in cells)}); export one "
+                "campaign per file to build an atlas")
+        program = _recorded_program(trials[0] if trials else {})
+        if program is None:
+            return _input_error("records name no benchmark or source "
+                                "file and technique to anchor the atlas")
+        weights = {r["stratum"]: r["weight"] for r in records
+                   if r.get("kind") == "fault_space_stratum"
+                   and "stratum" in r} or None
+        atlas = atlas_from_records(
+            records, Machine(program), weights=weights,
+            context={"telemetry": args.path})
     if args.output:
         _write_atlas(args.output, atlas)
     if args.escapes:
@@ -482,29 +429,7 @@ def _cmd_obs_convergence(args) -> int:
     from .obs import convergence_tables, emit_tables
     from .obs.sink import load_telemetry
 
-    if args.path:
-        records = load_telemetry(args.path)
-    elif args.workload:
-        # One-shot audit: run an adaptive campaign and feed its batch
-        # and stratum telemetry straight into the tables.
-        from .eval.pipeline import prepare
-        from .stats import AdaptiveConfig, run_adaptive_campaign
-
-        config = AdaptiveConfig(ci_width=args.ci_width / 100.0,
-                                confidence=args.confidence,
-                                metric=args.metric,
-                                max_trials=args.max_trials)
-        program = prepare(args.workload, args.technique)
-        result = run_adaptive_campaign(program, config=config,
-                                       seed=args.seed, jobs=args.jobs)
-        context = {"benchmark": args.workload,
-                   "technique": args.technique.value, "seed": args.seed}
-        records = (result.batch_dicts(context=context)
-                   + result.stratum_dicts(context=context))
-    else:
-        print("error: give a telemetry path or --workload NAME",
-              file=sys.stderr)
-        return 2
+    records = load_telemetry(args.path)
     print(emit_tables(convergence_tables(records), args.format,
                       kind="convergence",
                       meta={"records": len(records)}))
@@ -580,68 +505,6 @@ def _cmd_workloads(args) -> int:
     return 0
 
 
-def _cmd_fig8(args) -> int:
-    from .eval import reliability
-
-    argv = ["--trials", str(args.trials), "--jobs", str(args.jobs)]
-    if args.benchmarks:
-        argv += ["--benchmarks", args.benchmarks]
-    if args.telemetry:
-        argv += ["--telemetry", args.telemetry]
-    if args.store:
-        argv += ["--store"]
-        if args.tag:
-            argv += ["--tag", args.tag]
-        if args.runs_dir:
-            argv += ["--runs-dir", args.runs_dir]
-    if args.taint:
-        argv += ["--taint"]
-    if args.profile:
-        argv += ["--profile", args.profile]
-    if args.adaptive:
-        argv += ["--adaptive", "--ci-width", str(args.ci_width),
-                 "--confidence", str(args.confidence),
-                 "--max-trials", str(args.max_trials)]
-    if args.ci:
-        argv += ["--ci", "--confidence", str(args.confidence)]
-    if args.jit is not None:
-        argv += ["--jit" if args.jit else "--no-jit"]
-    return reliability.main(argv)
-
-
-def _cmd_fig9(args) -> int:
-    from .eval import performance
-
-    argv = ["--benchmarks", args.benchmarks] if args.benchmarks else []
-    if args.telemetry:
-        argv += ["--telemetry", args.telemetry]
-    if args.store:
-        argv += ["--store"]
-        if args.tag:
-            argv += ["--tag", args.tag]
-        if args.runs_dir:
-            argv += ["--runs-dir", args.runs_dir]
-    if args.profile:
-        argv += ["--profile", args.profile]
-    if args.jit is not None:
-        argv += ["--jit" if args.jit else "--no-jit"]
-    return performance.main(argv)
-
-
-def _add_store_arguments(parser) -> None:
-    """The run-ledger trio shared by campaign / fig8 / fig9."""
-    parser.add_argument("--store", action="store_true",
-                        help="record this run in the persistent ledger "
-                             "(manifest + artifacts, content-addressed; "
-                             "inspect with 'obs runs/diff/history')")
-    parser.add_argument("--tag", default="",
-                        help="human-readable ledger tag for the stored "
-                             "run(s), e.g. --tag baseline")
-    parser.add_argument("--runs-dir", default="",
-                        help="ledger directory (default: $REPRO_RUNS_DIR "
-                             "or .repro/runs)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -651,21 +514,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="compile and run a mini-C file")
-    p_run.add_argument("file")
+    p_run = sub.add_parser("run", help="compile and run a program")
+    p_run.add_argument("program", help=_PROGRAM_HELP)
     p_run.add_argument("-t", "--technique", type=_technique,
                        default=Technique.NOFT)
     p_run.set_defaults(func=_cmd_run)
 
     p_asm = sub.add_parser("asm", help="show (protected) assembly")
-    p_asm.add_argument("file")
+    p_asm.add_argument("program", help=_PROGRAM_HELP)
     p_asm.add_argument("-t", "--technique", type=_technique,
                        default=Technique.NOFT)
     p_asm.set_defaults(func=_cmd_asm)
 
     p_campaign = sub.add_parser("campaign",
                                 help="run an SEU fault-injection campaign")
-    p_campaign.add_argument("file")
+    p_campaign.add_argument("program", help=_PROGRAM_HELP)
     p_campaign.add_argument("-t", "--technique", type=_technique,
                             default=Technique.SWIFTR)
     p_campaign.add_argument("--trials", type=int, default=250)
@@ -706,7 +569,16 @@ def build_parser() -> argparse.ArgumentParser:
                             choices=["unace", "sdc", "segv", "failure",
                                      "detected"],
                             help="rate the adaptive stopping rule targets")
-    _add_store_arguments(p_campaign)
+    p_campaign.add_argument("--store", action="store_true",
+                            help="record this run in the persistent ledger "
+                                 "(manifest + artifacts, content-addressed; "
+                                 "inspect with 'obs runs/diff/history')")
+    p_campaign.add_argument("--tag", default="",
+                            help="human-readable ledger tag for the stored "
+                                 "run, e.g. --tag baseline")
+    p_campaign.add_argument("--runs-dir", default="",
+                            help="ledger directory (default: "
+                                 "$REPRO_RUNS_DIR or .repro/runs)")
     p_campaign.set_defaults(func=_cmd_campaign)
 
     p_profile = sub.add_parser("profile",
@@ -720,51 +592,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_workloads.set_defaults(func=_cmd_workloads)
 
     p_fig8 = sub.add_parser("fig8", help="reproduce Figure 8 (reliability)")
-    p_fig8.add_argument("--trials", type=int, default=120)
-    p_fig8.add_argument("--jobs", type=int, default=1,
-                        help="worker processes per campaign cell "
-                             "(0 = all cores)")
-    p_fig8.add_argument("--benchmarks", default="")
-    p_fig8.add_argument("--telemetry", default="",
-                        help="write per-trial JSONL telemetry here")
-    p_fig8.add_argument("--taint", action="store_true",
-                        help="trace fault dataflow into the telemetry file")
-    p_fig8.add_argument("--profile", default="",
-                        help="write a per-cell simulator execution "
-                             "profile here (render with 'obs hotspots')")
-    p_fig8.add_argument("--adaptive", action="store_true",
-                        help="adaptive suite-level campaigns per technique "
-                             "instead of a fixed per-cell budget")
-    p_fig8.add_argument("--ci-width", type=float, default=2.5,
-                        help="adaptive target CI half-width in percentage "
-                             "points (default 2.5)")
-    p_fig8.add_argument("--confidence", type=float, default=0.95,
-                        help="confidence level for intervals and claims")
-    p_fig8.add_argument("--max-trials", type=int, default=4000,
-                        help="adaptive per-technique trial cap")
-    p_fig8.add_argument("--ci", action="store_true",
-                        help="annotate tables with confidence intervals "
-                             "and the claims table")
-    p_fig8.add_argument("--jit", action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help="block-compile each cell's binary "
-                             "(default: on unless --taint/--profile)")
-    _add_store_arguments(p_fig8)
-    p_fig8.set_defaults(func=_cmd_fig8)
+    reliability.add_arguments(p_fig8)
+    p_fig8.set_defaults(func=reliability.run)
 
     p_fig9 = sub.add_parser("fig9", help="reproduce Figure 9 (performance)")
-    p_fig9.add_argument("--benchmarks", default="")
-    p_fig9.add_argument("--telemetry", default="",
-                        help="write per-cell JSONL telemetry here")
-    p_fig9.add_argument("--profile", default="",
-                        help="profile one functional golden run per cell "
-                             "and write the records here")
-    p_fig9.add_argument("--jit", action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help="accepted for parity with campaign/fig8; "
-                             "the cycle-timing loop never uses the JIT")
-    _add_store_arguments(p_fig9)
-    p_fig9.set_defaults(func=_cmd_fig9)
+    performance.add_arguments(p_fig9)
+    p_fig9.set_defaults(func=performance.run)
 
     p_obs = sub.add_parser("obs", help="telemetry tooling")
     obs_sub = p_obs.add_subparsers(dest="obs_command", required=True)
@@ -794,23 +627,9 @@ def build_parser() -> argparse.ArgumentParser:
         "hotspots",
         help="rank simulator basic blocks by dynamic instruction share "
              "(the JIT-candidate report)")
-    p_hotspots.add_argument("path", nargs="?", default="",
-                            help="profile JSONL written by --profile "
-                                 "(omit to profile --workload directly)")
-    p_hotspots.add_argument("--workload", default="",
-                            choices=["", *sorted(WORKLOADS)],
-                            help="profile a campaign on this suite "
-                                 "workload instead of reading a file")
-    p_hotspots.add_argument("-t", "--technique", type=_technique,
-                            default=Technique.SWIFTR)
-    p_hotspots.add_argument("--trials", type=int, default=60)
-    p_hotspots.add_argument("--seed", type=int, default=0)
-    p_hotspots.add_argument("--jobs", type=int, default=1)
-    p_hotspots.add_argument("--jit", action=argparse.BooleanOptionalAction,
-                            default=None,
-                            help="with --workload: annotate the report "
-                                 "with a JIT-coverage column (fraction of "
-                                 "dynamic instructions in compiled blocks)")
+    p_hotspots.add_argument("path",
+                            help="profile JSONL written by campaign/fig8/"
+                                 "fig9 --profile")
     p_hotspots.add_argument("--top", type=int, default=10,
                             help="blocks to show (default 10)")
     p_hotspots.add_argument("--format", choices=["text", "json"],
@@ -821,26 +640,9 @@ def build_parser() -> argparse.ArgumentParser:
         "atlas",
         help="program-anchored reliability map: per-instruction outcome "
              "tallies, population-weighted, with escape routes")
-    p_atlas.add_argument("path", nargs="?", default="",
-                         help="telemetry JSONL (or a saved atlas JSON) "
-                              "to fold; omit to campaign --workload "
-                              "directly")
-    p_atlas.add_argument("--workload", default="",
-                         choices=["", *sorted(WORKLOADS)],
-                         help="run a one-shot campaign on this suite "
-                              "workload (or name the program a "
-                              "telemetry file ran on)")
-    p_atlas.add_argument("-t", "--technique", type=_technique,
-                         default=Technique.SWIFTR)
-    p_atlas.add_argument("--trials", type=int, default=60)
-    p_atlas.add_argument("--seed", type=int, default=0)
-    p_atlas.add_argument("--jobs", type=int, default=1,
-                         help="worker processes; the atlas is "
-                              "bit-identical for any value")
-    p_atlas.add_argument("--taint", action=argparse.BooleanOptionalAction,
-                         default=True,
-                         help="trace dataflow in one-shot mode so SDC "
-                              "escape routes resolve (default on)")
+    p_atlas.add_argument("path",
+                         help="telemetry JSONL to fold, or an atlas JSON "
+                              "saved by campaign --atlas")
     p_atlas.add_argument("--top", type=int, default=10,
                          help="sites/escapes to show (default 10)")
     p_atlas.add_argument("-o", "--output", default="",
@@ -857,26 +659,10 @@ def build_parser() -> argparse.ArgumentParser:
         "convergence",
         help="audit an adaptive campaign: stratum coverage, CI "
              "half-width timelines, allocation efficiency")
-    p_conv.add_argument("path", nargs="?", default="",
+    p_conv.add_argument("path",
                         help="telemetry JSONL with adaptive_batch / "
-                             "fault_space_stratum records; omit to run "
-                             "--workload one-shot")
-    p_conv.add_argument("--workload", default="",
-                        choices=["", *sorted(WORKLOADS)],
-                        help="run a one-shot adaptive campaign on this "
-                             "suite workload and audit it")
-    p_conv.add_argument("-t", "--technique", type=_technique,
-                        default=Technique.SWIFTR)
-    p_conv.add_argument("--seed", type=int, default=0)
-    p_conv.add_argument("--jobs", type=int, default=1)
-    p_conv.add_argument("--ci-width", type=float, default=2.5,
-                        help="target CI half-width in percentage points")
-    p_conv.add_argument("--confidence", type=float, default=0.95)
-    p_conv.add_argument("--max-trials", type=int, default=800,
-                        help="one-shot adaptive trial cap (default 800)")
-    p_conv.add_argument("--metric", default="unace",
-                        choices=["unace", "sdc", "segv", "failure",
-                                 "detected"])
+                             "fault_space_stratum records (campaign "
+                             "--adaptive --telemetry)")
     p_conv.add_argument("--format", choices=["text", "json"],
                         default="text",
                         help="output format (default text)")
@@ -968,13 +754,14 @@ def main(argv: list[str] | None = None) -> int:
             raise
         return _input_error(f"{exc.filename}: {exc.strerror or exc}")
     except (ParseError, SemanticError, CodegenError) as exc:
-        source = getattr(args, "file", None)
+        source = getattr(args, "program", None)
         return _input_error(f"{source}: {exc}" if source else str(exc))
     except SpecError as exc:
         # An out-of-range campaign knob (--trials, --ci-width, ...).
         return _input_error(f"invalid campaign: {exc}")
-    except (RegistryError, TelemetryError) as exc:
-        # A bad run ref or history metric, or a corrupt ledger file.
+    except (RegistryError, TelemetryError, WorkloadError) as exc:
+        # A bad run ref or history metric, a corrupt ledger file, or
+        # an unknown --benchmarks name.
         return _input_error(str(exc))
     except ShardLostError as exc:
         # The harness failed, not the input: exit status 3.

@@ -7,7 +7,9 @@ plus the geometric mean, alongside the paper's quoted aggregates
 (MASK 1.00x, TRUMP 1.36x, TRUMP/MASK 1.37x, TRUMP/SWIFT-R 1.98x,
 SWIFT-R 1.99x).
 
-Run: ``python -m repro.eval.performance [--benchmarks a,b,c]``.
+Run: ``python -m repro.eval.performance [--benchmarks a,b,c]``, or the
+same flags as ``python -m repro fig9``: :func:`add_arguments` defines
+them once for both.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from ..obs.sink import JsonlSink
 from ..obs.spans import span
 from ..sim.timing import TimingConfig, TimingResult, TimingSimulator
 from ..transform.protect import PAPER_TECHNIQUES, Technique
-from ..workloads.suite import PAPER_BENCHMARKS
+from ..workloads.suite import PAPER_BENCHMARKS, get_workload
 from .pipeline import PipelineOptions, prepare_machine
 from .report import fmt_norm, geomean, render_table
 from .telemetry import export_session, open_sink
@@ -77,6 +79,8 @@ def evaluate_performance(
     history``).
     """
     benchmarks = list(benchmarks or PAPER_BENCHMARKS)
+    for bench in benchmarks:
+        get_workload(bench)     # an unknown name fails before any cell
     techniques = list(techniques or PAPER_TECHNIQUES)
     options = options or PipelineOptions()
     results = PerformanceResults(benchmarks=benchmarks,
@@ -167,10 +171,8 @@ def render_figure9(results: PerformanceResults) -> str:
     return table + "\n\n" + paper
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Reproduce the paper's Figure 9 (performance)."
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Define the Figure-9 flags on ``parser`` (``repro fig9``)."""
     parser.add_argument("--benchmarks", type=str, default="",
                         help="comma-separated subset of benchmarks")
     parser.add_argument("--telemetry", type=str, default="",
@@ -178,14 +180,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--profile", type=str, default="",
                         help="profile one functional golden run per cell "
                              "into this JSONL path (for `obs hotspots`)")
-    # Accepted for CLI parity with `campaign` and `fig8`.  The timing
-    # model's hooks on the shared run loop never run the block JIT, so
-    # the flag cannot change Figure-9 numbers; scripts can pass the
-    # same flags to all three.
-    parser.add_argument("--jit", action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help="accepted for parity with campaign/fig8; "
-                             "the cycle-timing loop never uses the JIT")
     parser.add_argument("--store", action="store_true",
                         help="record every grid cell's timing in the "
                              "persistent run ledger (see `obs runs`)")
@@ -195,18 +189,27 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--runs-dir", default="",
                         help="ledger directory (default: $REPRO_RUNS_DIR "
                              "or .repro/runs)")
-    args = parser.parse_args(argv)
-    benchmarks = (args.benchmarks.split(",") if args.benchmarks
-                  else list(PAPER_BENCHMARKS))
+
+
+def run(args: argparse.Namespace) -> int:
+    """Time the grid the :func:`add_arguments` flags in ``args``
+    describe and print Figure 9."""
     sink = open_sink(args.telemetry)
-    results = evaluate_performance(benchmarks=benchmarks, progress=True,
-                                   telemetry=sink,
-                                   profile_path=args.profile,
-                                   store=args.store, tag=args.tag,
-                                   runs_dir=args.runs_dir)
+    results = evaluate_performance(
+        benchmarks=args.benchmarks.split(",") if args.benchmarks else None,
+        progress=True, telemetry=sink, profile_path=args.profile,
+        store=args.store, tag=args.tag, runs_dir=args.runs_dir)
     export_session(sink)
     print(render_figure9(results))
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    """``python -m repro.eval.performance ARGS`` is ``repro fig9 ARGS``:
+    one parser, one run, one error report."""
+    from ..__main__ import main as cli_main
+
+    return cli_main(["fig9", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

@@ -8,16 +8,18 @@ percentages plus the headline aggregate scalars the paper quotes
 (e.g. "SWIFT-R reduces SDC+SEGV by 89.39%").
 
 Run: ``python -m repro.eval.reliability [--trials N] [--seed S]
-[--benchmarks a,b,c]``.  The paper used 250 trials per cell.
+[--benchmarks a,b,c]``, or the same flags as ``python -m repro fig8``:
+:func:`add_arguments` defines them once for both.  The paper used 250
+trials per cell.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass, field
 
+from ..errors import SpecError
 from ..faults.campaign import CampaignResult
 from ..faults.outcomes import Outcome
 from ..faults.stats import Proportion
@@ -36,15 +38,15 @@ from ..stats.sequential import (
     run_adaptive_suite,
 )
 from ..transform.protect import PAPER_TECHNIQUES, Technique
-from ..workloads.suite import PAPER_BENCHMARKS
+from ..workloads.suite import PAPER_BENCHMARKS, get_workload
 from .pipeline import PipelineOptions, prepare_machine
 from .report import average, fmt_pct, reduction_percent, render_table
 from .spec import CampaignSpec, run_spec
 from .telemetry import export_session, open_sink
 
-#: Default trials per (benchmark, technique) cell.  The paper used 250;
-#: override with --trials or the REPRO_TRIALS environment variable.
-DEFAULT_TRIALS = int(os.environ.get("REPRO_TRIALS", "120"))
+#: Default trials per (benchmark, technique) cell (``--trials``).  The
+#: paper used 250.
+DEFAULT_TRIALS = 120
 
 
 @dataclass
@@ -141,6 +143,8 @@ def evaluate_reliability(
     ``obs diff`` can address individual cells precisely.
     """
     benchmarks = list(benchmarks or PAPER_BENCHMARKS)
+    for bench in benchmarks:
+        get_workload(bench)     # an unknown name fails before any cell
     techniques = list(techniques or PAPER_TECHNIQUES)
     options = options or PipelineOptions()
     results = ReliabilityResults(trials=trials, seed=seed,
@@ -154,11 +158,11 @@ def evaluate_reliability(
         registry = RunRegistry(runs_dir or None)
     if adaptive:
         if taint:
-            raise ValueError("taint tracing is not supported with "
-                             "adaptive campaigns")
+            raise SpecError("taint tracing is not supported with "
+                            "adaptive campaigns")
         if profile_path:
-            raise ValueError("profiling is not supported with "
-                             "adaptive campaigns")
+            raise SpecError("profiling is not supported with "
+                            "adaptive campaigns")
         _evaluate_adaptive(results, options, telemetry=telemetry,
                            progress=progress, jobs=jobs,
                            ci_width=ci_width, max_trials=max_trials,
@@ -437,10 +441,8 @@ def _interval_text(successes: int, trials: int, confidence: float) -> str:
     return f" [{100*low:5.2f},{100*high:6.2f}]"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Reproduce the paper's Figure 8 (reliability)."
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Define the Figure-8 flags on ``parser`` (``repro fig8``)."""
     parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
                         help="fault-injection trials per cell (paper: 250)")
     parser.add_argument("--seed", type=int, default=2006)
@@ -487,29 +489,32 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--runs-dir", default="",
                         help="ledger directory (default: $REPRO_RUNS_DIR "
                              "or .repro/runs)")
-    args = parser.parse_args(argv)
-    if args.adaptive and args.profile:
-        print("error: --profile is not supported with --adaptive",
-              file=sys.stderr)
-        return 2
-    benchmarks = (args.benchmarks.split(",") if args.benchmarks
-                  else list(PAPER_BENCHMARKS))
+
+
+def run(args: argparse.Namespace) -> int:
+    """Run the grid the :func:`add_arguments` flags in ``args``
+    describe and print Figure 8."""
     sink = open_sink(args.telemetry)
-    results = evaluate_reliability(benchmarks=benchmarks,
-                                   trials=args.trials, seed=args.seed,
-                                   progress=True, telemetry=sink,
-                                   jobs=args.jobs, taint=args.taint,
-                                   adaptive=args.adaptive,
-                                   ci_width=args.ci_width / 100.0,
-                                   confidence=args.confidence,
-                                   max_trials=args.max_trials,
-                                   profile_path=args.profile,
-                                   jit=args.jit, store=args.store,
-                                   tag=args.tag, runs_dir=args.runs_dir)
+    results = evaluate_reliability(
+        benchmarks=args.benchmarks.split(",") if args.benchmarks else None,
+        trials=args.trials, seed=args.seed, progress=True, telemetry=sink,
+        jobs=args.jobs, taint=args.taint, adaptive=args.adaptive,
+        ci_width=args.ci_width / 100.0, confidence=args.confidence,
+        max_trials=args.max_trials, profile_path=args.profile,
+        jit=args.jit, store=args.store, tag=args.tag,
+        runs_dir=args.runs_dir)
     export_session(sink)
     confidence = (args.confidence if (args.ci or args.adaptive) else None)
     print(render_figure8(results, confidence=confidence))
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    """``python -m repro.eval.reliability ARGS`` is ``repro fig8 ARGS``:
+    one parser, one run, one error report."""
+    from ..__main__ import main as cli_main
+
+    return cli_main(["fig8", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

@@ -221,6 +221,5 @@ def convergence_tables(records: list[dict]) -> list[Table]:
     if not tables:
         tables.append(Table(title="", columns=[], rows=[], notes=[
             "(no adaptive telemetry found: export with "
-            "`repro campaign --adaptive --telemetry FILE`, or run "
-            "`obs convergence --workload NAME` for a one-shot audit)"]))
+            "`repro campaign PROGRAM --adaptive --telemetry FILE`)"]))
     return tables

@@ -145,6 +145,22 @@ def test_cli_fig9_subset(capsys):
     assert "Figure 9" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command,argv", [
+    ("fig8", ["--benchmarks", "crc32", "--trials", "12", "--seed", "7"]),
+    ("fig9", ["--benchmarks", "crc32"]),
+])
+def test_cli_figures_match_their_harness_entry_points(capsys, command,
+                                                      argv):
+    from repro.eval import performance, reliability
+
+    harness = {"fig8": reliability, "fig9": performance}[command]
+    assert cli_main([command, *argv]) == 0
+    via_cli = capsys.readouterr().out
+    assert harness.main(argv) == 0
+    assert capsys.readouterr().out == via_cli
+    assert "Figure" in via_cli
+
+
 def test_cli_rejects_unknown_technique(tmp_path, capsys):
     source = tmp_path / "demo.c"
     source.write_text("int main() { return 0; }")
@@ -215,6 +231,18 @@ def test_cli_bad_ledger_query_is_one_line_error(tmp_path, capsys, argv,
                                                 detail):
     assert cli_main([*argv, "--runs-dir", str(tmp_path)]) == 2
     assert _one_line_error(capsys).startswith(f"repro: error: {detail}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig8", "--benchmarks", "crc32,nosuch", "--trials", "2"],
+    ["fig9", "--benchmarks", "nosuch"],
+])
+def test_cli_unknown_benchmark_is_one_line_error(capsys, argv):
+    # The names are checked before the first cell runs: no progress
+    # line for crc32 reaches stderr.
+    assert cli_main(argv) == 2
+    assert _one_line_error(capsys).startswith(
+        "repro: error: unknown workload 'nosuch' (known: adpcmdec, ")
 
 
 @pytest.mark.parametrize("command", ["summarize", "forensics",
@@ -304,11 +332,15 @@ def test_cli_obs_atlas_from_telemetry(tmp_path, capsys):
     assert feed["schema_version"] == doc["schema_version"]
 
 
-def test_cli_obs_atlas_one_shot_json(capsys):
+def test_cli_obs_atlas_one_shot_json(tmp_path, capsys):
     import json
 
-    assert cli_main(["obs", "atlas", "--workload", "crc32",
-                     "--trials", "20", "--format", "json"]) == 0
+    atlas_path = tmp_path / "atlas.json"
+    assert cli_main(["campaign", "crc32", "--trials", "20", "--taint",
+                     "--atlas", str(atlas_path)]) == 0
+    capsys.readouterr()
+    assert cli_main(["obs", "atlas", str(atlas_path),
+                     "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["kind"] == "atlas"
     assert doc["sites"]
@@ -348,11 +380,66 @@ def test_cli_obs_summarize_and_hotspots_json(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["kind"] == "telemetry_summary"
     assert any("Campaign outcomes" in t["title"] for t in doc["tables"])
-    assert cli_main(["obs", "hotspots", "--workload", "crc32",
-                     "-t", "swiftr", "--trials", "10",
+    profile = tmp_path / "p.jsonl"
+    assert cli_main(["campaign", "crc32", "-t", "swiftr", "--trials", "10",
+                     "--profile", str(profile)]) == 0
+    capsys.readouterr()
+    assert cli_main(["obs", "hotspots", str(profile),
                      "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["kind"] == "hotspots" and doc["tables"]
+
+
+@pytest.mark.parametrize("command", ["hotspots", "atlas", "convergence"])
+def test_cli_obs_readers_run_no_campaign(capsys, command):
+    """``obs`` only reads: a suite workload is campaigned with
+    ``campaign NAME``, not through an ``obs`` flag."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["obs", command, "--workload", "crc32"])
+    assert exit_info.value.code == 2
+    assert "--workload" in capsys.readouterr().err
+
+
+def test_cli_obs_atlas_needs_records_that_name_a_program(tmp_path, capsys):
+    telemetry = tmp_path / "t.jsonl"
+    telemetry.write_text('{"kind":"trial","trial":0,"outcome":"unace"}\n')
+    assert cli_main(["obs", "atlas", str(telemetry)]) == 2
+    assert _one_line_error(capsys) == (
+        "repro: error: records name no benchmark or source file and "
+        "technique to anchor the atlas")
+
+
+def test_cli_run_and_asm_take_a_suite_workload(capsys):
+    from repro.eval.pipeline import prepare
+    from repro.sim import run_program
+
+    expected = run_program(prepare("crc32", Technique.NOFT)).output
+    assert cli_main(["run", "crc32"]) == 0
+    assert capsys.readouterr().out.split() == [str(v) for v in expected]
+    assert cli_main(["asm", "crc32", "-t", "swiftr"]) == 0
+    assert "func build_table" in capsys.readouterr().out
+
+
+def test_cli_campaign_workload_hits_a_fig8_cell(tmp_path, capsys,
+                                                monkeypatch):
+    """``campaign NAME`` and a ``fig8 --store`` cell share one ledger
+    identity, so the campaign is answered without running a trial."""
+    import repro.faults as faults
+
+    runs = ["--runs-dir", str(tmp_path), "--seed", "5", "--trials", "8"]
+    assert cli_main(["fig8", "--benchmarks", "crc32", "--store",
+                     *runs]) == 0
+    capsys.readouterr()
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a cached campaign ran trials")
+
+    monkeypatch.setattr(faults, "run_campaign", no_trials)
+    assert cli_main(["campaign", "crc32", "-t", "trump", "--store",
+                     *runs]) == 0
+    out = capsys.readouterr().out
+    assert "ledger    : cache hit run " in out
+    assert "elapsed" not in out
 
 
 def test_cli_campaign_zero_elapsed_reports_rate_na(tmp_path, capsys,
