@@ -24,8 +24,8 @@ a workload is given as ``./mcf``).  The producers ``campaign``,
 ``fig8`` and ``fig9`` run; ``obs`` only reads what they recorded.
 They share their output options (``--telemetry``, ``--profile``,
 ``--store``); ``campaign`` and ``fig8`` also take ``--jobs N``,
-``--taint`` and ``--adaptive``.  ``fig8``/``fig9`` take exactly the
-flags of ``python -m repro.eval.reliability``/``performance``.
+``--taint`` and ``--adaptive``.  ``fig8``/``fig9`` take the flags
+that ``repro.eval.reliability``/``performance`` define (``add_arguments``).
 ``--help`` lists every option, and ``docs/`` explains them.  A
 ``campaign --store`` whose identical run is already in the ledger is
 answered from it without running a trial.

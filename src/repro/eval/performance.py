@@ -7,9 +7,8 @@ plus the geometric mean, alongside the paper's quoted aggregates
 (MASK 1.00x, TRUMP 1.36x, TRUMP/MASK 1.37x, TRUMP/SWIFT-R 1.98x,
 SWIFT-R 1.99x).
 
-Run: ``python -m repro.eval.performance [--benchmarks a,b,c]``, or the
-same flags as ``python -m repro fig9``: :func:`add_arguments` defines
-them once for both.
+Run: ``python -m repro fig9 [--benchmarks a,b,c]``;
+:func:`add_arguments` defines its flags and :func:`run` runs them.
 """
 
 from __future__ import annotations
@@ -202,15 +201,3 @@ def run(args: argparse.Namespace) -> int:
     export_session(sink)
     print(render_figure9(results))
     return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    """``python -m repro.eval.performance ARGS`` is ``repro fig9 ARGS``:
-    one parser, one run, one error report."""
-    from ..__main__ import main as cli_main
-
-    return cli_main(["fig9", *(sys.argv[1:] if argv is None else argv)])
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

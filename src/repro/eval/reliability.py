@@ -7,10 +7,9 @@ every trial as unACE / SEGV / SDC, and the harness prints the stacked
 percentages plus the headline aggregate scalars the paper quotes
 (e.g. "SWIFT-R reduces SDC+SEGV by 89.39%").
 
-Run: ``python -m repro.eval.reliability [--trials N] [--seed S]
-[--benchmarks a,b,c]``, or the same flags as ``python -m repro fig8``:
-:func:`add_arguments` defines them once for both.  The paper used 250
-trials per cell.
+Run: ``python -m repro fig8 [--trials N] [--seed S]
+[--benchmarks a,b,c]``; :func:`add_arguments` defines its flags and
+:func:`run` runs them.  The paper used 250 trials per cell.
 """
 
 from __future__ import annotations
@@ -507,15 +506,3 @@ def run(args: argparse.Namespace) -> int:
     confidence = (args.confidence if (args.ci or args.adaptive) else None)
     print(render_figure8(results, confidence=confidence))
     return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    """``python -m repro.eval.reliability ARGS`` is ``repro fig8 ARGS``:
-    one parser, one run, one error report."""
-    from ..__main__ import main as cli_main
-
-    return cli_main(["fig8", *(sys.argv[1:] if argv is None else argv)])
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -345,11 +345,27 @@ def _render_spans(spans: list[dict]) -> list[Table]:
         rows.append([name, len(durations), f"{total:8.3f}",
                      f"{self_time:8.3f}",
                      f"{1e3 * total / len(durations):9.3f}"])
-    return [Table(
+    tables = [Table(
         title=f"Spans ({len(spans)} recorded)",
         columns=["span", "count", "total s", "self s", "mean ms"],
         rows=rows,
     )]
+    # Equal instructions share one step closure (repro.sim.machine);
+    # each machine's sim.compile span counts the distinct ones it holds.
+    compiled = [record for record in spans
+                if record["name"] == "sim.compile"
+                and "distinct_steps" in record]
+    if compiled:
+        instructions = sum(record["instructions"] for record in compiled)
+        steps = sum(record["distinct_steps"] for record in compiled)
+        tables.append(Table(
+            title="Compiled code (distinct steps counted per machine)",
+            columns=["machines", "instructions", "distinct steps",
+                     "steps per instruction"],
+            rows=[[len(compiled), instructions, steps,
+                   f"{steps / max(instructions, 1):.3f}"]],
+        ))
+    return tables
 
 
 def _render_adaptive(batches: list[dict]) -> list[Table]:

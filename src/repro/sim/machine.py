@@ -1,10 +1,11 @@
 """The functional architectural simulator.
 
-Programs are compiled once into per-instruction Python closures over the
-machine's register lists, then executed by a tight run loop.  Opcodes
-whose meaning is one expression get closures rendered at import time
-from the table the JIT also renders from (:mod:`repro.sim.semantics`),
-one factory per operand shape.  The design
+Programs are compiled once into per-instruction Python closures, each
+reading the machine it is passed, then executed by a tight run loop.
+Equal instructions share one closure, across machines too (``_shared``).
+Opcodes whose meaning is one expression get closures rendered at import
+time from the table the JIT also renders from
+(:mod:`repro.sim.semantics`), one factory per operand shape.  The design
 goals, in order: exact 64-bit two's-complement semantics, fast repeated
 execution (fault-injection campaigns run thousands of trials), and
 precise pause/resume so a fault can be injected between two dynamic
@@ -30,8 +31,10 @@ Closure protocol: each step returns
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import product
+from types import MappingProxyType
 
 from ..analysis.frames import check_frames
 from ..analysis.liveness import live_in_masks
@@ -79,6 +82,8 @@ _TWO63 = 1 << 63
 _TWO64 = 1 << 64
 #: Stands for a cell absent from ``Memory.cells`` (``_live_cells_match``).
 _ABSENT = object()
+#: ``CompiledBlock.late_srcs`` of a block without a late source.
+_NO_LATE_SRCS = MappingProxyType({})
 
 
 def _signed(x: int) -> int:
@@ -93,7 +98,13 @@ class CompiledBlock:
     the sources ``a`` and ``b`` index its ready table, float slots from
     ``Machine.float_slot_base`` on; -1 is none, and as a source reads
     the table's last entry, which is never written.  ``late_srcs`` holds
-    a CALL's sources past two, by index.  ``role`` indexes ``Role``.
+    a CALL's sources past two, by index (an empty read-only mapping in
+    a block without one).  ``role`` indexes ``Role``.
+
+    The entries of ``steps`` and ``meta`` are shared by content: a step
+    with every machine that compiled the same instruction (see
+    :func:`_shared`), a ``meta`` tuple with the machine's equal ones.
+    Swap a list entry to change a block; never mutate the entry itself.
     """
 
     __slots__ = ("name", "steps", "instrs", "meta", "late_srcs")
@@ -104,7 +115,7 @@ class CompiledBlock:
         self.steps = steps
         self.instrs = instrs
         self.meta: list[tuple] = []
-        self.late_srcs: dict[int, tuple[int, ...]] = {}
+        self.late_srcs = _NO_LATE_SRCS
 
 
 class CompiledFunction:
@@ -172,17 +183,23 @@ class Machine:
         with span("sim.compile", functions=len(program.functions)) as sp:
             for fn in program:
                 self.functions[fn.name] = self._compile_function(fn)
-            # Timing metadata needs the final slot counts.
+            # Timing metadata needs the final slot counts.  Equal tuples
+            # are kept once, in a table that dies with this call (tuples
+            # take no weak references, so a module-level one would only
+            # grow).
             self.float_slot_base = max(self._next_virtual_slot, NUM_GPRS)
+            metas: dict[tuple, tuple] = {}
             for cf in self.functions.values():
                 self._current_function = cf.name
                 for blk in cf.blocks:
-                    blk.meta = [self._instruction_meta(blk, index)
-                                for index in range(len(blk.instrs))]
-            sp.set(instructions=sum(
-                len(blk.instrs)
-                for cf in self.functions.values() for blk in cf.blocks
-            ))
+                    blk.meta = [metas.setdefault(meta, meta)
+                                for meta in (self._instruction_meta(blk, i)
+                                             for i in range(len(blk.instrs)))]
+            blocks = [blk for cf in self.functions.values()
+                      for blk in cf.blocks]
+            sp.set(instructions=sum(len(blk.instrs) for blk in blocks),
+                   distinct_steps=len({id(step) for blk in blocks
+                                       for step in blk.steps}))
         self.entry = self.functions[program.entry]
         # Mutable run state, created by reset().
         self.regs: list[int] = []
@@ -594,6 +611,8 @@ class Machine:
             # The destination first: on_call reads the late sources
             # after before_step has written the destination.
             slots.sort(key=out.__ne__)
+            if blk.late_srcs is _NO_LATE_SRCS:
+                blk.late_srcs = {}
             blk.late_srcs[index] = tuple(slots[2:])
         slots += (-1, -1)
         mem = None
@@ -651,8 +670,49 @@ def _recovery_entry_step(m):
 
 
 # --------------------------------------------------------------------------
-# Per-opcode closure factories.  Each returns step(machine) -> action.
+# Per-opcode closure factories.  Each returns step(machine) -> action, a
+# closure that reads only its argument and the values bound into it, so
+# one step serves every instruction it was built for (_shared).
 # --------------------------------------------------------------------------
+
+#: Every step in use, by ``_shared`` key.  Weak values: an entry goes
+#: with the last block that holds its step.
+_STEPS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+#: Types whose values are equal only to values of the same type.
+_EXACT_TYPES = frozenset((int, str))
+
+
+def _content(value):
+    """``value`` as part of a step key: equal only to a value of the
+    same type, a float by its bit pattern (``0.0`` and ``-0.0`` differ,
+    as do ``1``, ``1.0`` and ``True``, and NaN payloads)."""
+    kind = type(value)
+    if kind is float:
+        return kind, float_to_bits(value)
+    if kind is tuple:
+        return kind, tuple(map(_content, value))
+    return kind, value
+
+
+def _shared(factory, *values):
+    """The step ``factory(*values)`` builds, built once for all
+    machines: the step of an earlier call with the same factory and
+    equal values of the same types, while any block still holds it.
+
+    The key is the factory and the values, each as itself when every
+    value is an ``int`` or ``str`` (neither equals a value of another
+    type), else as its :func:`_content`, a tuple, which no ``int`` or
+    ``str`` equals.
+    """
+    if _EXACT_TYPES.issuperset(map(type, values)):
+        key = (factory, *values)
+    else:
+        key = (factory, *map(_content, values))
+    step = _STEPS.get(key)
+    if step is None:
+        step = _STEPS[key] = factory(*values)
+    return step
+
 
 def _op_div(a, b):
     if b == 0:
@@ -763,39 +823,39 @@ def _compile_templated(machine: Machine, instr: Instruction, block_index):
             is_reg, value = True, machine.slot_of(operand)
         shape.append(is_reg)
         values.append(value)
-    return factories[tuple(shape)](*values)
+    return _shared(factories[tuple(shape)], *values)
 
 
-def _compile_li(machine: Machine, instr: Instruction, _index):
-    dest = machine.slot_of(instr.dest)
-    value = instr.srcs[0].value
-
-    def step(m, d=dest, v=value):
+def _li_step(d, v):
+    def step(m, d=d, v=v):
         m.regs[d] = v
         return None
     return step
 
 
-def _compile_mov(machine: Machine, instr: Instruction, _index):
-    dest = machine.slot_of(instr.dest)
-    src = instr.srcs[0]
-    if isinstance(src, Imm):
-        return _compile_li(machine, instr, _index)
-    slot = machine.slot_of(src)
+def _compile_li(machine: Machine, instr: Instruction, _index):
+    return _shared(_li_step, machine.slot_of(instr.dest),
+                   instr.srcs[0].value)
 
-    def step(m, d=dest, s=slot):
+
+def _mov_step(d, s):
+    def step(m, d=d, s=s):
         r = m.regs
         r[d] = r[s]
         return None
     return step
 
 
-def _compile_load(machine: Machine, instr: Instruction, _index):
-    dest = machine.slot_of(instr.dest)
-    base = machine.slot_of(instr.srcs[0])
-    offset = instr.srcs[1].signed
+def _compile_mov(machine: Machine, instr: Instruction, _index):
+    src = instr.srcs[0]
+    if isinstance(src, Imm):
+        return _compile_li(machine, instr, _index)
+    return _shared(_mov_step, machine.slot_of(instr.dest),
+                   machine.slot_of(src))
 
-    def step(m, d=dest, b=base, off=offset):
+
+def _load_step(d, b, off):
+    def step(m, d=d, b=b, off=off):
         addr = (m.regs[b] + off) & MASK64
         # ``cells`` holds exactly the data image plus validly stored
         # words, so a hit proves the address valid: only a miss needs
@@ -811,24 +871,23 @@ def _compile_load(machine: Machine, instr: Instruction, _index):
     return step
 
 
-def _compile_store(machine: Machine, instr: Instruction, _index):
-    """Only an address not yet in ``cells`` is checked: one already
-    there was checked by whoever stored it first (see
-    :func:`_compile_load`)."""
-    base = machine.slot_of(instr.srcs[0])
-    offset = instr.srcs[1].signed
-    value_operand = instr.srcs[2]
-    if isinstance(value_operand, Imm):
-        def step(m, b=base, off=offset, v=value_operand.value):
-            addr = (m.regs[b] + off) & MASK64
-            cells = m.memory.cells
-            if addr not in cells:
-                m.memory.check(addr)
-            cells[addr] = v
-        return step
-    src = machine.slot_of(value_operand)
+def _compile_load(machine: Machine, instr: Instruction, _index):
+    return _shared(_load_step, machine.slot_of(instr.dest),
+                   machine.slot_of(instr.srcs[0]), instr.srcs[1].signed)
 
-    def step(m, b=base, off=offset, s=src):
+
+def _store_imm_step(b, off, v):
+    def step(m, b=b, off=off, v=v):
+        addr = (m.regs[b] + off) & MASK64
+        cells = m.memory.cells
+        if addr not in cells:
+            m.memory.check(addr)
+        cells[addr] = v
+    return step
+
+
+def _store_step(b, off, s):
+    def step(m, b=b, off=off, s=s):
         addr = (m.regs[b] + off) & MASK64
         cells = m.memory.cells
         if addr not in cells:
@@ -837,31 +896,31 @@ def _compile_store(machine: Machine, instr: Instruction, _index):
     return step
 
 
-def _compile_jmp(machine: Machine, instr: Instruction, block_index):
-    target = block_index[instr.label]
+def _compile_store(machine: Machine, instr: Instruction, _index):
+    """Only an address not yet in ``cells`` is checked: one already
+    there was checked by whoever stored it first (see
+    :func:`_load_step`)."""
+    base = machine.slot_of(instr.srcs[0])
+    offset = instr.srcs[1].signed
+    value_operand = instr.srcs[2]
+    if isinstance(value_operand, Imm):
+        return _shared(_store_imm_step, base, offset, value_operand.value)
+    return _shared(_store_step, base, offset,
+                   machine.slot_of(value_operand))
 
-    def step(m, t=target):
+
+def _jmp_step(t):
+    def step(m, t=t):
         return t
     return step
 
 
-def _compile_call(machine: Machine, instr: Instruction, _index):
-    callee_name = instr.callee
-    dest = machine.slot_of(instr.dest) if instr.dest is not None else -1
-    dest_float = instr.dest.is_float if instr.dest is not None else False
-    arg_specs = []
-    for src in instr.srcs:
-        if isinstance(src, Imm):
-            arg_specs.append((False, src.value))
-        elif isinstance(src, FImm):
-            arg_specs.append((False, src.value))
-        elif src.is_float:
-            arg_specs.append((2, machine.slot_of(src)))
-        else:
-            arg_specs.append((1, machine.slot_of(src)))
-    arg_specs = tuple(arg_specs)
+def _compile_jmp(machine: Machine, instr: Instruction, block_index):
+    return _shared(_jmp_step, block_index[instr.label])
 
-    def step(m, name=callee_name, specs=arg_specs, d=dest, df=dest_float):
+
+def _call_step(name, specs, d, df):
+    def step(m, name=name, specs=specs, d=d, df=df):
         regs = m.regs
         fregs = m.fregs
         args = [
@@ -876,68 +935,112 @@ def _compile_call(machine: Machine, instr: Instruction, _index):
     return step
 
 
-def _compile_ret(machine: Machine, instr: Instruction, _index):
-    if instr.srcs:
-        src = instr.srcs[0]
-        if isinstance(src, Imm) or isinstance(src, FImm):
-            value = src.value
-
-            def step(m, v=value):
-                m.ret_value = v
-                return ACT_RET
-            return step
-        slot = machine.slot_of(src)
-        if src.is_float:
-            def step(m, s=slot):
-                m.ret_value = m.fregs[s]
-                return ACT_RET
+def _compile_call(machine: Machine, instr: Instruction, _index):
+    dest = machine.slot_of(instr.dest) if instr.dest is not None else -1
+    dest_float = instr.dest.is_float if instr.dest is not None else False
+    arg_specs = []
+    for src in instr.srcs:
+        if isinstance(src, Imm):
+            arg_specs.append((False, src.value))
+        elif isinstance(src, FImm):
+            arg_specs.append((False, src.value))
+        elif src.is_float:
+            arg_specs.append((2, machine.slot_of(src)))
         else:
-            def step(m, s=slot):
-                m.ret_value = m.regs[s]
-                return ACT_RET
-        return step
+            arg_specs.append((1, machine.slot_of(src)))
+    return _shared(_call_step, instr.callee, tuple(arg_specs), dest,
+                   dest_float)
 
+
+def _ret_value_step(v):
+    def step(m, v=v):
+        m.ret_value = v
+        return ACT_RET
+    return step
+
+
+def _ret_step(s):
+    def step(m, s=s):
+        m.ret_value = m.regs[s]
+        return ACT_RET
+    return step
+
+
+def _fret_step(s):
+    def step(m, s=s):
+        m.ret_value = m.fregs[s]
+        return ACT_RET
+    return step
+
+
+def _ret_none_step():
     def step(m):
         m.ret_value = None
         return ACT_RET
     return step
 
 
+def _compile_ret(machine: Machine, instr: Instruction, _index):
+    if not instr.srcs:
+        return _shared(_ret_none_step)
+    src = instr.srcs[0]
+    if isinstance(src, Imm) or isinstance(src, FImm):
+        return _shared(_ret_value_step, src.value)
+    return _shared(_fret_step if src.is_float else _ret_step,
+                   machine.slot_of(src))
+
+
+def _param_arg(m, i):
+    # Out-of-range parameter reads only happen under injected opcode
+    # faults; treat them like the hardware would (a trap).
+    if not m.arg_stack or i >= len(m.arg_stack[-1]):
+        raise GuestTrap(TrapKind.ILLEGAL, f"param {i} out of range")
+    return m.arg_stack[-1][i]
+
+
+def _param_step(d, i):
+    def step(m, d=d, i=i):
+        m.regs[d] = int(_param_arg(m, i)) & MASK64
+        return None
+    return step
+
+
+def _fparam_step(d, i):
+    def step(m, d=d, i=i):
+        m.fregs[d] = float(_param_arg(m, i))
+        return None
+    return step
+
+
 def _compile_param(machine: Machine, instr: Instruction, _index):
-    dest = machine.slot_of(instr.dest)
-    idx = instr.srcs[0].value
+    return _shared(_fparam_step if instr.dest.is_float else _param_step,
+                   machine.slot_of(instr.dest), instr.srcs[0].value)
 
-    def fetch(m, i):
-        # Out-of-range parameter reads only happen under injected
-        # opcode faults; treat them like the hardware would (a trap).
-        if not m.arg_stack or i >= len(m.arg_stack[-1]):
-            raise GuestTrap(TrapKind.ILLEGAL, f"param {i} out of range")
-        return m.arg_stack[-1][i]
 
-    if instr.dest.is_float:
-        def step(m, d=dest, i=idx):
-            m.fregs[d] = float(fetch(m, i))
-            return None
-    else:
-        def step(m, d=dest, i=idx):
-            m.regs[d] = int(fetch(m, i)) & MASK64
-            return None
+def _print_value_step(v):
+    def step(m, v=v):
+        m.output.append(v)
+        return None
+    return step
+
+
+def _print_step(s):
+    def step(m, s=s):
+        m.output.append(_signed(m.regs[s]))
+        return None
     return step
 
 
 def _compile_print(machine: Machine, instr: Instruction, _index):
     src = instr.srcs[0]
     if isinstance(src, Imm):
-        value = src.signed
+        return _shared(_print_value_step, src.signed)
+    return _shared(_print_step, machine.slot_of(src))
 
-        def step(m, v=value):
-            m.output.append(v)
-            return None
-        return step
-    slot = machine.slot_of(src)
 
-    def step(m, s=slot):
-        m.output.append(_signed(m.regs[s]))
+def _fprint_step(s):
+    def step(m, s=s):
+        m.output.append(m.fregs[s])
         return None
     return step
 
@@ -945,47 +1048,49 @@ def _compile_print(machine: Machine, instr: Instruction, _index):
 def _compile_fprint(machine: Machine, instr: Instruction, _index):
     src = instr.srcs[0]
     if isinstance(src, FImm):
-        value = float(src.value)
+        return _shared(_print_value_step, float(src.value))
+    return _shared(_fprint_step, machine.slot_of(src))
 
-        def step(m, v=value):
-            m.output.append(v)
-            return None
-        return step
-    slot = machine.slot_of(src)
 
-    def step(m, s=slot):
-        m.output.append(m.fregs[s])
-        return None
+def _exit_value_step(c):
+    def step(m, c=c):
+        m.exit_code = c
+        return ACT_EXIT
+    return step
+
+
+def _exit_step(s):
+    def step(m, s=s):
+        m.exit_code = _signed(m.regs[s])
+        return ACT_EXIT
     return step
 
 
 def _compile_exit(machine: Machine, instr: Instruction, _index):
     src = instr.srcs[0]
     if isinstance(src, Imm):
-        code = src.signed
-
-        def step(m, c=code):
-            m.exit_code = c
-            return ACT_EXIT
-        return step
-    slot = machine.slot_of(src)
-
-    def step(m, s=slot):
-        m.exit_code = _signed(m.regs[s])
-        return ACT_EXIT
-    return step
+        return _shared(_exit_value_step, src.signed)
+    return _shared(_exit_step, machine.slot_of(src))
 
 
-def _compile_detect(machine: Machine, instr: Instruction, _index):
+def _detect_step():
     def step(m):
         return ACT_DETECT
     return step
 
 
-def _compile_nop(machine: Machine, instr: Instruction, _index):
+def _compile_detect(machine: Machine, instr: Instruction, _index):
+    return _shared(_detect_step)
+
+
+def _nop_step():
     def step(m):
         return None
     return step
+
+
+def _compile_nop(machine: Machine, instr: Instruction, _index):
+    return _shared(_nop_step)
 
 
 # ----------------------------------------------------------------- FP ops
@@ -999,12 +1104,22 @@ def _fop_div(a, b):
     return a / b
 
 
-def _compile_fli(machine: Machine, instr: Instruction, _index):
-    dest = machine.slot_of(instr.dest)
-    value = float(instr.srcs[0].value)
-
-    def step(m, d=dest, v=value):
+def _fli_step(d, v):
+    def step(m, d=d, v=v):
         m.fregs[d] = v
+        return None
+    return step
+
+
+def _compile_fli(machine: Machine, instr: Instruction, _index):
+    return _shared(_fli_step, machine.slot_of(instr.dest),
+                   float(instr.srcs[0].value))
+
+
+def _fmov_step(d, s):
+    def step(m, d=d, s=s):
+        fr = m.fregs
+        fr[d] = fr[s]
         return None
     return step
 
@@ -1013,22 +1128,12 @@ def _compile_fmov(machine: Machine, instr: Instruction, _index):
     src = instr.srcs[0]
     if isinstance(src, FImm):
         return _compile_fli(machine, instr, _index)
-    dest = machine.slot_of(instr.dest)
-    slot = machine.slot_of(src)
-
-    def step(m, d=dest, s=slot):
-        fr = m.fregs
-        fr[d] = fr[s]
-        return None
-    return step
+    return _shared(_fmov_step, machine.slot_of(instr.dest),
+                   machine.slot_of(src))
 
 
-def _compile_fload(machine: Machine, instr: Instruction, _index):
-    dest = machine.slot_of(instr.dest)
-    base = machine.slot_of(instr.srcs[0])
-    offset = instr.srcs[1].signed
-
-    def step(m, d=dest, b=base, off=offset):
+def _fload_step(d, b, off):
+    def step(m, d=d, b=b, off=off):
         addr = (m.regs[b] + off) & MASK64
         try:
             value = m.memory.cells[addr]
@@ -1041,22 +1146,13 @@ def _compile_fload(machine: Machine, instr: Instruction, _index):
     return step
 
 
-def _compile_fstore(machine: Machine, instr: Instruction, _index):
-    """Checks the address as :func:`_compile_store` does."""
-    base = machine.slot_of(instr.srcs[0])
-    offset = instr.srcs[1].signed
-    value_operand = instr.srcs[2]
-    if isinstance(value_operand, FImm):
-        def step(m, b=base, off=offset, v=float(value_operand.value)):
-            addr = (m.regs[b] + off) & MASK64
-            cells = m.memory.cells
-            if addr not in cells:
-                m.memory.check(addr)
-            cells[addr] = v
-        return step
-    src = machine.slot_of(value_operand)
+def _compile_fload(machine: Machine, instr: Instruction, _index):
+    return _shared(_fload_step, machine.slot_of(instr.dest),
+                   machine.slot_of(instr.srcs[0]), instr.srcs[1].signed)
 
-    def step(m, b=base, off=offset, s=src):
+
+def _fstore_step(b, off, s):
+    def step(m, b=b, off=off, s=s):
         addr = (m.regs[b] + off) & MASK64
         cells = m.memory.cells
         if addr not in cells:
@@ -1065,29 +1161,36 @@ def _compile_fstore(machine: Machine, instr: Instruction, _index):
     return step
 
 
-def _compile_cvtif(machine: Machine, instr: Instruction, _index):
-    dest = machine.slot_of(instr.dest)
-    src = instr.srcs[0]
-    if isinstance(src, Imm):
-        value = float(src.signed)
+def _compile_fstore(machine: Machine, instr: Instruction, _index):
+    """Checks the address as :func:`_compile_store` does."""
+    base = machine.slot_of(instr.srcs[0])
+    offset = instr.srcs[1].signed
+    value_operand = instr.srcs[2]
+    if isinstance(value_operand, FImm):
+        return _shared(_store_imm_step, base, offset,
+                       float(value_operand.value))
+    return _shared(_fstore_step, base, offset,
+                   machine.slot_of(value_operand))
 
-        def step(m, d=dest, v=value):
-            m.fregs[d] = v
-            return None
-        return step
-    slot = machine.slot_of(src)
 
-    def step(m, d=dest, s=slot):
+def _cvtif_step(d, s):
+    def step(m, d=d, s=s):
         m.fregs[d] = float(_signed(m.regs[s]))
         return None
     return step
 
 
-def _compile_cvtfi(machine: Machine, instr: Instruction, _index):
-    dest = machine.slot_of(instr.dest)
-    slot = machine.slot_of(instr.srcs[0])
+def _compile_cvtif(machine: Machine, instr: Instruction, _index):
+    src = instr.srcs[0]
+    if isinstance(src, Imm):
+        return _shared(_fli_step, machine.slot_of(instr.dest),
+                       float(src.signed))
+    return _shared(_cvtif_step, machine.slot_of(instr.dest),
+                   machine.slot_of(src))
 
-    def step(m, d=dest, s=slot):
+
+def _cvtfi_step(d, s):
+    def step(m, d=d, s=s):
         value = m.fregs[s]
         if value != value or value in (float("inf"), float("-inf")):
             raise GuestTrap(TrapKind.BAD_CONVERT, f"cvtfi of {value}")
@@ -1095,6 +1198,11 @@ def _compile_cvtfi(machine: Machine, instr: Instruction, _index):
         m.regs[d] = return_value & MASK64
         return None
     return step
+
+
+def _compile_cvtfi(machine: Machine, instr: Instruction, _index):
+    return _shared(_cvtfi_step, machine.slot_of(instr.dest),
+                   machine.slot_of(instr.srcs[0]))
 
 
 _STEP_FACTORIES = _render_step_factories()

@@ -73,11 +73,9 @@ def test_performance_harness_small():
 
 
 def test_cli_entry_points_run(capsys):
-    from repro.eval import performance, reliability
+    from repro.__main__ import main as cli_main
 
-    assert performance.main(["--benchmarks", "crc32"]) == 0
-    captured = capsys.readouterr()
-    assert "Figure 9" in captured.out
-    assert reliability.main(["--benchmarks", "crc32", "--trials", "20"]) == 0
-    captured = capsys.readouterr()
-    assert "Figure 8" in captured.out
+    assert cli_main(["fig9", "--benchmarks", "crc32"]) == 0
+    assert "Figure 9" in capsys.readouterr().out
+    assert cli_main(["fig8", "--benchmarks", "crc32", "--trials", "20"]) == 0
+    assert "Figure 8" in capsys.readouterr().out

@@ -1,7 +1,12 @@
 """Developer tooling: tracer, profiler, CLI."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.eval.profile import (
     overhead_by_function,
     profile_workload,
@@ -12,6 +17,8 @@ from repro.sim.trace import format_trace, trace_execution
 from repro.transform import Technique, allocate_program
 from repro.workloads import build
 from repro.__main__ import main as cli_main
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 # ------------------------------------------------------------------- tracer
@@ -151,14 +158,18 @@ def test_cli_fig9_subset(capsys):
 ])
 def test_cli_figures_match_their_harness_entry_points(capsys, command,
                                                       argv):
-    from repro.eval import performance, reliability
-
-    harness = {"fig8": reliability, "fig9": performance}[command]
+    """The documented ``python -m repro figN`` prints exactly what the
+    in-process CLI prints, and no warning (the harness modules have no
+    ``__main__`` block that ``runpy`` could run twice)."""
     assert cli_main([command, *argv]) == 0
-    via_cli = capsys.readouterr().out
-    assert harness.main(argv) == 0
-    assert capsys.readouterr().out == via_cli
-    assert "Figure" in via_cli
+    in_process = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "repro", command, *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == in_process
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_cli_rejects_unknown_technique(tmp_path, capsys):
