@@ -20,39 +20,30 @@ Quick start::
     print(result.unace_percent)
 """
 
-from .errors import ReproError
-from .faults import Outcome, run_campaign
-from .lang import compile_source
-from .sim import Machine, RunResult, RunStatus, measure_cycles, run_program
-from .transform import (
-    PAPER_TECHNIQUES,
-    ProtectionConfig,
-    Technique,
-    VoteStyle,
-    allocate_program,
-    protect,
-)
-from .workloads import PAPER_BENCHMARKS, WORKLOADS
+from ._lazy import lazy_exports
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Machine",
-    "Outcome",
-    "PAPER_BENCHMARKS",
-    "PAPER_TECHNIQUES",
-    "ProtectionConfig",
-    "ReproError",
-    "RunResult",
-    "RunStatus",
-    "Technique",
-    "VoteStyle",
-    "WORKLOADS",
-    "allocate_program",
-    "compile_source",
-    "measure_cycles",
-    "protect",
-    "run_campaign",
-    "run_program",
-    "__version__",
-]
+#: Each public name and the submodule that defines it, loaded on the
+#: name's first use.
+_EXPORTS = {
+    "Machine": "sim",
+    "Outcome": "faults",
+    "PAPER_BENCHMARKS": "workloads",
+    "PAPER_TECHNIQUES": "transform",
+    "ProtectionConfig": "transform",
+    "ReproError": "errors",
+    "RunResult": "sim",
+    "RunStatus": "sim",
+    "Technique": "transform",
+    "VoteStyle": "transform",
+    "WORKLOADS": "workloads",
+    "allocate_program": "transform",
+    "compile_source": "lang",
+    "measure_cycles": "sim",
+    "protect": "transform",
+    "run_campaign": "faults",
+    "run_program": "sim",
+}
+
+__all__ = [*lazy_exports(__name__, _EXPORTS), "__version__"]

@@ -1,45 +1,26 @@
 """Experiment drivers that regenerate the paper's figures."""
 
-from .performance import (
-    PerformanceResults,
-    evaluate_performance,
-    render_figure9,
-)
-from .pipeline import (
-    MAX_INSTRUCTIONS,
-    PipelineOptions,
-    build_binary,
-    prepare,
-    prepare_machine,
-)
-from .profile import (
-    FunctionProfile,
-    overhead_by_function,
-    profile_workload,
-    render_profile,
-)
-from .reliability import (
-    DEFAULT_TRIALS,
-    ReliabilityResults,
-    evaluate_reliability,
-    render_figure8,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_TRIALS",
-    "FunctionProfile",
-    "MAX_INSTRUCTIONS",
-    "PerformanceResults",
-    "PipelineOptions",
-    "ReliabilityResults",
-    "build_binary",
-    "evaluate_performance",
-    "evaluate_reliability",
-    "overhead_by_function",
-    "prepare",
-    "prepare_machine",
-    "profile_workload",
-    "render_profile",
-    "render_figure8",
-    "render_figure9",
-]
+#: Each public name and the submodule that defines it, loaded on the
+#: name's first use.
+_EXPORTS = {
+    "DEFAULT_TRIALS": "reliability",
+    "FunctionProfile": "profile",
+    "MAX_INSTRUCTIONS": "pipeline",
+    "PerformanceResults": "performance",
+    "PipelineOptions": "pipeline",
+    "ReliabilityResults": "reliability",
+    "build_binary": "pipeline",
+    "evaluate_performance": "performance",
+    "evaluate_reliability": "reliability",
+    "overhead_by_function": "profile",
+    "prepare": "pipeline",
+    "prepare_machine": "pipeline",
+    "profile_workload": "profile",
+    "render_profile": "profile",
+    "render_figure8": "reliability",
+    "render_figure9": "performance",
+}
+
+__all__ = lazy_exports(__name__, _EXPORTS)

@@ -201,3 +201,9 @@ def run(args: argparse.Namespace) -> int:
     export_session(sink)
     print(render_figure9(results))
     return 0
+
+
+if __name__ == "__main__":
+    print("repro: error: run Figure 9 with `python -m repro fig9`",
+          file=sys.stderr)
+    raise SystemExit(2)

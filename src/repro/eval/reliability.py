@@ -506,3 +506,9 @@ def run(args: argparse.Namespace) -> int:
     confidence = (args.confidence if (args.ci or args.adaptive) else None)
     print(render_figure8(results, confidence=confidence))
     return 0
+
+
+if __name__ == "__main__":
+    print("repro: error: run Figure 8 with `python -m repro fig8`",
+          file=sys.stderr)
+    raise SystemExit(2)

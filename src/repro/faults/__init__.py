@@ -1,57 +1,38 @@
 """Fault-injection methodology: fault models (site types), the trial
 kernel, campaigns and their statistics."""
 
-from .campaign import CampaignResult, run_batch, run_campaign, run_sites
-from .controlflow_faults import (
-    WildJumpSite,
-    run_wild_jump_campaign,
-    sample_wild_jump_sites,
-)
-from .injector import (
-    CheckpointStore,
-    FullReplay,
-    build_checkpoints,
-    fault_landed,
-    golden_run,
-    run_with_fault,
-)
-from .model import FaultSite, INJECTABLE_GPRS, sample_fault_site, sample_sites
-from .opcode_faults import (
-    OpcodeFaultSite,
-    run_opcode_campaign,
-    sample_opcode_sites,
-)
-from .outcomes import Outcome, classify
-from .parallel import default_jobs
-from .stats import Proportion, geometric_mean
-from .trials import engine, run_trials
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CampaignResult",
-    "CheckpointStore",
-    "FaultSite",
-    "FullReplay",
-    "INJECTABLE_GPRS",
-    "OpcodeFaultSite",
-    "Outcome",
-    "Proportion",
-    "build_checkpoints",
-    "classify",
-    "default_jobs",
-    "engine",
-    "fault_landed",
-    "geometric_mean",
-    "golden_run",
-    "run_batch",
-    "run_campaign",
-    "run_opcode_campaign",
-    "run_sites",
-    "run_trials",
-    "run_wild_jump_campaign",
-    "run_with_fault",
-    "sample_fault_site",
-    "sample_opcode_sites",
-    "sample_sites",
-    "sample_wild_jump_sites",
-    "WildJumpSite",
-]
+#: Each public name and the submodule that defines it, loaded on the
+#: name's first use.
+_EXPORTS = {
+    "CampaignResult": "campaign",
+    "CheckpointStore": "injector",
+    "FaultSite": "model",
+    "FullReplay": "injector",
+    "INJECTABLE_GPRS": "model",
+    "OpcodeFaultSite": "opcode_faults",
+    "Outcome": "outcomes",
+    "Proportion": "stats",
+    "build_checkpoints": "injector",
+    "classify": "outcomes",
+    "default_jobs": "parallel",
+    "engine": "trials",
+    "fault_landed": "injector",
+    "geometric_mean": "stats",
+    "golden_run": "injector",
+    "run_batch": "campaign",
+    "run_campaign": "campaign",
+    "run_opcode_campaign": "opcode_faults",
+    "run_sites": "campaign",
+    "run_trials": "trials",
+    "run_wild_jump_campaign": "controlflow_faults",
+    "run_with_fault": "injector",
+    "sample_fault_site": "model",
+    "sample_opcode_sites": "opcode_faults",
+    "sample_sites": "model",
+    "sample_wild_jump_sites": "controlflow_faults",
+    "WildJumpSite": "controlflow_faults",
+}
+
+__all__ = lazy_exports(__name__, _EXPORTS)

@@ -364,12 +364,16 @@ class _FunctionCodegen:
         end_label = self.fn.new_label("endif")
         target = else_label if stmt.otherwise is not None else end_label
         self._branch_if_false(stmt.cond, target)
+        # A branch that returned or broke out jumps nowhere: a jump after
+        # it would open a block that nothing reaches.
         self._gen_stmt(stmt.then)
         if stmt.otherwise is not None:
-            self._jmp(end_label)
+            if not self._terminated:
+                self._jmp(end_label)
             self._start_labeled(else_label)
             self._gen_stmt(stmt.otherwise)
-        self._jmp(end_label)
+        if not self._terminated:
+            self._jmp(end_label)
         self._start_labeled(end_label)
 
     def _gen_while(self, stmt: ast.While) -> None:

@@ -34,119 +34,65 @@ metric collection process-wide.  Campaign logs are explicit (pass a
 never costs anything when nobody asked for it.
 """
 
-from .atlas import (
-    ATLAS_SCHEMA_VERSION,
-    Atlas,
-    AtlasAccumulator,
-    atlas_from_records,
-    collect_site_locations,
-)
-from .campaign_log import (
-    CampaignLog,
-    TrialRecord,
-    detection_icount,
-    detection_latency,
-)
-from .convergence import convergence_tables
-from .emit import Table, emit_tables
-from .forensics import (
-    MECHANISMS,
-    ForensicsReport,
-    analyze_log,
-    analyze_records,
-    classify_trial,
-    forensics_path,
-    render_report,
-)
-from .metrics import (
-    Counter,
-    DEFAULT_LATENCY_BUCKETS,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    registry,
-)
-from .profile import SimProfiler, render_hotspots
-from .registry import (
-    REGISTRY_SCHEMA_VERSION,
-    RegistryError,
-    RunRegistry,
-    StoredRun,
-    diff_tables,
-    history_tables,
-    runs_tables,
-    store_campaign,
-    store_timing,
-)
-from .sink import (
-    JsonlSink,
-    TelemetryError,
-    load_telemetry,
-    read_jsonl,
-    summarize_path,
-    summarize_records,
-    write_bench,
-)
+from .._lazy import lazy_exports
 
-# Importing the ``repro.obs.registry`` submodule above rebound this
-# package's ``registry`` attribute from the metrics accessor to the
-# module object; restore the long-standing public name.
-from .metrics import registry  # noqa: E402, F811
-from .spans import Span, SpanCollector, collector, disable, enable, enabled, span
-from .trace_export import chrome_trace, export_trace, export_trace_path
+#: Each public name and the submodule that defines it, loaded on the
+#: name's first use.
+_EXPORTS = {
+    "ATLAS_SCHEMA_VERSION": "atlas",
+    "Atlas": "atlas",
+    "AtlasAccumulator": "atlas",
+    "CampaignLog": "campaign_log",
+    "Counter": "metrics",
+    "DEFAULT_LATENCY_BUCKETS": "metrics",
+    "ForensicsReport": "forensics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "JsonlSink": "sink",
+    "MECHANISMS": "forensics",
+    "MetricsRegistry": "metrics",
+    "REGISTRY_SCHEMA_VERSION": "registry",
+    "RegistryError": "registry",
+    "RunRegistry": "registry",
+    "SimProfiler": "profile",
+    "StoredRun": "registry",
+    "TelemetryError": "sink",
+    "Span": "spans",
+    "SpanCollector": "spans",
+    "Table": "emit",
+    "TrialRecord": "campaign_log",
+    "analyze_log": "forensics",
+    "analyze_records": "forensics",
+    "atlas_from_records": "atlas",
+    "chrome_trace": "trace_export",
+    "classify_trial": "forensics",
+    "collect_site_locations": "atlas",
+    "collector": "spans",
+    "convergence_tables": "convergence",
+    "diff_tables": "registry",
+    "emit_tables": "emit",
+    "detection_icount": "campaign_log",
+    "detection_latency": "campaign_log",
+    "disable": "spans",
+    "enable": "spans",
+    "enabled": "spans",
+    "export_trace": "trace_export",
+    "export_trace_path": "trace_export",
+    "forensics_path": "forensics",
+    "history_tables": "registry",
+    "load_telemetry": "sink",
+    "read_jsonl": "sink",
+    # The metrics accessor; the ledger is the ``registry`` submodule.
+    "registry": "metrics",
+    "render_hotspots": "profile",
+    "render_report": "forensics",
+    "runs_tables": "registry",
+    "span": "spans",
+    "store_campaign": "registry",
+    "store_timing": "registry",
+    "summarize_path": "sink",
+    "summarize_records": "sink",
+    "write_bench": "sink",
+}
 
-__all__ = [
-    "ATLAS_SCHEMA_VERSION",
-    "Atlas",
-    "AtlasAccumulator",
-    "CampaignLog",
-    "Counter",
-    "DEFAULT_LATENCY_BUCKETS",
-    "ForensicsReport",
-    "Gauge",
-    "Histogram",
-    "JsonlSink",
-    "MECHANISMS",
-    "MetricsRegistry",
-    "REGISTRY_SCHEMA_VERSION",
-    "RegistryError",
-    "RunRegistry",
-    "SimProfiler",
-    "StoredRun",
-    "TelemetryError",
-    "Span",
-    "SpanCollector",
-    "Table",
-    "TrialRecord",
-    "analyze_log",
-    "analyze_records",
-    "atlas_from_records",
-    "chrome_trace",
-    "classify_trial",
-    "collect_site_locations",
-    "collector",
-    "convergence_tables",
-    "diff_tables",
-    "emit_tables",
-    "detection_icount",
-    "detection_latency",
-    "disable",
-    "enable",
-    "enabled",
-    "export_trace",
-    "export_trace_path",
-    "forensics_path",
-    "history_tables",
-    "load_telemetry",
-    "read_jsonl",
-    "registry",
-    "render_hotspots",
-    "render_report",
-    "runs_tables",
-    "span",
-    "store_campaign",
-    "store_timing",
-    "summarize_path",
-    "summarize_records",
-    "write_bench",
-]
+__all__ = lazy_exports(__name__, _EXPORTS)

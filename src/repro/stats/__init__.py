@@ -17,46 +17,31 @@ ones:
   significance-tested assertions.
 """
 
-from .allocation import neyman_allocation
-from .claims import Claim, evaluate_claims, render_claims
-from .estimators import (
-    DifferenceTest,
-    StratifiedEstimate,
-    StratumCell,
-    estimate_difference,
-    outcome_rate_tests,
-    stratified_estimate,
-    two_proportion_diff,
-)
-from .sequential import (
-    AdaptiveConfig,
-    AdaptiveResult,
-    BatchRecord,
-    StratumOutcomes,
-    run_adaptive_campaign,
-    run_adaptive_suite,
-)
-from .space import FaultSpace, Stratum, profile_fault_space
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdaptiveConfig",
-    "AdaptiveResult",
-    "BatchRecord",
-    "Claim",
-    "DifferenceTest",
-    "FaultSpace",
-    "Stratum",
-    "StratifiedEstimate",
-    "StratumCell",
-    "StratumOutcomes",
-    "estimate_difference",
-    "evaluate_claims",
-    "neyman_allocation",
-    "outcome_rate_tests",
-    "profile_fault_space",
-    "render_claims",
-    "run_adaptive_campaign",
-    "run_adaptive_suite",
-    "stratified_estimate",
-    "two_proportion_diff",
-]
+#: Each public name and the submodule that defines it, loaded on the
+#: name's first use.
+_EXPORTS = {
+    "AdaptiveConfig": "sequential",
+    "AdaptiveResult": "sequential",
+    "BatchRecord": "sequential",
+    "Claim": "claims",
+    "DifferenceTest": "estimators",
+    "FaultSpace": "space",
+    "Stratum": "space",
+    "StratifiedEstimate": "estimators",
+    "StratumCell": "estimators",
+    "StratumOutcomes": "sequential",
+    "estimate_difference": "estimators",
+    "evaluate_claims": "claims",
+    "neyman_allocation": "allocation",
+    "outcome_rate_tests": "estimators",
+    "profile_fault_space": "space",
+    "render_claims": "claims",
+    "run_adaptive_campaign": "sequential",
+    "run_adaptive_suite": "sequential",
+    "stratified_estimate": "estimators",
+    "two_proportion_diff": "estimators",
+}
+
+__all__ = lazy_exports(__name__, _EXPORTS)

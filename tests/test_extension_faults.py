@@ -86,11 +86,15 @@ def test_opcode_fault_determinism(sort_noft):
 # ------------------------------------------------- pins through the kernel
 #: Outcome counts on sort/NOFT (golden 34,290 instructions), recorded
 #: with the standalone full-replay loops these models had before they
-#: became site samplers over the trial kernel.
+#: became site samplers over the trial kernel.  A corrupted branch
+#: target or a wild jump selects a block by its position, so these
+#: counts follow sort's static layout; the first and third were
+#: re-recorded when codegen stopped opening an unreachable block after
+#: a then-branch that returns (one in ``quicksort``, one in ``main``).
 _PINS = [
-    (sample_opcode_sites, 3, 80, {"SDC": 1, "SEGV": 30, "unACE": 49}),
+    (sample_opcode_sites, 3, 80, {"SDC": 1, "SEGV": 31, "unACE": 48}),
     (sample_opcode_sites, 4, 60, {"SDC": 3, "SEGV": 17, "unACE": 40}),
-    (sample_wild_jump_sites, 2, 60, {"SDC": 21, "SEGV": 14, "unACE": 25}),
+    (sample_wild_jump_sites, 2, 60, {"SDC": 21, "SEGV": 9, "unACE": 30}),
 ]
 
 
@@ -186,9 +190,9 @@ def test_cfc_detects_wild_jumps():
     checked = allocate_program(apply_cfc(program))
     plain_campaign = run_wild_jump_campaign(plain, trials=150, seed=9)
     cfc_campaign = run_wild_jump_campaign(checked, trials=150, seed=9)
-    assert _counts(plain_campaign) == {"SDC": 50, "SEGV": 22, "unACE": 78}
-    assert _counts(cfc_campaign) == {"DUE": 75, "SDC": 26, "SEGV": 10,
-                                     "unACE": 39}
+    assert _counts(plain_campaign) == {"SDC": 51, "SEGV": 28, "unACE": 71}
+    assert _counts(cfc_campaign) == {"DUE": 83, "SDC": 23, "SEGV": 11,
+                                     "unACE": 33}
     assert plain_campaign.detected_percent == 0.0
     assert cfc_campaign.detected_percent > 25.0
     # Detection converts silent corruption into DUEs.

@@ -116,7 +116,7 @@ int data[8] = { 3, 1, 4, 1, 5, 9, 2, 6 };
 int sq(int x) { return x * x; }
 int half(int x) { return x / 2; }
 int depth(int n) {
-    if (n > 0) { return depth(n - 1) + half(n); }
+    if (n > 0) { return depth(n - 1) + half(n); n = 0; }
     return 0;
 }
 int setup(int n) {
@@ -136,11 +136,12 @@ int main() {
 def test_run_once_code_stays_interpreted(render_counts):
     """A function called from a loop block (``sq``), from itself
     (``depth``) or from a hot function (``half``) is hot, and all of it
-    but its repair blocks (here ``depth``'s unreachable block) is
-    rendered.  In every other function (``main``, ``setup``) only the
-    loop blocks are rendered: each block outside its loops is a fuel
-    stop listed in ``JitProgram.interpreted``.  The program runs as it
-    does on the interpreter."""
+    but its repair blocks (here the unreachable block that the dead
+    statement after ``depth``'s first ``return`` opens) is rendered.  In
+    every other function (``main``, ``setup``) only the loop blocks are
+    rendered: each block outside its loops is a fuel stop listed in
+    ``JitProgram.interpreted``.  The program runs as it does on the
+    interpreter."""
     machine = Machine(compile_source(_HOT_SOURCE))
     compiled = jit.compile_program(machine)
     facts = jit._program_facts(machine)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import CFG
 from repro.errors import SemanticError
 from repro.isa import Opcode, verify_program
 from repro.lang import compile_source
@@ -291,6 +292,34 @@ int main() {
     # No materialised compare results for fused conditions.
     assert Opcode.CMPLT not in ops
 
+
+
+def test_if_branch_that_returns_opens_no_block():
+    """A branch that returns or breaks jumps nowhere after it, so every
+    block is reachable and each function still computes its result."""
+    source = """
+int sign(int x) {
+    if (x < 0) { return -1; } else { if (x == 0) { return 0; } }
+    return 1;
+}
+int pick(int x) {
+    if (x > 5) { x = x - 5; } else { return x * 2; }
+    return x;
+}
+int main() {
+    int n = 0;
+    while (1) { if (n == 3) { break; } n = n + 1; }
+    print(sign(-4) + sign(0) * 10 + sign(9) * 100);
+    print(pick(8) + pick(2) * 10 + n * 100);
+    return 0;
+}
+"""
+    program = compile_source(source)
+    for fn in program:
+        reachable = CFG(fn).reachable()
+        assert [b.name for b in fn.blocks if b.name not in reachable] \
+            == [], fn.name
+    assert outputs(source) == [99, 343]
 
 def test_global_float_arrays():
     assert outputs("""

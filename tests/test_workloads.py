@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import CFG
 from repro.isa import Opcode, OpKind, verify_program
 from repro.sim import RunStatus, run_program
 from repro.transform import allocate_program
@@ -55,9 +56,15 @@ def test_unknown_workload():
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_builds_and_verifies(name):
+    """Every block of the compiled source is reached by some flow
+    edge: codegen opens no block that nothing jumps or falls into."""
     program = build(name)
     verify_program(program)
     assert program.entry == "main"
+    for fn in program:
+        reachable = CFG(fn).reachable()
+        assert [b.name for b in fn.blocks if b.name not in reachable] \
+            == [], fn.name
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
