@@ -40,15 +40,15 @@ from . import __version__
 from .errors import (
     CodegenError,
     ParseError,
+    RegistryError,
     SemanticError,
     ShardLostError,
     SpecError,
+    TelemetryError,
     WorkloadError,
 )
 from .eval import performance, reliability
 from .lang import compile_source
-from .obs.registry import RegistryError
-from .obs.sink import TelemetryError
 from .sim import Machine, run_program
 from .transform import Technique, allocate_program, protect
 from .workloads import PAPER_BENCHMARKS, WORKLOADS
@@ -127,7 +127,7 @@ def _campaign_spec(args):
 
 
 def _cmd_campaign(args) -> int:
-    from .eval.spec import run_spec
+    from .eval.spec import run_or_recall
     from .eval.telemetry import export_session, open_sink
     from .obs import CampaignLog
 
@@ -144,27 +144,42 @@ def _cmd_campaign(args) -> int:
         # runs keep the trial records as their primary artifact.)
         log = CampaignLog(context=context)
     binary = _load_binary(args.program, args.technique)
-    # A stored identical campaign answers the request, unless it asks
-    # for per-run output that only running the trials can produce.
-    if (args.store and not (args.telemetry or args.taint or args.atlas
-                            or args.profile)
-            and _answer_from_ledger(args, spec, binary)):
-        return 0
+    registry = None
+    if args.store:
+        from .obs.registry import RunRegistry
+
+        registry = RunRegistry(args.runs_dir or None)
     profile = None
     if args.profile:
         from .obs import SimProfiler
 
         profile = SimProfiler()
-    if args.adaptive:
-        return _adaptive_campaign(args, spec, binary, sink, log, profile,
-                                  context)
     atlas = None
-    if args.atlas:
+    if args.atlas and not args.adaptive:
         from .obs import AtlasAccumulator
 
         atlas = AtlasAccumulator()
-    run = run_spec(spec, binary, log=log, taint=args.taint,
-                   profile=profile, jit=args.jit, atlas=atlas)
+    # An adaptive atlas is anchored from the trial records after the
+    # run, as a telemetry export is written from them.
+    run = run_or_recall(spec, binary, registry=registry, tag=args.tag,
+                        log=log,
+                        telemetry=sink is not None or bool(args.atlas),
+                        taint=args.taint, profile=profile, atlas=atlas,
+                        jit=args.jit)
+    if run.recalled:
+        results = run.stored.manifest["results"]
+        print(f"technique : {args.technique.label}")
+        print(f"trials    : {run.result.trials}")
+        if "adaptive" in results:
+            print("status    : " + ("target reached"
+                                    if results["adaptive"]["target_met"]
+                                    else "trial cap hit"))
+        _print_outcomes(run.result)
+        _print_ledger(run.stored, args.tag)
+        return 0
+    if args.adaptive:
+        return _adaptive_campaign(args, spec, binary, sink, log, run,
+                                  context)
     campaign = run.result
     print(f"technique : {args.technique.label}")
     print(f"trials    : {campaign.trials}")
@@ -190,8 +205,8 @@ def _cmd_campaign(args) -> int:
             print(f"latency   : mean {mean:.1f} dynamic instructions to "
                   f"detection ({len(latencies)} detected trials)")
         export_session(sink)
-    if args.store:
-        _store_run(args, spec, run, binary)
+    if run.stored is not None:
+        _print_ledger(run.stored, args.tag)
     if args.taint:
         from .obs import analyze_log, render_report
 
@@ -210,47 +225,14 @@ def _print_outcomes(campaign) -> None:
     print(f"repairs   : fired in {campaign.recoveries} runs")
 
 
-def _answer_from_ledger(args, spec, binary) -> bool:
-    """Report an identical campaign already in the ledger instead of
-    running it (``--store``); ``False`` when none is stored."""
-    from .eval.spec import find_cached
-    from .faults import CampaignResult
-    from .obs.registry import RunRegistry
-
-    registry = RunRegistry(args.runs_dir or None)
-    run_id = find_cached(registry, spec, binary)
-    if run_id is None:
-        return False
-    if args.tag:
-        registry.tag(run_id, args.tag)
-    results = registry.manifest(run_id)["results"]
-    print(f"technique : {args.technique.label}")
-    print(f"trials    : {results['trials']}")
-    if "adaptive" in results:
-        print("status    : " + ("target reached"
-                                if results["adaptive"]["target_met"]
-                                else "trial cap hit"))
-    _print_outcomes(CampaignResult.from_summary(results))
-    _print_ledger("cache hit", run_id, args.tag, registry.run_dir(run_id))
-    return True
-
-
-def _store_run(args, spec, run, binary) -> None:
-    """Record one finished campaign in the run ledger (``--store``)."""
-    from .eval.spec import store_spec_run
-    from .obs.registry import RunRegistry
-
-    registry = RunRegistry(args.runs_dir or None)
-    stored = store_spec_run(registry, spec, run, binary, tag=args.tag)
-    _print_ledger("stored" if stored.created else "cache hit",
-                  stored.run_id, args.tag, stored.path)
-
-
-def _print_ledger(verb: str, run_id: str, tag: str, path: str) -> None:
+def _print_ledger(stored, tag: str) -> None:
+    """Report the ledger entry a ``--store`` campaign stored or
+    recalled (a :class:`~repro.obs.registry.StoredRun`)."""
+    verb = "stored" if stored.created else "cache hit"
     tag = f" tag={tag}" if tag else ""
-    print(f"ledger    : {verb} run {run_id}{tag} -> {path}")
+    print(f"ledger    : {verb} run {stored.run_id}{tag} -> {stored.path}")
     print(f"            (compare with: python -m repro obs diff "
-          f"{run_id[:12]} OTHER)")
+          f"{stored.run_id[:12]} OTHER)")
 
 
 def _write_profile(path: str, profile, context: dict) -> None:
@@ -276,15 +258,12 @@ def _write_atlas(path: str, atlas) -> None:
     print(f"            (render with: python -m repro obs atlas {path})")
 
 
-def _adaptive_campaign(args, spec, binary, sink, log, profile,
+def _adaptive_campaign(args, spec, binary, sink, log, run,
                        context) -> int:
-    """Run one adaptive campaign and print its stopping summary;
-    ``run_spec`` rejects ``--taint`` and ``--profile`` here."""
-    from .eval.spec import run_spec
+    """Print one adaptive campaign's stopping summary and write its
+    outputs."""
     from .eval.telemetry import export_session
 
-    run = run_spec(spec, binary, log=log, taint=args.taint,
-                   profile=profile, jit=args.jit)
     result = run.adaptive
     campaign = result.result
     estimate = result.estimate
@@ -318,8 +297,8 @@ def _adaptive_campaign(args, spec, binary, sink, log, profile,
         _write_atlas(args.atlas, atlas_from_records(
             log.to_dicts(), Machine(binary), weights=weights,
             context=dict(context, trials=campaign.trials)))
-    if args.store:
-        _store_run(args, spec, run, binary)
+    if run.stored is not None:
+        _print_ledger(run.stored, args.tag)
     return 0
 
 

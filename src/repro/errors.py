@@ -74,3 +74,17 @@ class ShardLostError(ReproError):
 class SpecError(ReproError, ValueError):
     """A campaign spec that cannot be validated or executed (an
     out-of-range knob, for one)."""
+
+
+class RegistryError(ReproError, ValueError):
+    """A run-ledger operation that cannot proceed (bad ref, axis clash,
+    corrupt manifest)."""
+
+
+class TelemetryError(ReproError, ValueError):
+    """A telemetry file that cannot be loaded as JSONL records.
+
+    Raised (with a one-line, path-and-line-number message) instead of
+    letting ``json``/``gzip`` tracebacks escape to the CLI when a file
+    is missing, empty, truncated mid-record, or not JSONL at all.
+    """

@@ -16,16 +16,17 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from ..faults.injector import golden_run
-from ..obs.sink import JsonlSink
 from ..obs.spans import span
-from ..sim.timing import TimingConfig, TimingResult, TimingSimulator
 from ..transform.protect import PAPER_TECHNIQUES, Technique
 from ..workloads.suite import PAPER_BENCHMARKS, get_workload
 from .pipeline import PipelineOptions, prepare_machine
 from .report import fmt_norm, geomean, render_table
-from .telemetry import export_session, open_sink
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; imported on use
+    from ..obs.sink import JsonlSink
+    from ..sim.timing import TimingConfig, TimingResult
 
 
 @dataclass
@@ -77,6 +78,8 @@ def evaluate_performance(
     ``{tag}/{benchmark}/{technique}`` (see ``obs runs`` / ``obs
     history``).
     """
+    from ..sim.timing import TimingSimulator
+
     benchmarks = list(benchmarks or PAPER_BENCHMARKS)
     for bench in benchmarks:
         get_workload(bench)     # an unknown name fails before any cell
@@ -99,6 +102,7 @@ def evaluate_performance(
                 cell = TimingSimulator(machine, timing).run()
             results.cells[(bench, tech)] = cell
             if profile_path:
+                from ..faults.injector import golden_run
                 from ..obs.profile import SimProfiler
 
                 profiler = SimProfiler()
@@ -136,6 +140,8 @@ def evaluate_performance(
                     file=sys.stderr,
                 )
     if profile_path:
+        from ..obs.sink import JsonlSink
+
         with JsonlSink(profile_path) as profile_sink:
             profile_sink.write_many(profile_records)
         if progress:
@@ -193,6 +199,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 def run(args: argparse.Namespace) -> int:
     """Time the grid the :func:`add_arguments` flags in ``args``
     describe and print Figure 9."""
+    from .telemetry import export_session, open_sink
+
     sink = open_sink(args.telemetry)
     results = evaluate_performance(
         benchmarks=args.benchmarks.split(",") if args.benchmarks else None,

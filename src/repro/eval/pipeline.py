@@ -3,7 +3,7 @@
 Mirrors the paper's toolchain position: protection passes run in the
 backend immediately before register allocation (Section 7).  Prepared
 binaries are cached per (workload, technique, config) because both
-evaluation harnesses and the benches reuse them heavily.
+evaluation harnesses reuse them heavily.
 """
 
 from __future__ import annotations

@@ -17,31 +17,24 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
+from functools import partial
+from typing import TYPE_CHECKING
 
 from ..errors import SpecError
-from ..faults.campaign import CampaignResult
 from ..faults.outcomes import Outcome
 from ..faults.stats import Proportion
-from ..obs.campaign_log import CampaignLog
-from ..obs.sink import JsonlSink
 from ..obs.spans import span
-from ..stats.claims import evaluate_claims, render_claims
-from ..stats.estimators import (
-    StratifiedEstimate,
-    StratumCell,
-    stratified_estimate,
-)
-from ..stats.sequential import (
-    AdaptiveConfig,
-    AdaptiveResult,
-    run_adaptive_suite,
-)
 from ..transform.protect import PAPER_TECHNIQUES, Technique
 from ..workloads.suite import PAPER_BENCHMARKS, get_workload
-from .pipeline import PipelineOptions, prepare_machine
+from .pipeline import PipelineOptions, prepare, prepare_machine
 from .report import average, fmt_pct, reduction_percent, render_table
-from .spec import CampaignSpec, run_spec
-from .telemetry import export_session, open_sink
+from .spec import CampaignSpec, run_or_recall
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; imported on use
+    from ..faults.campaign import CampaignResult
+    from ..obs.sink import JsonlSink
+    from ..stats.estimators import StratifiedEstimate
+    from ..stats.sequential import AdaptiveResult
 
 #: Default trials per (benchmark, technique) cell (``--trials``).  The
 #: paper used 250.
@@ -139,7 +132,10 @@ def evaluate_reliability(
     ``store=True`` records every (benchmark, technique) cell in the
     persistent run ledger (see :mod:`repro.obs.registry`); with a
     ``tag``, each cell is tagged ``{tag}/{benchmark}/{technique}`` so
-    ``obs diff`` can address individual cells precisely.
+    ``obs diff`` can address individual cells precisely.  A fixed-grid
+    cell whose identical campaign is already stored is recalled from
+    the ledger without running a trial
+    (:func:`repro.eval.spec.run_or_recall`).
     """
     benchmarks = list(benchmarks or PAPER_BENCHMARKS)
     for bench in benchmarks:
@@ -171,8 +167,10 @@ def evaluate_reliability(
             print(f"  ledger: stored {cells} run(s) under "
                   f"{registry.root}", file=sys.stderr)
         return results
+    from ..obs.campaign_log import CampaignLog
+
     profile_records: list[dict] = []
-    stored = 0
+    recalled = 0
     for bench in benchmarks:
         for tech in techniques:
             log = None
@@ -187,18 +185,17 @@ def evaluate_reliability(
                 profiler = SimProfiler()
             with span("fig8.cell", benchmark=bench,
                       technique=tech.value) as cell_span:
-                machine = prepare_machine(bench, tech, options)
                 spec = CampaignSpec(technique=tech.value, workload=bench,
                                     seed=seed, trials=trials, jobs=jobs)
-                campaign = run_spec(spec, machine.program,
-                                    machine=machine, log=log,
-                                    taint=taint, profile=profiler,
-                                    jit=jit).result
+                run = run_or_recall(
+                    spec, prepare(bench, tech, options), registry=registry,
+                    tag=f"{tag}/{bench}/{tech.value}" if tag else "",
+                    machine=partial(prepare_machine, bench, tech, options),
+                    log=log, telemetry=telemetry is not None, taint=taint,
+                    profile=profiler, jit=jit)
+            campaign = run.result
             results.cells[(bench, tech)] = campaign
-            if registry is not None:
-                _store_cell(registry, bench, tech, seed, campaign, log,
-                            machine.program, tag)
-                stored += 1
+            recalled += run.recalled
             if profiler is not None:
                 profile_records.extend(profiler.to_records(
                     context={"benchmark": bench,
@@ -212,34 +209,23 @@ def evaluate_reliability(
                     f"unACE={campaign.unace_percent:6.2f} "
                     f"SEGV={campaign.segv_percent:5.2f} "
                     f"SDC={campaign.sdc_percent:5.2f} "
-                    f"({cell_span.elapsed:.1f}s)",
+                    f"({cell_span.elapsed:.1f}s"
+                    f"{', from the ledger' if run.recalled else ''})",
                     file=sys.stderr,
                 )
     if profile_path:
+        from ..obs.sink import JsonlSink
+
         with JsonlSink(profile_path) as profile_sink:
             profile_sink.write_many(profile_records)
         if progress:
             print(f"  wrote {len(profile_records)} profile records to "
                   f"{profile_path}", file=sys.stderr)
     if registry is not None:
-        print(f"  ledger: stored {stored} run(s) under {registry.root}",
-              file=sys.stderr)
+        stored = len(benchmarks) * len(techniques) - recalled
+        print(f"  ledger: stored {stored} run(s), recalled {recalled} "
+              f"under {registry.root}", file=sys.stderr)
     return results
-
-
-def _store_cell(registry, bench: str, tech: Technique, seed: int,
-                campaign: CampaignResult, log, program,
-                tag: str, weights: dict | None = None,
-                adaptive: AdaptiveResult | None = None):
-    """Ledger one grid cell under the tag ``{tag}/{bench}/{tech}``."""
-    from ..obs.registry import store_campaign
-
-    cell_tag = f"{tag}/{bench}/{tech.value}" if tag else ""
-    return store_campaign(registry, workload={"benchmark": bench},
-                          technique=tech.value, seed=seed,
-                          result=campaign, log=log, program=program,
-                          weights=weights, adaptive=adaptive,
-                          tag=cell_tag)
 
 
 def _evaluate_adaptive(results: ReliabilityResults,
@@ -249,7 +235,12 @@ def _evaluate_adaptive(results: ReliabilityResults,
                        ci_width: float, max_trials: int,
                        jit: bool | None = None,
                        registry=None, tag: str = "") -> None:
-    """One adaptive suite-level campaign per technique."""
+    """One adaptive suite-level campaign per technique.  Its cells are
+    allocated across the suite, so each is stored without a ledger
+    probe: a single cell's identity cannot be recalled."""
+    from ..obs.campaign_log import CampaignLog
+    from ..stats.sequential import AdaptiveConfig, run_adaptive_suite
+
     config = AdaptiveConfig(ci_width=ci_width,
                             confidence=results.confidence,
                             max_trials=max_trials)
@@ -270,14 +261,19 @@ def _evaluate_adaptive(results: ReliabilityResults,
         for bench in results.benchmarks:
             results.cells[(bench, tech)] = adaptive.arm_results[bench]
         if registry is not None:
+            from ..obs.registry import store_campaign
+
             for bench, machine in machines:
                 weights = {r["stratum"]: r["weight"]
                            for r in adaptive.stratum_dicts()
                            if r.get("arm") == bench}
-                _store_cell(registry, bench, tech, results.seed,
-                            adaptive.arm_results[bench], logs[bench],
-                            machine.program, tag,
-                            weights=weights or None, adaptive=adaptive)
+                store_campaign(
+                    registry, workload={"benchmark": bench},
+                    technique=tech.value, seed=results.seed,
+                    result=adaptive.arm_results[bench], log=logs[bench],
+                    program=machine.program, weights=weights or None,
+                    adaptive=adaptive,
+                    tag=f"{tag}/{bench}/{tech.value}" if tag else "")
         if telemetry is not None:
             for bench in results.benchmarks:
                 telemetry.write_many(logs[bench].to_dicts())
@@ -321,6 +317,8 @@ def suite_estimate(results: ReliabilityResults, technique: Technique,
     is exact for both fixed and adaptive grids even when per-cell trial
     counts differ.
     """
+    from ..stats.estimators import StratumCell, stratified_estimate
+
     cells = [
         StratumCell(key=bench, weight=1.0 / len(results.benchmarks),
                     trials=results.cell(bench, technique).trials,
@@ -429,6 +427,8 @@ def render_figure8(results: ReliabilityResults,
             )
         sections.append("\n".join(lines))
     if confidence is not None:
+        from ..stats.claims import evaluate_claims, render_claims
+
         claims = evaluate_claims(results, confidence)
         if claims:
             sections.append(render_claims(claims))
@@ -493,6 +493,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 def run(args: argparse.Namespace) -> int:
     """Run the grid the :func:`add_arguments` flags in ``args``
     describe and print Figure 8."""
+    from .telemetry import export_session, open_sink
+
     sink = open_sink(args.telemetry)
     results = evaluate_reliability(
         benchmarks=args.benchmarks.split(",") if args.benchmarks else None,

@@ -7,21 +7,23 @@ adaptive stopping knobs.  ``jobs`` rides along as an execution hint
 but never enters a stored run's identity -- campaigns are
 bit-identical for any jobs value.
 
-:func:`run_spec` is the single spec-to-run path: the ``campaign`` CLI
-and the Figure-8 harness both call it.  That makes the ledger probe
-sound: :func:`expected_identity` predicts the exact identity axes
-(workload, technique, config, code sha256) that
+:func:`run_spec` is the single spec-to-run path, and
+:func:`run_or_recall` puts the ledger in front of it: the ``campaign``
+CLI and the Figure-8 harness both call it.  That makes the ledger
+probe sound: :func:`expected_identity` predicts the exact identity
+axes (workload, technique, config, code sha256) that
 :func:`repro.obs.registry.store_campaign` will write, and
 :func:`find_cached` scans the ledger for a stored manifest carrying
 them.  A hit means the requested campaign already ran, so
-``campaign --store`` answers it without executing a single trial.
+``campaign --store`` and ``fig8 --store`` answer it without executing
+a single trial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import SpecError
+from ..errors import RegistryError, SpecError
 
 
 @dataclass(frozen=True)
@@ -105,12 +107,17 @@ class CampaignSpec:
 # ---------------------------------------------------------------- run_spec
 @dataclass
 class SpecRun:
-    """What :func:`run_spec` hands back: the aggregate result plus the
-    adaptive details when the spec asked for them."""
+    """What :func:`run_spec` and :func:`run_or_recall` hand back: the
+    aggregate result, the adaptive details when the spec asked for them
+    and, from :func:`run_or_recall` with a ledger, the ledger entry."""
 
     result: object                      # CampaignResult
     adaptive: object | None = None      # AdaptiveResult | None
     log: object | None = field(default=None, repr=False)
+    #: The :class:`~repro.obs.registry.StoredRun` stored or recalled.
+    stored: object | None = None
+    #: ``True`` when the ledger answered and no trial ran.
+    recalled: bool = False
 
     @property
     def weights(self) -> dict | None:
@@ -161,10 +168,56 @@ def run_spec(spec: CampaignSpec, program, *, machine=None, log=None,
 
 
 # ------------------------------------------------------------------ ledger
+def run_or_recall(spec: CampaignSpec, program, *, registry=None,
+                  tag: str = "", machine=None, log=None,
+                  telemetry: bool = False, taint: bool = False,
+                  profile=None, atlas=None,
+                  jit: bool | None = None) -> SpecRun:
+    """Run ``spec`` against ``program``, or recall the identical run
+    from the ledger -- the one ``--store`` path.
+
+    Without a ``registry`` this is :func:`run_spec`.  With one, a
+    stored identical campaign (:func:`find_cached`) answers: it is
+    tagged ``tag``, its result is rebuilt from the manifest, and no
+    trial runs (nor is ``machine`` called).  On a miss the campaign
+    runs and is stored; ``log`` must then be given.  Output that only
+    running the trials produces -- a ``telemetry`` export, ``taint``
+    streams, a ``profile`` or an ``atlas`` -- always forces a real run.
+
+    ``machine`` is a zero-argument callable returning a prepared
+    simulator for ``program``, called only when trials run; the other
+    hooks thread through to :func:`run_spec`.
+    """
+    if registry is not None and not (telemetry or taint
+                                     or profile is not None
+                                     or atlas is not None):
+        run_id = find_cached(registry, spec, program)
+        if run_id is not None:
+            from ..faults.campaign import CampaignResult
+            from ..obs.registry import StoredRun
+
+            if tag:
+                registry.tag(run_id, tag)
+            manifest = registry.manifest(run_id)
+            return SpecRun(
+                result=CampaignResult.from_summary(manifest["results"]),
+                stored=StoredRun(run_id=run_id,
+                                 path=registry.run_dir(run_id),
+                                 created=False, manifest=manifest),
+                recalled=True)
+    run = run_spec(spec, program,
+                   machine=machine() if machine is not None else None,
+                   log=log, taint=taint, profile=profile, atlas=atlas,
+                   jit=jit)
+    if registry is not None:
+        run.stored = store_spec_run(registry, spec, run, program, tag=tag)
+    return run
+
+
 def store_spec_run(registry, spec: CampaignSpec, run: SpecRun, program,
                    tag: str = ""):
-    """Ledger one finished spec run (the ``--store`` path); ``run``
-    must have been given a ``log``."""
+    """Ledger one finished spec run; ``run`` must have been given a
+    ``log``."""
     from ..obs.registry import store_campaign
 
     return store_campaign(
@@ -225,7 +278,7 @@ def find_cached(registry, spec: CampaignSpec, program) -> str | None:
     loaded and compared on the full identity axes.  Any producer's runs
     count, whatever ``--jobs`` they ran with.
     """
-    from ..obs.registry import RegistryError, _workload_label
+    from ..obs.registry import _workload_label
 
     expected = expected_identity(spec, program)
     label = _workload_label({"workload": expected["workload"]})

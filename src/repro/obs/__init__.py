@@ -8,7 +8,7 @@ The measurement substrate for everything quantitative in this repo:
   histograms in a process-global registry;
 * :mod:`repro.obs.campaign_log` -- one structured record per
   fault-injection trial, including detection latency;
-* :mod:`repro.obs.sink` -- JSONL export, versioned bench files, and
+* :mod:`repro.obs.sink` -- JSONL export, the telemetry reader, and
   the summary renderer behind ``python -m repro obs summarize``;
 * :mod:`repro.obs.forensics` -- per-trial fault-mechanism
   classification over taint streams (``obs forensics``);
@@ -81,7 +81,6 @@ _EXPORTS = {
     "forensics_path": "forensics",
     "history_tables": "registry",
     "load_telemetry": "sink",
-    "read_jsonl": "sink",
     # The metrics accessor; the ledger is the ``registry`` submodule.
     "registry": "metrics",
     "render_hotspots": "profile",
@@ -90,9 +89,7 @@ _EXPORTS = {
     "span": "spans",
     "store_campaign": "registry",
     "store_timing": "registry",
-    "summarize_path": "sink",
     "summarize_records": "sink",
-    "write_bench": "sink",
 }
 
 __all__ = lazy_exports(__name__, _EXPORTS)

@@ -208,7 +208,7 @@ def analyze_records(records: list[dict]) -> ForensicsReport:
     """Join trial and taint_summary records into a forensics report.
 
     Accepts the full mixed-kind record list of a telemetry file (other
-    kinds are ignored), so ``analyze_records(read_jsonl(path))`` works
+    kinds are ignored), so ``analyze_records(load_telemetry(path))`` works
     on any campaign export.
     """
     summaries: dict[tuple[str, int], dict] = {}

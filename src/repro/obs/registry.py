@@ -15,8 +15,9 @@ where runs outlive processes.  This module is that place:
 * ``<run_id>/manifest.json`` -- the run's identity: workload,
   technique, fault model, seed, config fingerprint captured at run
   time (see ``CampaignResult.config``), a sha256 of the protected
-  binary's assembly, the host environment fingerprint shared with
-  ``bench_meta`` files, and the deterministic result summary;
+  binary's assembly, the host environment fingerprint
+  (:func:`environment_fingerprint`), and the deterministic result
+  summary;
 * ``<run_id>/*.jsonl[.gz]`` -- the artifacts: per-trial telemetry,
   the reliability atlas, adaptive batch/stratum records, taint
   summaries.
@@ -49,7 +50,7 @@ shared :mod:`repro.obs.emit` table layer:
 
 The ledger and its artifacts are read through
 :func:`~repro.obs.sink.load_telemetry`, so a file cut mid-record
-raises :class:`~repro.obs.sink.TelemetryError` naming its path and
+raises :class:`~repro.errors.TelemetryError` naming its path and
 line instead of a ``json`` traceback.
 """
 
@@ -63,8 +64,9 @@ import shutil
 import time
 from dataclasses import dataclass
 
+from ..errors import RegistryError
 from .emit import Table
-from .sink import JsonlSink, environment_fingerprint, load_telemetry
+from .sink import JsonlSink, load_telemetry
 
 #: Bump when the manifest shape changes incompatibly.
 REGISTRY_SCHEMA_VERSION = 1
@@ -93,10 +95,6 @@ HISTORY_METRICS: dict[str, tuple[tuple[str, ...], str]] = {
 }
 
 
-class RegistryError(ValueError):
-    """A ledger operation that cannot proceed (bad ref, axis clash)."""
-
-
 def runs_root(override: str | None = None) -> str:
     """Resolve the ledger directory: explicit > env > default."""
     return (override or os.environ.get(RUNS_DIR_ENV) or DEFAULT_RUNS_DIR)
@@ -119,6 +117,24 @@ def program_sha256(program) -> str:
     from ..isa import print_program
 
     return hashlib.sha256(print_program(program).encode("utf-8")).hexdigest()
+
+
+def environment_fingerprint() -> dict:
+    """Where a stored run's numbers came from (host, interpreter and
+    package version), so cross-machine comparisons can tell
+    environments apart."""
+    import platform
+
+    from .. import __version__
+
+    return {
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count() or 1,
+        "version": __version__,
+    }
 
 
 def build_manifest(*, workload: dict, technique: str, config: dict,

@@ -2,17 +2,11 @@
 
 Every telemetry record is one flat JSON object per line with a ``kind``
 discriminator (``trial``, ``span``, ``timing``, ``metric``,
-``adaptive_batch``, plus the bench-emitted
-``fig8_cell``/``fig9_cell``).  JSONL keeps the sink
-append-only -- campaigns can stream records as trials finish, shards
-can concatenate their files, and ``python -m repro obs summarize``
-can render any mix of kinds.  See ``docs/observability.md`` for the
-field-by-field schema.
-
-A bench file (:func:`write_bench`) is the same JSONL with a
-``bench_meta`` header record first: schema version, which bench wrote
-it, the determinism knobs, and the host fingerprint that run-ledger
-manifests share.
+``adaptive_batch``, ...).  JSONL keeps the sink append-only --
+campaigns can stream records as trials finish, shards can concatenate
+their files, and ``python -m repro obs summarize`` can render any mix
+of kinds.  See ``docs/observability.md`` for the field-by-field
+schema.  :func:`load_telemetry` is the one reader.
 """
 
 from __future__ import annotations
@@ -23,6 +17,7 @@ import json
 import os
 from typing import Iterable
 
+from ..errors import TelemetryError
 from .emit import Table
 from .metrics import DEFAULT_LATENCY_BUCKETS, Histogram
 
@@ -38,7 +33,7 @@ class JsonlSink:
     record it produced on disk.
 
     Paths ending in ``.gz`` are written gzip-compressed (and read back
-    transparently by :func:`read_jsonl`), keeping multi-million-event
+    transparently by :func:`load_telemetry`), keeping multi-million-event
     taint streams manageable.
 
     ``atomic=True`` writes to ``<path>.tmp.<pid>`` and renames onto
@@ -150,73 +145,11 @@ class JsonlSink:
         return False
 
 
-def read_jsonl(path: str) -> list[dict]:
-    """Load every record of a JSONL telemetry file (``.gz`` included)."""
-    opener = gzip.open if str(path).endswith(".gz") else open
-    records = []
-    with opener(path, "rt") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
-#: Bump when the shape of bench records changes incompatibly.
-BENCH_SCHEMA_VERSION = 1
-
-
-def environment_fingerprint() -> dict:
-    """Where these numbers came from (host + interpreter + package).
-
-    Shared between bench files and run-registry manifests
-    (:mod:`repro.obs.registry`), so both sides of a cross-machine
-    comparison can tell environments apart the same way.
-    """
-    import platform
-
-    from .. import __version__
-
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count() or 1,
-        "version": __version__,
-    }
-
-
-def write_bench(path: str, bench: str, records: list[dict],
-                seed: int | None = None, **extra) -> None:
-    """Write a bench file: ``bench_meta`` header, then the records."""
-    meta = {
-        "kind": "bench_meta",
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "bench": bench,
-        "environment": environment_fingerprint(),
-    }
-    if seed is not None:
-        meta["seed"] = seed
-    meta.update(extra)
-    with JsonlSink(path) as sink:
-        sink.write(meta)
-        sink.write_many(records)
-
-
-class TelemetryError(ValueError):
-    """A telemetry file that cannot be loaded as JSONL records.
-
-    Raised (with a one-line, path-and-line-number message) instead of
-    letting ``json``/``gzip`` tracebacks escape to the CLI when a file
-    is missing, empty, truncated mid-record, or not JSONL at all.
-    """
-
-
 def load_telemetry(path: str) -> list[dict]:
-    """:func:`read_jsonl` with diagnostics instead of tracebacks.
+    """Load every record of a JSONL telemetry file (``.gz`` included),
+    with diagnostics instead of tracebacks.
 
-    Every ``obs`` file reader uses this, so a half-written file from a
+    Every telemetry reader uses this, so a half-written file from a
     killed campaign produces one ``repro: error: <path>:<line>: ...``
     line and exit status 2 (mapped in ``repro.__main__.main``), not a
     JSONDecodeError stack.  An empty file is an error too:
@@ -433,8 +366,8 @@ def summary_tables(records: list[dict]) -> list[Table]:
                                 "adaptive_batch")}
     if leftover:
         # Kinds this renderer has no dedicated table for (new producers,
-        # bench cells, taint streams): show count and field names so the
-        # file's contents stay discoverable instead of vanishing.
+        # taint streams): show count and field names so the file's
+        # contents stay discoverable instead of vanishing.
         rows = []
         for kind, items in sorted(leftover.items()):
             keys = sorted({key for record in items[:50] for key in record
@@ -459,7 +392,3 @@ def summarize_records(records: list[dict], fmt: str = "text") -> str:
                        meta={"records": len(records)},
                        empty="(no telemetry records)")
 
-
-def summarize_path(path: str, fmt: str = "text") -> str:
-    """Read a JSONL telemetry file and render its summary."""
-    return summarize_records(read_jsonl(path), fmt)

@@ -16,7 +16,7 @@ from repro.obs import (
     classify_trial,
     export_trace_path,
     forensics_path,
-    read_jsonl,
+    load_telemetry,
     render_report,
 )
 from repro.obs import spans
@@ -334,7 +334,7 @@ def test_cli_forensics_and_export_trace(tmp_path, capsys):
                      "--telemetry", path]) == 0
     out = capsys.readouterr().out
     assert "mechanism" in out            # forensics printed inline
-    records = read_jsonl(path)
+    records = load_telemetry(path)
     kinds = {r["kind"] for r in records}
     assert "taint" in kinds and "taint_summary" in kinds
 

@@ -14,10 +14,8 @@ from repro.obs import (
     CampaignLog,
     JsonlSink,
     detection_latency,
-    read_jsonl,
-    summarize_path,
+    load_telemetry,
     summarize_records,
-    write_bench,
 )
 from repro.obs import metrics, spans
 from repro.lang import compile_source
@@ -250,7 +248,7 @@ def test_jsonl_round_trip(tmp_path, swiftr_binary):
     run_campaign(swiftr_binary, trials=30, seed=0, log=log)
     with JsonlSink(path) as sink:
         sink.write_many(log.to_dicts())
-    records = read_jsonl(path)
+    records = load_telemetry(path)
     assert len(records) == 30
     assert records == log.to_dicts()
 
@@ -264,7 +262,7 @@ def test_jsonl_gzip_round_trip(tmp_path):
     # The file really is gzip, and reads back transparently.
     with open(path, "rb") as handle:
         assert handle.read(2) == b"\x1f\x8b"
-    assert read_jsonl(path) == records
+    assert load_telemetry(path) == records
 
 
 def test_sink_flushes_on_exception(tmp_path):
@@ -275,7 +273,7 @@ def test_sink_flushes_on_exception(tmp_path):
             sink.write({"kind": "trial", "trial": 1})
             raise RuntimeError("mid-campaign crash")
     # Both buffered records survived the unwind.
-    assert [r["trial"] for r in read_jsonl(path)] == [0, 1]
+    assert [r["trial"] for r in load_telemetry(path)] == [0, 1]
 
 
 def test_sink_buffers_until_threshold(tmp_path):
@@ -287,26 +285,10 @@ def test_sink_buffers_until_threshold(tmp_path):
         sink.write({"trial": i})
     assert not os.path.exists(path)       # nothing flushed yet
     sink.write({"trial": 9})              # tenth record crosses the line
-    assert len(read_jsonl(path)) == 10
+    assert len(load_telemetry(path)) == 10
     sink.write({"trial": 10})
     sink.close()
-    assert len(read_jsonl(path)) == 11
-
-
-def test_write_bench_roundtrip(tmp_path):
-    from repro.obs.sink import BENCH_SCHEMA_VERSION, environment_fingerprint
-
-    path = str(tmp_path / "bench.jsonl")
-    records = [{"kind": "fig9_cell", "benchmark": "crc32", "cycles": 7}]
-    write_bench(path, "fig9_performance", records, seed=2006, trials=60)
-    meta, *body = read_jsonl(path)
-    assert meta["kind"] == "bench_meta"
-    assert meta["schema_version"] == BENCH_SCHEMA_VERSION
-    assert meta["bench"] == "fig9_performance"
-    assert meta["seed"] == 2006
-    assert meta["trials"] == 60
-    assert set(meta["environment"]) == set(environment_fingerprint())
-    assert body == records
+    assert len(load_telemetry(path)) == 11
 
 
 def test_summarize_matches_campaign(tmp_path, swiftr_binary):
@@ -315,7 +297,7 @@ def test_summarize_matches_campaign(tmp_path, swiftr_binary):
     result = run_campaign(swiftr_binary, trials=60, seed=0, log=log)
     with JsonlSink(path) as sink:
         sink.write_many(log.to_dicts())
-    summary = summarize_path(path)
+    summary = summarize_records(load_telemetry(path))
     assert f"Campaign outcomes ({result.trials} trials" in summary
     assert f"recovery fired in {result.recoveries}" in summary
     for outcome, count in result.counts.items():
@@ -374,7 +356,7 @@ def test_evaluate_reliability_telemetry(tmp_path):
         benchmarks=["crc32"], trials=20, seed=1,
         techniques=[Technique.NOFT, Technique.SWIFTR], telemetry=sink)
     sink.close()
-    records = read_jsonl(path)
+    records = load_telemetry(path)
     assert len(records) == 40
     swiftr = [r for r in records if r["technique"] == "swiftr"]
     assert len(swiftr) == 20
@@ -393,7 +375,7 @@ def test_evaluate_performance_telemetry(tmp_path):
         benchmarks=["crc32"],
         techniques=[Technique.NOFT, Technique.SWIFTR], telemetry=sink)
     sink.close()
-    records = read_jsonl(path)
+    records = load_telemetry(path)
     assert [r["kind"] for r in records] == ["timing", "timing"]
     by_tech = {r["technique"]: r for r in records}
     assert by_tech["noft"]["cycles"] == \
@@ -414,7 +396,7 @@ def test_cli_campaign_telemetry_and_summarize(tmp_path, capsys):
     out = capsys.readouterr()
     assert "unACE" in out.out
     assert path in out.err
-    records = read_jsonl(path)
+    records = load_telemetry(path)
     trials = [r for r in records if r["kind"] == "trial"]
     assert len(trials) == 40
     kinds = {r["kind"] for r in records}
@@ -443,7 +425,7 @@ def test_cli_jit_campaign_spans_codegen_and_checkpoints(tmp_path, capsys):
     assert cli_main(["campaign", str(source), "-t", "swiftr",
                      "--trials", "20", "--telemetry", path]) == 0
     capsys.readouterr()
-    records = read_jsonl(path)
+    records = load_telemetry(path)
     codegen = [r for r in records
                if r["kind"] == "span" and r["name"] == "jit.codegen"]
     assert len(codegen) == 1
@@ -478,7 +460,7 @@ def test_cli_gzip_telemetry_round_trip(tmp_path, capsys):
     # Really gzip on disk, and the reader sees the same records.
     with open(path, "rb") as handle:
         assert handle.read(2) == b"\x1f\x8b"
-    records = read_jsonl(path)
+    records = load_telemetry(path)
     assert sum(1 for r in records if r["kind"] == "trial") == 30
 
     assert cli_main(["obs", "summarize", path]) == 0
@@ -507,7 +489,7 @@ def test_cli_adaptive_campaign_telemetry(tmp_path, capsys):
                      "--telemetry", path]) == 0
     out = capsys.readouterr().out
     assert "estimate" in out and "half-width" in out
-    records = read_jsonl(path)
+    records = load_telemetry(path)
     batches = [r for r in records if r["kind"] == "adaptive_batch"]
     assert batches
     assert batches[-1]["met"] is True
@@ -524,7 +506,7 @@ def test_cli_fig9_telemetry(tmp_path, capsys):
     assert cli_main(["fig9", "--benchmarks", "crc32",
                      "--telemetry", path]) == 0
     assert "Figure 9" in capsys.readouterr().out
-    kinds = {r["kind"] for r in read_jsonl(path)}
+    kinds = {r["kind"] for r in load_telemetry(path)}
     assert "timing" in kinds and "span" in kinds
 
 

@@ -453,6 +453,59 @@ def test_cli_campaign_workload_hits_a_fig8_cell(tmp_path, capsys,
     assert "elapsed" not in out
 
 
+def test_cli_fig8_store_repeat_recalls_every_cell(tmp_path, capsys,
+                                                  monkeypatch):
+    """A repeated ``fig8 --store`` answers every cell from the ledger:
+    no trial runs, and the tables are byte-identical."""
+    import repro.faults as faults
+
+    argv = ["fig8", "--benchmarks", "crc32", "--trials", "8", "--seed",
+            "5", "--ci", "--store", "--runs-dir", str(tmp_path)]
+    assert cli_main(argv) == 0
+    first = capsys.readouterr()
+    assert "stored 6 run(s), recalled 0" in first.err
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a stored cell ran trials")
+
+    monkeypatch.setattr(faults, "run_campaign", no_trials)
+    assert cli_main(argv + ["--tag", "again"]) == 0
+    again = capsys.readouterr()
+    assert again.out == first.out
+    assert "stored 0 run(s), recalled 6" in again.err
+    from repro.obs.registry import RunRegistry
+
+    assert RunRegistry(str(tmp_path)).resolve("again/crc32/swiftr")
+
+
+def test_cli_fig8_store_with_telemetry_runs_its_trials(tmp_path, capsys,
+                                                       monkeypatch):
+    """Telemetry needs the trials themselves, so a stored cell does not
+    answer a ``--telemetry`` grid."""
+    import repro.faults as faults
+    from repro.obs import load_telemetry
+
+    runs = ["--benchmarks", "crc32", "--trials", "8", "--seed", "5",
+            "--store", "--runs-dir", str(tmp_path)]
+    assert cli_main(["fig8", *runs]) == 0
+    capsys.readouterr()
+    real = faults.run_campaign
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(faults, "run_campaign", counted)
+    path = tmp_path / "t.jsonl"
+    assert cli_main(["fig8", *runs, "--telemetry", str(path)]) == 0
+    assert len(calls) == 6
+    trials = [r for r in load_telemetry(str(path))
+              if r.get("kind") == "trial"]
+    assert len(trials) == 6 * 8
+    assert "stored 6 run(s), recalled 0" in capsys.readouterr().err
+
+
 def test_cli_campaign_zero_elapsed_reports_rate_na(tmp_path, capsys,
                                                    monkeypatch):
     import repro.faults as faults
