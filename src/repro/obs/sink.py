@@ -283,20 +283,23 @@ def _render_spans(spans: list[dict]) -> list[Table]:
         columns=["span", "count", "total s", "self s", "mean ms"],
         rows=rows,
     )]
-    # Equal instructions share one step closure (repro.sim.machine);
-    # each machine's sim.compile span counts the distinct ones it holds.
+    # Equal instructions share one step closure, and equal timing rows
+    # one tuple, across machines (repro.sim.machine); each machine's
+    # sim.compile span counts the distinct steps it holds and the rows
+    # it added to the shared table.
     compiled = [record for record in spans
                 if record["name"] == "sim.compile"
                 and "distinct_steps" in record]
     if compiled:
         instructions = sum(record["instructions"] for record in compiled)
         steps = sum(record["distinct_steps"] for record in compiled)
+        rows = sum(record.get("new_rows", 0) for record in compiled)
         tables.append(Table(
             title="Compiled code (distinct steps counted per machine)",
             columns=["machines", "instructions", "distinct steps",
-                     "steps per instruction"],
+                     "steps per instruction", "new timing rows"],
             rows=[[len(compiled), instructions, steps,
-                   f"{steps / max(instructions, 1):.3f}"]],
+                   f"{steps / max(instructions, 1):.3f}", rows]],
         ))
     return tables
 

@@ -93,18 +93,22 @@ def _signed(x: int) -> int:
 class CompiledBlock:
     """Executable form of one basic block.
 
-    ``meta`` is a per-instruction tuple list consumed by the timing
-    model: ``(is_load, out, a, b, latency, mem, role)``.  ``out`` and
-    the sources ``a`` and ``b`` index its ready table, float slots from
+    ``meta`` is the timing model's tuple of rows, one per instruction:
+    ``(is_load, out, a, b, latency, offset, role)``.  ``out`` and the
+    sources ``a`` and ``b`` index its ready table, float slots from
     ``Machine.float_slot_base`` on; -1 is none, and as a source reads
-    the table's last entry, which is never written.  ``late_srcs`` holds
-    a CALL's sources past two, by index (an empty read-only mapping in
-    a block without one).  ``role`` indexes ``Role``.
+    the table's last entry, which is never written.  ``offset`` is a
+    LOAD/FLOAD/STORE/FSTORE's signed address offset (``None`` in any
+    other row), whose base register is ``a``.  ``late_srcs`` holds a
+    CALL's sources past two, by index (an empty read-only mapping in a
+    block without one).  ``role`` indexes ``Role``.
 
-    The entries of ``steps`` and ``meta`` are shared by content: a step
-    with every machine that compiled the same instruction (see
-    :func:`_shared`), a ``meta`` tuple with the machine's equal ones.
-    Swap a list entry to change a block; never mutate the entry itself.
+    ``instrs`` is the IR block's own instruction list; nothing here
+    changes it.  The entries of ``steps`` are shared with every machine
+    that compiled the same instruction (see :func:`_shared`), and
+    ``meta`` and its rows with every machine that has equal ones (see
+    :func:`_hold`).  Swap a ``steps`` entry to change a block; never
+    mutate the entry itself.
     """
 
     __slots__ = ("name", "steps", "instrs", "meta", "late_srcs")
@@ -114,7 +118,7 @@ class CompiledBlock:
         self.name = name
         self.steps = steps
         self.instrs = instrs
-        self.meta: list[tuple] = []
+        self.meta: tuple = ()
         self.late_srcs = _NO_LATE_SRCS
 
 
@@ -183,23 +187,31 @@ class Machine:
         with span("sim.compile", functions=len(program.functions)) as sp:
             for fn in program:
                 self.functions[fn.name] = self._compile_function(fn)
-            # Timing metadata needs the final slot counts.  Equal tuples
-            # are kept once, in a table that dies with this call (tuples
-            # take no weak references, so a module-level one would only
-            # grow).
+            # Timing rows need the final slot counts.  Each block holds
+            # its rows in the shared table until this machine is
+            # collected (tuples take no weak references).
             self.float_slot_base = max(self._next_virtual_slot, NUM_GPRS)
-            metas: dict[tuple, tuple] = {}
+            held: list[tuple] = []
+            weakref.finalize(self, _release, held)
+            new_rows = 0
             for cf in self.functions.values():
                 self._current_function = cf.name
                 for blk in cf.blocks:
-                    blk.meta = [metas.setdefault(meta, meta)
-                                for meta in (self._instruction_meta(blk, i)
-                                             for i in range(len(blk.instrs)))]
+                    rows = tuple([self._instruction_meta(blk, i)
+                                  for i in range(len(blk.instrs))])
+                    if rows not in _HOLDERS:
+                        # The table's first copy of a block's rows holds
+                        # each row in it.
+                        new_rows += len(set(rows).difference(_HOLDERS))
+                        rows = tuple(map(_hold, rows))
+                    blk.meta = _hold(rows)
+                    held.append(blk.meta)
             blocks = [blk for cf in self.functions.values()
                       for blk in cf.blocks]
             sp.set(instructions=sum(len(blk.instrs) for blk in blocks),
                    distinct_steps=len({id(step) for blk in blocks
-                                       for step in blk.steps}))
+                                       for step in blk.steps}),
+                   new_rows=new_rows)
         self.entry = self.functions[program.entry]
         # Mutable run state, created by reset().
         self.regs: list[int] = []
@@ -592,12 +604,11 @@ class Machine:
         for blk in fn.blocks:
             steps = [self._compile_instruction(instr, index)
                      for instr in blk.instructions]
-            blocks.append(
-                CompiledBlock(blk.name, steps, list(blk.instructions)))
+            blocks.append(CompiledBlock(blk.name, steps, blk.instructions))
         return CompiledFunction(fn.name, blocks, fn.num_params)
 
     def _instruction_meta(self, blk: CompiledBlock, index: int) -> tuple:
-        """``blk.instrs[index]`` as a ``meta`` entry (see CompiledBlock)."""
+        """``blk.instrs[index]`` as a ``meta`` row (see CompiledBlock)."""
         instr = blk.instrs[index]
         op = instr.op
         base = self.float_slot_base
@@ -615,11 +626,12 @@ class Machine:
                 blk.late_srcs = {}
             blk.late_srcs[index] = tuple(slots[2:])
         slots += (-1, -1)
-        mem = None
-        if op in (Opcode.LOAD, Opcode.FLOAD, Opcode.STORE, Opcode.FSTORE):
-            mem = (self.slot_of(instr.srcs[0]), instr.srcs[1].signed)
-        return (op in (Opcode.LOAD, Opcode.FLOAD), out, slots[0], slots[1],
-                op.info.latency, mem, _ROLE_NUMBER[instr.role])
+        offset = None
+        if op in _MEMORY_OPS:
+            # The base register is the first source, so its slot is a.
+            offset = instr.srcs[1].signed
+        return (op in _LOAD_OPS, out, slots[0], slots[1],
+                op.info.latency, offset, _ROLE_NUMBER[instr.role])
 
     def _int_operand(self, operand):
         """(is_reg, slot_or_value) for an integer-file operand."""
@@ -641,6 +653,50 @@ class Machine:
 
 
 _ROLE_NUMBER = {role: number for number, role in enumerate(Role)}
+#: Opcodes whose row has an ``offset``, and those the cache times.
+#: (Sets: a tuple of ``Opcode.X`` lookups costs about 1 µs a row.)
+_MEMORY_OPS = frozenset((Opcode.LOAD, Opcode.FLOAD,
+                         Opcode.STORE, Opcode.FSTORE))
+_LOAD_OPS = frozenset((Opcode.LOAD, Opcode.FLOAD))
+
+#: Every timing row in use, and every block's tuple of rows, as the one
+#: copy all machines share, and the number of its holders: a block's
+#: rows are held by each compiled block with them, and a row by each
+#: entry of a block's rows with it.  A machine's blocks let go when it
+#: is collected, and an entry goes with its last holder.
+_ROWS: dict[tuple, tuple] = {}
+_HOLDERS: dict[tuple, int] = {}
+
+
+def _hold(value: tuple) -> tuple:
+    """The table's copy of ``value``, with one more holder.
+
+    No object the cycle collector tracks is allocated in here, in
+    :func:`_drop`, or between a caller's test that a block's rows are
+    in the table and its call, so a collection, and the
+    :func:`_release` it may run, never falls in between.
+    """
+    value = _ROWS.setdefault(value, value)
+    _HOLDERS[value] = _HOLDERS.get(value, 0) + 1
+    return value
+
+
+def _drop(value: tuple) -> bool:
+    """Take one holder from ``value``; did its entry go?"""
+    holders = _HOLDERS[value] - 1
+    if holders:
+        _HOLDERS[value] = holders
+        return False
+    del _ROWS[value], _HOLDERS[value]
+    return True
+
+
+def _release(blocks: list[tuple]) -> None:
+    """Let go of a collected machine's blocks' rows (``meta``)."""
+    for rows in blocks:
+        if _drop(rows):
+            for row in rows:
+                _drop(row)
 
 
 def _agree(mine: list, theirs: list, live: int) -> bool:

@@ -100,7 +100,7 @@ _TIMED = hooks(
     """,
     enter_block="metas = block.meta",
     before_step="""
-        is_load, out, a, b, latency, mem, role = metas[i]
+        is_load, out, a, b, latency, offset, role = metas[i]
         earliest = ready[a]
         if ready[b] > earliest:
             earliest = ready[b]
@@ -112,9 +112,8 @@ _TIMED = hooks(
             used = 0
         used += 1
         role_counts[role] += 1
-        if mem is not None:
-            base, offset = mem
-            line = ((regs[base] + offset) & MASK64) >> line_shift
+        if offset is not None:
+            line = ((regs[a] + offset) & MASK64) >> line_shift
             set_idx = line % num_sets
             if is_load:
                 loads += 1

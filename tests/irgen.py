@@ -37,14 +37,18 @@ def repeat(builder: IRBuilder, passes: int, label: str = "loop",
 
 
 def random_program(seed: int, num_blocks: int = 4,
-                   instrs_per_block: int = 12) -> Program:
+                   instrs_per_block: int = 12,
+                   floats: bool = False) -> Program:
     """A random structured program printing a final checksum.
 
     The CFG is a chain of blocks, each optionally guarded by a bounded
     loop; the instruction mix covers arithmetic, logical, shift,
     compare, memory, and move operations over a scratch global array.
     All of it runs in a loop that makes one pass, so the block JIT
-    compiles every block but the entry and exit blocks.
+    compiles every block but the entry and exit blocks.  ``floats``
+    also moves scratch words through float registers (FLOAD/FSTORE,
+    at nonzero offsets too); a seed without it builds what it always
+    has.
     """
     rng = random.Random(seed)
     program = Program()
@@ -55,13 +59,15 @@ def random_program(seed: int, num_blocks: int = 4,
     builder.start_block("entry")
     program.assign_addresses()
     with repeat(builder, 1, label="once", then="exit"):
-        _random_body(rng, program, builder, num_blocks, instrs_per_block)
+        _random_body(rng, program, builder, num_blocks, instrs_per_block,
+                     floats)
     builder.ret()
     fn.renumber_pool()
     return program
 
 
-def _random_body(rng, program, builder, num_blocks, instrs_per_block):
+def _random_body(rng, program, builder, num_blocks, instrs_per_block,
+                 floats):
     base = builder.li(program.address_of("scratch"))
 
     # A pool of live registers to draw operands from.
@@ -110,11 +116,17 @@ def _random_body(rng, program, builder, num_blocks, instrs_per_block):
                 offset = builder.shl(index, 3)
                 address = builder.add(base, offset)
                 add_result(builder.load(address))
+                if floats and rng.random() < 0.5:
+                    builder.fstore(base, builder.fload(address),
+                                   8 * rng.randrange(32))
             elif choice < 0.95:
                 index = builder.and_(rng.choice(live), 31)
                 offset = builder.shl(index, 3)
                 address = builder.add(base, offset)
                 builder.store(address, rng.choice(live))
+                if floats and rng.random() < 0.5:
+                    builder.fstore(address,
+                                   builder.fli(rng.choice((0.5, -2.25))))
             else:
                 # Safe signed division by a non-zero constant.
                 add_result(builder.div(rng.choice(live),

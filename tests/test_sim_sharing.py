@@ -2,8 +2,10 @@
 
 A step is shared, across machines too, exactly when its factory is the
 same and its bound values are equal and of the same type, floats by
-bit pattern.  Nothing a machine does may reach another one through a
-shared step, and a program runs the same whatever was built before.
+bit pattern.  Equal timing rows, and equal blocks of them, are shared
+by all machines until the last one holding them is collected.  Nothing
+a machine does may reach another one through a shared step, and a
+program runs the same, and times the same, whatever was built before.
 """
 
 import gc
@@ -20,8 +22,10 @@ from repro.isa import parse_program
 from repro.isa.parser import parse_instruction
 from repro.obs import spans
 from repro.obs.sink import summarize_records
-from repro.sim import Machine, RunStatus
+from repro.isa.opcodes import Opcode
+from repro.sim import Machine, RunStatus, TimingSimulator
 from repro.sim.machine import (
+    _ROWS,
     _STEPS,
     _call_step,
     _fli_step,
@@ -41,6 +45,11 @@ def _machine(body: str) -> Machine:
 def _steps(machine: Machine) -> list:
     return [step for cf in machine.functions.values()
             for blk in cf.blocks for step in blk.steps]
+
+
+def _rows(machine: Machine) -> list:
+    return [row for cf in machine.functions.values()
+            for blk in cf.blocks for row in blk.meta]
 
 
 def test_machines_share_a_step_exactly_when_the_key_matches():
@@ -121,8 +130,10 @@ def test_step_injected_leaves_a_sharing_machine_unchanged(simple_program):
 
 
 #: ``state(machine, result)``: a finished run's result and final
-#: architectural state, as JSON-ready values.
+#: architectural state, and ``timed(machine)``: its timing run, as
+#: JSON-ready values.
 _STATE = """
+from repro.sim import TimingSimulator
 from repro.sim.memory import float_to_bits
 
 def state(machine, result):
@@ -135,31 +146,49 @@ def state(machine, result):
         "cells": sorted((a, float_to_bits(v) if type(v) is float else v)
                         for a, v in machine.memory.cells.items()),
     }
+
+def timed(machine):
+    result = TimingSimulator(machine).run()
+    return {
+        "cycles": result.cycles, "instructions": result.instructions,
+        "loads": result.loads, "misses": result.load_misses,
+        "roles": result.role_counts,
+    }
 """
-#: Prints the state of ``random_program(argv[1])`` run in a fresh process.
+#: Prints the state and timing of ``random_program(argv[1], floats=True)``
+#: run in a fresh process.
 _RUN_STATE = _STATE + """
 import json, sys
 from irgen import random_program
 from repro.sim import Machine
 
-machine = Machine(random_program(int(sys.argv[1])))
-print(json.dumps(state(machine, machine.run())))
+machine = Machine(random_program(int(sys.argv[1]), floats=True))
+print(json.dumps([state(machine, machine.run()), timed(machine)]))
 """
 
 
 def test_run_after_other_machines_matches_a_fresh_process():
     namespace: dict = {}
     exec(_STATE, namespace)
-    kept = [Machine(random_program(seed)) for seed in range(1, 4)]
-    freed = [Machine(random_program(seed)) for seed in range(4, 7)]
+    kept = [Machine(random_program(seed, floats=True))
+            for seed in range(1, 4)]
+    freed = [Machine(random_program(seed, floats=True))
+             for seed in range(4, 7)]
     for machine in kept + freed:
         assert machine.run().status is RunStatus.EXITED
+        assert TimingSimulator(machine).run().status is RunStatus.EXITED
+    table = len(_ROWS)
     del freed
     gc.collect()
-    machine = Machine(random_program(7))
+    assert len(_ROWS) < table      # the freed machines' own rows went
+    machine = Machine(random_program(7, floats=True))
     shared = {id(step) for other in kept for step in _steps(other)}
     assert any(id(step) in shared for step in _steps(machine))
-    here = json.loads(json.dumps(namespace["state"](machine, machine.run())))
+    shared = {id(row) for other in kept for row in _rows(other)}
+    assert any(id(row) in shared for row in _rows(machine))
+    here = json.loads(json.dumps(
+        [namespace["state"](machine, machine.run()),
+         namespace["timed"](machine)]))
 
     env = dict(os.environ, PYTHONPATH=os.pathsep.join((SRC, TESTS)))
     fresh = subprocess.run([sys.executable, "-c", _RUN_STATE, "7"], env=env,
@@ -180,22 +209,80 @@ def test_steps_die_with_their_last_machine():
 
 
 def test_compile_span_counts_distinct_steps():
+    gc.collect()
+    known = set(_ROWS)
     spans.collector().clear()
     spans.enable()
     try:
-        _machine("    li r5, 1\n    li r5, 1\n    li r6, 1\n    ret\n")
+        # Two rows no other machine has: no other load has this offset.
+        machine = _machine("    load r5, [r6 + 98760]\n"
+                           "    load r5, [r6 + 98760]\n"
+                           "    load r5, [r6 + 98768]\n    ret\n")
         collected = [s for s in spans.collector().drain()
                      if s.name == "sim.compile"]
     finally:
         spans.disable()
-    assert [(s.attrs["instructions"], s.attrs["distinct_steps"])
-            for s in collected] == [(4, 3)]
+    new_rows = len(set(_rows(machine)) - known)
+    assert new_rows >= 2
+    assert [(s.attrs["instructions"], s.attrs["distinct_steps"],
+             s.attrs["new_rows"]) for s in collected] == [(4, 3, new_rows)]
     summary = summarize_records([s.to_dict() for s in collected])
-    assert "Compiled code" in summary and "0.750" in summary
+    assert "Compiled code" in summary and "new timing rows" in summary
+    assert summary.splitlines()[-1].split() == \
+        ["1", "4", "3", "0.750", str(new_rows)]
 
 
-def test_timing_metadata_is_interned_per_machine():
-    machine = _machine("    li r5, 1\n    li r5, 1\n    li r6, 1\n    ret\n")
-    metas = [meta for cf in machine.functions.values()
-             for blk in cf.blocks for meta in blk.meta]
-    assert metas[0] is metas[1] and metas[0] is not metas[2]
+def test_machines_share_timing_rows_until_the_last_one_goes():
+    gc.collect()
+    before = len(_ROWS)
+    body = "    load r23, [r24 + 98776]\n    ret\n"
+    first, twin = _machine(body), _machine(body)
+    second = _machine("    li r5, 1\n    load r23, [r24 + 98776]\n"
+                      "    print r23\n    ret\n")
+    row = _rows(first)[0]
+    assert _rows(second)[1] is row and _rows(twin)[0] is row
+    assert (twin.functions["main"].blocks[0].meta
+            is first.functions["main"].blocks[0].meta)
+    assert row[2] == 24 and row[5] == 98776       # base slot a, offset
+    assert len(_ROWS) > before
+    del first
+    gc.collect()
+    assert row in _ROWS
+    del second
+    gc.collect()
+    assert row in _ROWS            # the twin's block still holds it
+    del twin
+    gc.collect()
+    assert len(_ROWS) == before and row not in _ROWS
+
+
+def test_memory_rows_read_their_base_register_slot():
+    memory_ops = (Opcode.LOAD, Opcode.FLOAD, Opcode.STORE, Opcode.FSTORE)
+    checked = set()
+    for seed in range(1, 9):
+        machine = Machine(random_program(seed, floats=True))
+        for cf in machine.functions.values():
+            machine._current_function = cf.name
+            for blk in cf.blocks:
+                assert len(blk.meta) == len(blk.instrs)
+                for instr, row in zip(blk.instrs, blk.meta):
+                    if instr.op not in memory_ops:
+                        assert row[5] is None
+                        continue
+                    base, offset = instr.srcs[:2]
+                    assert row[2] == machine.slot_of(base)
+                    assert row[5] == offset.signed
+                    checked.add((instr.op, row[2] >= 32, offset.signed != 0))
+    # Virtual base registers, every memory opcode, nonzero offsets.
+    assert {(op, True) for op in memory_ops} <= {c[:2] for c in checked}
+    assert any(c[2] for c in checked)
+
+
+def test_compiled_blocks_read_the_ir_instruction_lists():
+    program = random_program(3, floats=True)
+    machine = Machine(program)
+    for fn in program:
+        compiled = machine.functions[fn.name].blocks
+        assert len(compiled) == len(fn.blocks)
+        for blk, cblk in zip(fn.blocks, compiled):
+            assert cblk.instrs is blk.instructions
