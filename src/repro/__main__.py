@@ -13,7 +13,6 @@ Subcommands:
 * ``obs export-trace PATH``      convert telemetry to a Chrome trace
 * ``obs hotspots PATH``          simulator hot-block / JIT-candidate report
 * ``obs atlas PATH``             program-anchored reliability map
-* ``obs convergence PATH``       stratum coverage / CI convergence audit
 * ``obs runs``                   list / gc the persistent run ledger
 * ``obs diff A B``               compare two stored runs statistically
 * ``obs history [METRIC]``       metric trajectory across stored runs
@@ -23,8 +22,8 @@ A PROGRAM is a suite workload name (see ``workloads``), built as a
 a workload is given as ``./mcf``).  The producers ``campaign``,
 ``fig8`` and ``fig9`` run; ``obs`` only reads what they recorded.
 They share their output options (``--telemetry``, ``--profile``,
-``--store``); ``campaign`` and ``fig8`` also take ``--jobs N``,
-``--taint`` and ``--adaptive``.  ``fig8``/``fig9`` take the flags
+``--store``); ``campaign`` and ``fig8`` also take ``--jobs N`` and
+``--taint``.  ``fig8``/``fig9`` take the flags
 that ``repro.eval.reliability``/``performance`` define (``add_arguments``).
 ``--help`` lists every option, and ``docs/`` explains them.  A
 ``campaign --store`` whose identical run is already in the ledger is
@@ -103,27 +102,15 @@ def _cmd_asm(args) -> int:
 
 def _campaign_spec(args):
     """The :class:`~repro.eval.spec.CampaignSpec` a ``campaign``
-    invocation describes (``--ci-width`` arrives in percentage
-    points).  Its program axis follows :func:`_load_binary`'s rule, so
-    ``campaign crc32`` shares its ledger identity with a ``fig8``
-    cell."""
+    invocation describes.  Its program axis follows :func:`_load_binary`'s
+    rule, so ``campaign crc32`` shares its ledger identity with a
+    ``fig8`` cell."""
     from .eval.spec import CampaignSpec
 
-    kwargs: dict = {
-        "workload" if args.program in WORKLOADS else "source":
-            args.program,
-        "technique": args.technique.value,
-        "seed": args.seed,
-        "jobs": args.jobs,
-    }
-    if args.adaptive:
-        kwargs.update(adaptive=True, metric=args.metric,
-                      ci_width=args.ci_width / 100.0,
-                      confidence=args.confidence,
-                      max_trials=args.max_trials)
-    else:
-        kwargs["trials"] = args.trials
-    return CampaignSpec(**kwargs)
+    axis = "workload" if args.program in WORKLOADS else "source"
+    return CampaignSpec(**{axis: args.program},
+                        technique=args.technique.value, seed=args.seed,
+                        trials=args.trials, jobs=args.jobs)
 
 
 def _cmd_campaign(args) -> int:
@@ -136,12 +123,10 @@ def _cmd_campaign(args) -> int:
                    seed=spec.seed)
     sink = open_sink(args.telemetry)
     log = None
-    if (sink is not None or args.taint or args.store
-            or (args.atlas and args.adaptive)):
+    if sink is not None or args.taint or args.store:
         # Taint tracing needs a log to collect event streams even when
         # nothing is exported: forensics renders from the log directly.
-        # (Adaptive atlases also anchor from the log, post-hoc; stored
-        # runs keep the trial records as their primary artifact.)
+        # (Stored runs keep the trial records as their primary artifact.)
         log = CampaignLog(context=context)
     binary = _load_binary(args.program, args.technique)
     registry = None
@@ -155,31 +140,20 @@ def _cmd_campaign(args) -> int:
 
         profile = SimProfiler()
     atlas = None
-    if args.atlas and not args.adaptive:
+    if args.atlas:
         from .obs import AtlasAccumulator
 
         atlas = AtlasAccumulator()
-    # An adaptive atlas is anchored from the trial records after the
-    # run, as a telemetry export is written from them.
     run = run_or_recall(spec, binary, registry=registry, tag=args.tag,
-                        log=log,
-                        telemetry=sink is not None or bool(args.atlas),
+                        log=log, telemetry=sink is not None,
                         taint=args.taint, profile=profile, atlas=atlas,
                         jit=args.jit)
     if run.recalled:
-        results = run.stored.manifest["results"]
         print(f"technique : {args.technique.label}")
         print(f"trials    : {run.result.trials}")
-        if "adaptive" in results:
-            print("status    : " + ("target reached"
-                                    if results["adaptive"]["target_met"]
-                                    else "trial cap hit"))
         _print_outcomes(run.result)
         _print_ledger(run.stored, args.tag)
         return 0
-    if args.adaptive:
-        return _adaptive_campaign(args, spec, binary, sink, log, run,
-                                  context)
     campaign = run.result
     print(f"technique : {args.technique.label}")
     print(f"trials    : {campaign.trials}")
@@ -256,50 +230,6 @@ def _write_atlas(path: str, atlas) -> None:
     print(f"atlas     : {atlas.trials} trials anchored to {sites} "
           f"instructions -> {path}")
     print(f"            (render with: python -m repro obs atlas {path})")
-
-
-def _adaptive_campaign(args, spec, binary, sink, log, run,
-                       context) -> int:
-    """Print one adaptive campaign's stopping summary and write its
-    outputs."""
-    from .eval.telemetry import export_session
-
-    result = run.adaptive
-    campaign = result.result
-    estimate = result.estimate
-    print(f"technique : {args.technique.label}")
-    print(f"metric    : {args.metric}")
-    print(f"trials    : {campaign.trials} of cap {spec.max_trials}")
-    print(f"batches   : {len(result.batches)} "
-          f"across {len(result.cells)} strata")
-    print(f"estimate  : {estimate} at {args.confidence:.0%} confidence")
-    print(f"half-width: {100*estimate.half_width:5.2f} pts "
-          f"(target {args.ci_width:.2f})")
-    print("status    : "
-          + ("target reached" if result.target_met else "trial cap hit"))
-    _print_outcomes(campaign)
-    if campaign.elapsed_seconds > 0:
-        print(f"elapsed   : {campaign.elapsed_seconds:6.2f}s "
-              f"({campaign.trials_per_sec:.1f} trials/s)")
-    if sink is not None:
-        sink.write_many(log.to_dicts())
-        sink.write_many(result.batch_dicts(context=context))
-        sink.write_many(result.stratum_dicts(context=context))
-        export_session(sink)
-    if args.atlas:
-        # Anchor post-hoc from the log (adaptive batches already carry
-        # per-trial strata) and weight by the fault space's population
-        # shares rather than the realized -- Neyman-skewed -- sampling.
-        from .obs import atlas_from_records
-
-        weights = {r["stratum"]: r["weight"]
-                   for r in result.stratum_dicts()}
-        _write_atlas(args.atlas, atlas_from_records(
-            log.to_dicts(), Machine(binary), weights=weights,
-            context=dict(context, trials=campaign.trials)))
-    if run.stored is not None:
-        _print_ledger(run.stored, args.tag)
-    return 0
 
 
 def _cmd_obs_summarize(args) -> int:
@@ -384,12 +314,8 @@ def _cmd_obs_atlas(args) -> int:
         if program is None:
             return _input_error("records name no benchmark or source "
                                 "file and technique to anchor the atlas")
-        weights = {r["stratum"]: r["weight"] for r in records
-                   if r.get("kind") == "fault_space_stratum"
-                   and "stratum" in r} or None
-        atlas = atlas_from_records(
-            records, Machine(program), weights=weights,
-            context={"telemetry": args.path})
+        atlas = atlas_from_records(records, Machine(program),
+                                   context={"telemetry": args.path})
     if args.output:
         _write_atlas(args.output, atlas)
     if args.escapes:
@@ -401,17 +327,6 @@ def _cmd_obs_atlas(args) -> int:
         print(atlas.to_json())
     else:
         print(atlas.render(program=program, top=args.top))
-    return 0
-
-
-def _cmd_obs_convergence(args) -> int:
-    from .obs import convergence_tables, emit_tables
-    from .obs.sink import load_telemetry
-
-    records = load_telemetry(args.path)
-    print(emit_tables(convergence_tables(records), args.format,
-                      kind="convergence",
-                      meta={"records": len(records)}))
     return 0
 
 
@@ -528,26 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
                             help="write a program-anchored reliability "
                                  "atlas (JSON) here; render with "
                                  "'obs atlas PATH'")
-    p_campaign.add_argument("--adaptive", action="store_true",
-                            help="stratified sequential campaign: stop "
-                                 "when the metric's CI half-width hits "
-                                 "--ci-width instead of after --trials")
-    p_campaign.add_argument("--ci-width", type=float, default=2.5,
-                            help="adaptive target CI half-width in "
-                                 "percentage points (default 2.5)")
-    p_campaign.add_argument("--confidence", type=float, default=0.95,
-                            help="confidence level (default 0.95)")
-    p_campaign.add_argument("--max-trials", type=int, default=4000,
-                            help="adaptive trial cap")
     p_campaign.add_argument("--jit", action=argparse.BooleanOptionalAction,
                             default=None,
                             help="block-compile the binary for execution "
                                  "(default: on unless --taint/--profile; "
                                  "outcomes are bit-identical either way)")
-    p_campaign.add_argument("--metric", default="unace",
-                            choices=["unace", "sdc", "segv", "failure",
-                                     "detected"],
-                            help="rate the adaptive stopping rule targets")
     p_campaign.add_argument("--store", action="store_true",
                             help="record this run in the persistent ledger "
                                  "(manifest + artifacts, content-addressed; "
@@ -634,19 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print the heatmap report (text) or the "
                               "raw atlas JSON")
     p_atlas.set_defaults(func=_cmd_obs_atlas)
-    p_conv = obs_sub.add_parser(
-        "convergence",
-        help="audit an adaptive campaign: stratum coverage, CI "
-             "half-width timelines, allocation efficiency")
-    p_conv.add_argument("path",
-                        help="telemetry JSONL with adaptive_batch / "
-                             "fault_space_stratum records (campaign "
-                             "--adaptive --telemetry)")
-    p_conv.add_argument("--format", choices=["text", "json"],
-                        default="text",
-                        help="output format (default text)")
-    p_conv.set_defaults(func=_cmd_obs_convergence)
-
     p_runs = obs_sub.add_parser(
         "runs",
         help="list the persistent run ledger (populate it with "
@@ -736,7 +623,7 @@ def main(argv: list[str] | None = None) -> int:
         source = getattr(args, "program", None)
         return _input_error(f"{source}: {exc}" if source else str(exc))
     except SpecError as exc:
-        # An out-of-range campaign knob (--trials, --ci-width, ...).
+        # An out-of-range campaign knob (--trials, --jobs).
         return _input_error(f"invalid campaign: {exc}")
     except (RegistryError, TelemetryError, WorkloadError) as exc:
         # A bad run ref or history metric, a corrupt ledger file, or

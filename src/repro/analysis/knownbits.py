@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from ..isa.function import Function
 from ..isa.instruction import Instruction
-from ..isa.opcodes import Opcode, OpKind
+from ..isa.opcodes import DIVISION_OPS, FP_COMPARE_OPS, Opcode, OpKind
 from ..isa.operands import Imm, MASK64
 from ..isa.registers import Register
 from .cfg import CFG
@@ -27,6 +27,9 @@ from .cfg import CFG
 NOTHING = 0
 #: Known-zero mask of the constant zero.
 ALL_ZERO = MASK64
+
+#: Bitwise or/xor: a bit is known zero only where both sides' are.
+_OR_XOR = frozenset({Opcode.OR, Opcode.XOR})
 
 State = dict[Register, int]
 
@@ -75,13 +78,12 @@ def transfer(instr: Instruction, state: State) -> int | None:
         return MASK64 & ~instr.srcs[0].value
     if op is Opcode.MOV:
         return _operand_kz(instr.srcs[0], state)
-    if kind == OpKind.COMPARE or op in (Opcode.FCMPEQ, Opcode.FCMPLT,
-                                        Opcode.FCMPLE):
+    if kind == OpKind.COMPARE or op in FP_COMPARE_OPS:
         return MASK64 & ~1  # result is 0 or 1
     if op is Opcode.AND:
         a, b = instr.srcs
         return _operand_kz(a, state) | _operand_kz(b, state)
-    if op in (Opcode.OR, Opcode.XOR):
+    if op in _OR_XOR:
         a, b = instr.srcs
         return _operand_kz(a, state) & _operand_kz(b, state)
     if op is Opcode.SHL:
@@ -125,7 +127,7 @@ def transfer(instr: Instruction, state: State) -> int | None:
         if maxa and maxb and maxa.bit_length() + maxb.bit_length() <= 64:
             return _high_zeros(maxa * maxb)
         return NOTHING
-    if op in (Opcode.DIV, Opcode.REM):
+    if op in DIVISION_OPS:
         a, b = instr.srcs
         kza, kzb = _operand_kz(a, state), _operand_kz(b, state)
         sign = 1 << 63

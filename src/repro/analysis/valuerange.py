@@ -33,12 +33,23 @@ from __future__ import annotations
 
 from ..isa.function import Function
 from ..isa.instruction import Instruction
-from ..isa.opcodes import Opcode, OpKind
+from ..isa.opcodes import DIVISION_OPS, FP_COMPARE_OPS, Opcode, OpKind
 from ..isa.operands import Imm, to_signed
 from ..isa.registers import Register
 
 #: "Unbounded" sentinel: magnitude may need all 64 bits.
 UNBOUNDED = 64
+
+#: Integer add and subtract: one bit wider than the wider operand.
+_ADD_SUB = frozenset({Opcode.ADD, Opcode.SUB})
+
+#: Logical operations whose result width this analysis does not bound.
+_UNBOUNDED_LOGICAL = frozenset({Opcode.OR, Opcode.XOR, Opcode.NOT})
+
+#: Results whose width only the code generator's ``value_bits``
+#: annotation bounds.
+_ANNOTATED_SOURCES = frozenset(
+    {Opcode.LOAD, Opcode.PARAM, Opcode.CALL, Opcode.CVTFI})
 
 
 def _imm_bits(imm: Imm) -> int:
@@ -109,7 +120,7 @@ class ValueBounds:
             for d in defs:
                 if d.op is Opcode.LI:
                     init_bits.append(_imm_bits(d.srcs[0]))
-                elif d.op in (Opcode.ADD, Opcode.SUB) and len(d.srcs) == 2:
+                elif d.op in _ADD_SUB and len(d.srcs) == 2:
                     a, b = d.srcs
                     if a is reg and isinstance(b, Imm):
                         step_bits.append(_imm_bits(b))
@@ -146,7 +157,7 @@ class ValueBounds:
                 # Explicit (int) casts re-assert a width annotation.
                 bits = min(bits, instr.value_bits)
             return bits
-        if op in (Opcode.ADD, Opcode.SUB):
+        if op in _ADD_SUB:
             a, b = instr.srcs
             return min(max(self._operand_bits(a), self._operand_bits(b)) + 1,
                        UNBOUNDED)
@@ -169,8 +180,7 @@ class ValueBounds:
             return UNBOUNDED
         if op is Opcode.SRA:
             return self._operand_bits(instr.srcs[0])
-        if op.kind == OpKind.COMPARE or op in (Opcode.FCMPEQ, Opcode.FCMPLT,
-                                               Opcode.FCMPLE):
+        if op.kind == OpKind.COMPARE or op in FP_COMPARE_OPS:
             return 1
         if op is Opcode.AND:
             a, b = instr.srcs
@@ -181,11 +191,11 @@ class ValueBounds:
             # AND with a non-negative value cannot increase magnitude when
             # the other side is non-negative; be conservative otherwise.
             return best
-        if op in (Opcode.OR, Opcode.XOR, Opcode.NOT):
+        if op in _UNBOUNDED_LOGICAL:
             return UNBOUNDED
-        if op in (Opcode.DIV, Opcode.REM):
+        if op in DIVISION_OPS:
             return self._operand_bits(instr.srcs[0])
-        if op in (Opcode.LOAD, Opcode.PARAM, Opcode.CALL, Opcode.CVTFI):
+        if op in _ANNOTATED_SOURCES:
             if instr.value_bits is not None:
                 return min(instr.value_bits, UNBOUNDED)
             return UNBOUNDED

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING
 
-from ..errors import SpecError
 from ..faults.outcomes import Outcome
 from ..faults.stats import Proportion
 from ..obs.spans import span
@@ -34,7 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; imported on use
     from ..faults.campaign import CampaignResult
     from ..obs.sink import JsonlSink
     from ..stats.estimators import StratifiedEstimate
-    from ..stats.sequential import AdaptiveResult
 
 #: Default trials per (benchmark, technique) cell (``--trials``).  The
 #: paper used 250.
@@ -53,9 +51,6 @@ class ReliabilityResults:
     benchmarks: list[str] = field(default_factory=list)
     techniques: list[Technique] = field(default_factory=list)
     confidence: float = 0.95
-    #: Per-technique adaptive-run details, populated by
-    #: ``evaluate_reliability(adaptive=True)``.
-    adaptive: dict[Technique, AdaptiveResult] = field(default_factory=dict)
 
     def cell(self, benchmark: str, technique: Technique) -> CampaignResult:
         return self.cells[(benchmark, technique)]
@@ -89,10 +84,7 @@ def evaluate_reliability(
     telemetry: JsonlSink | None = None,
     jobs: int = 1,
     taint: bool = False,
-    adaptive: bool = False,
-    ci_width: float = 0.025,
     confidence: float = 0.95,
-    max_trials: int = 4000,
     profile_path: str = "",
     jit: bool | None = None,
     store: bool = False,
@@ -110,19 +102,13 @@ def evaluate_reliability(
     exports the per-trial event streams alongside the trial records,
     so ``python -m repro obs forensics`` can attribute each cell.
 
-    ``adaptive=True`` replaces the fixed per-cell budget with one
-    sequential suite-level campaign per technique (see
-    :func:`repro.stats.sequential.run_adaptive_suite`): each runs
-    until the suite-average unACE interval is within ``ci_width``
-    (a proportion) at ``confidence``, or ``max_trials`` for that
-    technique.  ``trials`` is ignored; per-cell trial counts then
-    vary by how noisy each cell is.
+    ``confidence`` is recorded on the results: the level of the
+    suite-average intervals :func:`render_figure8` prints.
 
     ``profile_path`` attaches a fresh simulator profiler to every
     cell's campaign and writes the per-cell records (tagged with
     benchmark and technique) to one JSONL file; ``obs hotspots``
-    merges them into a grid-wide hot-block ranking.  Not supported
-    with ``adaptive`` (batch sizes depend on observed variance).
+    merges them into a grid-wide hot-block ranking.
 
     ``jit`` follows :func:`repro.faults.campaign.run_campaign`'s
     contract: ``None`` (the default) compiles each cell's binary with
@@ -132,10 +118,9 @@ def evaluate_reliability(
     ``store=True`` records every (benchmark, technique) cell in the
     persistent run ledger (see :mod:`repro.obs.registry`); with a
     ``tag``, each cell is tagged ``{tag}/{benchmark}/{technique}`` so
-    ``obs diff`` can address individual cells precisely.  A fixed-grid
-    cell whose identical campaign is already stored is recalled from
-    the ledger without running a trial
-    (:func:`repro.eval.spec.run_or_recall`).
+    ``obs diff`` can address individual cells precisely.  A cell whose
+    identical campaign is already stored is recalled from the ledger
+    without running a trial (:func:`repro.eval.spec.run_or_recall`).
     """
     benchmarks = list(benchmarks or PAPER_BENCHMARKS)
     for bench in benchmarks:
@@ -151,22 +136,6 @@ def evaluate_reliability(
         from ..obs.registry import RunRegistry
 
         registry = RunRegistry(runs_dir or None)
-    if adaptive:
-        if taint:
-            raise SpecError("taint tracing is not supported with "
-                            "adaptive campaigns")
-        if profile_path:
-            raise SpecError("profiling is not supported with "
-                            "adaptive campaigns")
-        _evaluate_adaptive(results, options, telemetry=telemetry,
-                           progress=progress, jobs=jobs,
-                           ci_width=ci_width, max_trials=max_trials,
-                           jit=jit, registry=registry, tag=tag)
-        if registry is not None:
-            cells = len(results.benchmarks) * len(results.techniques)
-            print(f"  ledger: stored {cells} run(s) under "
-                  f"{registry.root}", file=sys.stderr)
-        return results
     from ..obs.campaign_log import CampaignLog
 
     profile_records: list[dict] = []
@@ -228,84 +197,15 @@ def evaluate_reliability(
     return results
 
 
-def _evaluate_adaptive(results: ReliabilityResults,
-                       options: PipelineOptions,
-                       telemetry: JsonlSink | None,
-                       progress: bool, jobs: int,
-                       ci_width: float, max_trials: int,
-                       jit: bool | None = None,
-                       registry=None, tag: str = "") -> None:
-    """One adaptive suite-level campaign per technique.  Its cells are
-    allocated across the suite, so each is stored without a ledger
-    probe: a single cell's identity cannot be recalled."""
-    from ..obs.campaign_log import CampaignLog
-    from ..stats.sequential import AdaptiveConfig, run_adaptive_suite
-
-    config = AdaptiveConfig(ci_width=ci_width,
-                            confidence=results.confidence,
-                            max_trials=max_trials)
-    for tech in results.techniques:
-        logs = None
-        if telemetry is not None or registry is not None:
-            logs = {bench: CampaignLog(context={"benchmark": bench,
-                                                "technique": tech.value,
-                                                "seed": results.seed})
-                    for bench in results.benchmarks}
-        with span("fig8.adaptive", technique=tech.value) as tech_span:
-            machines = [(bench, prepare_machine(bench, tech, options))
-                        for bench in results.benchmarks]
-            adaptive = run_adaptive_suite(machines, config=config,
-                                          seed=results.seed, jobs=jobs,
-                                          logs=logs, jit=jit)
-        results.adaptive[tech] = adaptive
-        for bench in results.benchmarks:
-            results.cells[(bench, tech)] = adaptive.arm_results[bench]
-        if registry is not None:
-            from ..obs.registry import store_campaign
-
-            for bench, machine in machines:
-                weights = {r["stratum"]: r["weight"]
-                           for r in adaptive.stratum_dicts()
-                           if r.get("arm") == bench}
-                store_campaign(
-                    registry, workload={"benchmark": bench},
-                    technique=tech.value, seed=results.seed,
-                    result=adaptive.arm_results[bench], log=logs[bench],
-                    program=machine.program, weights=weights or None,
-                    adaptive=adaptive,
-                    tag=f"{tag}/{bench}/{tech.value}" if tag else "")
-        if telemetry is not None:
-            for bench in results.benchmarks:
-                telemetry.write_many(logs[bench].to_dicts())
-            telemetry.write_many(adaptive.batch_dicts(
-                {"technique": tech.value, "seed": results.seed}))
-        if progress:
-            print(
-                f"  {tech.label:14s} adaptive: {adaptive.trials} trials, "
-                f"{len(adaptive.batches)} batches, unACE "
-                f"{adaptive.estimate} "
-                f"({'target reached' if adaptive.target_met else 'cap hit'}"
-                f", {tech_span.elapsed:.1f}s)",
-                file=sys.stderr,
-            )
-
-
-#: (column title, raw percent getter, raw count getter, outcome set).
-#: The outcome set drives the post-stratified estimators used for
-#: adaptive grids, where raw per-cell fractions are biased by the
-#: non-uniform Neyman allocation.
+#: (column title, raw percent getter, raw count getter).
 _METRIC_COUNTS = (
     ("unACE %", lambda c: c.unace_percent,
-     lambda c: c.count(Outcome.UNACE), (Outcome.UNACE,)),
+     lambda c: c.count(Outcome.UNACE)),
     ("SEGV %", lambda c: c.segv_percent,
-     lambda c: c.count(Outcome.SEGV), (Outcome.SEGV,)),
+     lambda c: c.count(Outcome.SEGV)),
     ("SDC % (Hang included)", lambda c: c.sdc_percent,
-     lambda c: c.count(Outcome.SDC) + c.count(Outcome.HANG),
-     (Outcome.SDC, Outcome.HANG)),
+     lambda c: c.count(Outcome.SDC) + c.count(Outcome.HANG)),
 )
-
-#: The paper's failure metric (SDC+SEGV, hangs folded into SDC).
-_FAILURE_OUTCOMES = (Outcome.SDC, Outcome.HANG, Outcome.SEGV)
 
 
 def suite_estimate(results: ReliabilityResults, technique: Technique,
@@ -314,8 +214,7 @@ def suite_estimate(results: ReliabilityResults, technique: Technique,
 
     Benchmarks act as equal-weight strata (matching the Figure 8
     "Average" row, a plain mean of per-benchmark percentages), so this
-    is exact for both fixed and adaptive grids even when per-cell trial
-    counts differ.
+    is exact even when per-cell trial counts differ.
     """
     from ..stats.estimators import StratumCell, stratified_estimate
 
@@ -339,41 +238,21 @@ def render_figure8(results: ReliabilityResults,
     output is the original, un-annotated rendering.
     """
     headers = ["benchmark"] + [t.label for t in results.techniques]
-    level = confidence if confidence is not None else results.confidence
     sections = []
-    for metric, getter, counter, outcomes in _METRIC_COUNTS:
+    for metric, getter, counter in _METRIC_COUNTS:
         rows = []
         for bench in results.benchmarks:
             row = [bench]
             for t in results.techniques:
                 cell = results.cell(bench, t)
-                run = results.adaptive.get(t)
-                if run is not None:
-                    # Adaptive cells: the raw fraction is biased by
-                    # Neyman allocation; report the post-stratified
-                    # per-arm estimate instead.
-                    est = run.arm_estimate(bench, outcomes, level)
-                    text = fmt_pct(est.percent)
-                    if confidence is not None:
-                        text += f" [{100*est.low:5.2f},{100*est.high:6.2f}]"
-                elif confidence is None:
-                    text = fmt_pct(getter(cell))
-                else:
-                    text = (fmt_pct(getter(cell))
-                            + _interval_text(counter(cell), cell.trials,
-                                             confidence))
+                text = fmt_pct(getter(cell))
+                if confidence is not None:
+                    text += _interval_text(counter(cell), cell.trials,
+                                           confidence)
                 row.append(text)
             rows.append(row)
         avg_row = ["Average"]
         for t in results.techniques:
-            run = results.adaptive.get(t)
-            if run is not None:
-                est = run.suite_estimate(outcomes, level)
-                text = fmt_pct(est.percent)
-                if confidence is not None:
-                    text += f" [{100*est.low:5.2f},{100*est.high:6.2f}]"
-                avg_row.append(text)
-                continue
             mean = average([getter(results.cell(b, t))
                             for b in results.benchmarks])
             if confidence is None:
@@ -387,45 +266,20 @@ def render_figure8(results: ReliabilityResults,
         sections.append(render_table(headers, rows,
                                      title=f"Figure 8 -- {metric}"))
 
-    def _suite_percent(tech: Technique,
-                       outcomes: tuple[Outcome, ...],
-                       raw: float) -> float:
-        run = results.adaptive.get(tech)
-        if run is None:
-            return raw
-        return 100.0 * run.suite_estimate(outcomes, level).value
-
-    noft_fail = _suite_percent(
-        Technique.NOFT, _FAILURE_OUTCOMES,
-        results.mean_sdc(Technique.NOFT) + results.mean_segv(Technique.NOFT))
+    noft_fail = (results.mean_sdc(Technique.NOFT)
+                 + results.mean_segv(Technique.NOFT))
     scalars = ["Headline scalars (paper Sections 1/7/9):"]
     for tech in results.techniques:
         if tech is Technique.NOFT:
             continue
-        unace = _suite_percent(tech, (Outcome.UNACE,),
-                               results.mean_unace(tech))
-        fail = _suite_percent(
-            tech, _FAILURE_OUTCOMES,
-            results.mean_sdc(tech) + results.mean_segv(tech))
+        fail = results.mean_sdc(tech) + results.mean_segv(tech)
         scalars.append(
-            f"  {tech.label:14s} mean unACE {unace:6.2f}%"
+            f"  {tech.label:14s} mean unACE "
+            f"{results.mean_unace(tech):6.2f}%"
             f"  SDC+SEGV reduction vs NOFT "
             f"{reduction_percent(noft_fail, fail):6.2f}%"
         )
     sections.append("\n".join(scalars))
-    if results.adaptive:
-        lines = ["Adaptive stopping (suite unACE half-width target):"]
-        for tech, adaptive in results.adaptive.items():
-            target = adaptive.config.ci_width
-            lines.append(
-                f"  {tech.label:14s} {adaptive.trials:5d} trials in "
-                f"{len(adaptive.batches)} batches, half-width "
-                f"{100*adaptive.estimate.half_width:.2f} pts "
-                f"(target {100*target:.2f}): "
-                + ("target reached" if adaptive.target_met
-                   else "trial cap hit")
-            )
-        sections.append("\n".join(lines))
     if confidence is not None:
         from ..stats.claims import evaluate_claims, render_claims
 
@@ -458,22 +312,12 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--profile", type=str, default="",
                         help="write per-cell simulator execution profiles "
                              "to this JSONL path (for `obs hotspots`)")
-    parser.add_argument("--adaptive", action="store_true",
-                        help="replace the fixed per-cell budget with "
-                             "sequential suite-level campaigns that stop "
-                             "at the target CI half-width")
-    parser.add_argument("--ci-width", type=float, default=2.5,
-                        help="adaptive target CI half-width in percentage "
-                             "points (default 2.5)")
     parser.add_argument("--confidence", type=float, default=0.95,
                         help="confidence level for intervals and claims "
                              "(default 0.95)")
-    parser.add_argument("--max-trials", type=int, default=4000,
-                        help="adaptive per-technique trial cap")
     parser.add_argument("--ci", action="store_true",
                         help="annotate the tables with confidence "
-                             "intervals and the claims table (implied by "
-                             "--adaptive)")
+                             "intervals and the claims table")
     parser.add_argument("--jit", action=argparse.BooleanOptionalAction,
                         default=None,
                         help="block-compile each cell's binary "
@@ -499,14 +343,13 @@ def run(args: argparse.Namespace) -> int:
     results = evaluate_reliability(
         benchmarks=args.benchmarks.split(",") if args.benchmarks else None,
         trials=args.trials, seed=args.seed, progress=True, telemetry=sink,
-        jobs=args.jobs, taint=args.taint, adaptive=args.adaptive,
-        ci_width=args.ci_width / 100.0, confidence=args.confidence,
-        max_trials=args.max_trials, profile_path=args.profile,
+        jobs=args.jobs, taint=args.taint, confidence=args.confidence,
+        profile_path=args.profile,
         jit=args.jit, store=args.store, tag=args.tag,
         runs_dir=args.runs_dir)
     export_session(sink)
-    confidence = (args.confidence if (args.ci or args.adaptive) else None)
-    print(render_figure8(results, confidence=confidence))
+    print(render_figure8(results,
+                         confidence=args.confidence if args.ci else None))
     return 0
 
 

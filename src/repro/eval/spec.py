@@ -2,10 +2,9 @@
 
 A :class:`CampaignSpec` is everything that determines a campaign's
 *results*: the workload (a suite benchmark or a mini-C source file),
-the technique, the seed, and either a fixed trial budget or the
-adaptive stopping knobs.  ``jobs`` rides along as an execution hint
-but never enters a stored run's identity -- campaigns are
-bit-identical for any jobs value.
+the technique, the seed and the trial budget.  ``jobs`` rides along
+as an execution hint but never enters a stored run's identity --
+campaigns are bit-identical for any jobs value.
 
 :func:`run_spec` is the single spec-to-run path, and
 :func:`run_or_recall` puts the ledger in front of it: the ``campaign``
@@ -31,9 +30,8 @@ class CampaignSpec:
     """One campaign, declaratively.
 
     Exactly one of ``workload`` (suite benchmark name) or ``source``
-    (mini-C file path) names the program.  ``adaptive=False`` runs a
-    fixed ``trials`` budget; ``adaptive=True`` runs the sequential
-    engine with the stopping knobs and ignores ``trials``.
+    (mini-C file path) names the program; ``trials`` seeded SEU
+    trials are run against it.
     """
 
     technique: str = "swiftr"
@@ -41,11 +39,6 @@ class CampaignSpec:
     source: str = ""
     seed: int = 0
     trials: int = 250
-    adaptive: bool = False
-    metric: str = "unace"
-    ci_width: float = 0.025
-    confidence: float = 0.95
-    max_trials: int = 4000
     #: Worker processes *within* the campaign; results are identical
     #: for any value, so it never enters a manifest.
     jobs: int = 1
@@ -79,20 +72,6 @@ class CampaignSpec:
         if not isinstance(self.jobs, int) or self.jobs < 0:
             raise SpecError(f"jobs must be a non-negative integer, "
                             f"got {self.jobs!r}")
-        try:
-            self.adaptive_config()
-        except ValueError as exc:
-            raise SpecError(str(exc)) from None
-
-    def adaptive_config(self):
-        """The :class:`~repro.stats.AdaptiveConfig` of the stopping
-        knobs (validated even for fixed specs)."""
-        from ..stats import AdaptiveConfig
-
-        return AdaptiveConfig(ci_width=self.ci_width,
-                              confidence=self.confidence,
-                              metric=self.metric,
-                              max_trials=self.max_trials)
 
     def workload_dict(self) -> dict:
         """The manifest/telemetry workload axis, matching what the
@@ -108,24 +87,15 @@ class CampaignSpec:
 @dataclass
 class SpecRun:
     """What :func:`run_spec` and :func:`run_or_recall` hand back: the
-    aggregate result, the adaptive details when the spec asked for them
-    and, from :func:`run_or_recall` with a ledger, the ledger entry."""
+    aggregate result and, from :func:`run_or_recall` with a ledger, the
+    ledger entry."""
 
     result: object                      # CampaignResult
-    adaptive: object | None = None      # AdaptiveResult | None
     log: object | None = field(default=None, repr=False)
     #: The :class:`~repro.obs.registry.StoredRun` stored or recalled.
     stored: object | None = None
     #: ``True`` when the ledger answered and no trial ran.
     recalled: bool = False
-
-    @property
-    def weights(self) -> dict | None:
-        """Population stratum weights for atlas/ledger storage."""
-        if self.adaptive is None:
-            return None
-        return {r["stratum"]: r["weight"]
-                for r in self.adaptive.stratum_dicts()}
 
 
 def run_spec(spec: CampaignSpec, program, *, machine=None, log=None,
@@ -134,30 +104,12 @@ def run_spec(spec: CampaignSpec, program, *, machine=None, log=None,
     """Execute one spec against its protected ``program`` -- the
     single path every consumer shares.
 
-    Fixed specs go through :func:`~repro.faults.campaign.run_campaign`
-    (sharded for ``jobs > 1``); adaptive specs go through
-    :func:`~repro.stats.sequential.run_adaptive_campaign`.  ``machine``
-    may be passed to reuse a prepared simulator.  The instrumentation
-    hooks (``log``, ``taint``, ``profile``, ``atlas``, ``jit``) thread
-    straight through and never change outcomes.
+    The spec runs through :func:`~repro.faults.campaign.run_campaign`
+    (sharded for ``jobs > 1``).  ``machine`` may be passed to reuse a
+    prepared simulator.  The instrumentation hooks (``log``, ``taint``,
+    ``profile``, ``atlas``, ``jit``) thread straight through and never
+    change outcomes.
     """
-    if spec.adaptive:
-        if taint:
-            raise SpecError("taint tracing is not supported with "
-                            "adaptive campaigns")
-        if profile is not None:
-            raise SpecError("profiling is not supported with adaptive "
-                            "campaigns (batch sizes depend on observed "
-                            "variance)")
-        if atlas is not None:
-            raise SpecError("adaptive atlases anchor post-hoc from the "
-                            "campaign log, not an accumulator")
-        from ..stats import run_adaptive_campaign
-
-        adaptive = run_adaptive_campaign(
-            program, config=spec.adaptive_config(), seed=spec.seed,
-            jobs=spec.jobs, machine=machine, log=log, jit=jit)
-        return SpecRun(result=adaptive.result, adaptive=adaptive, log=log)
     from ..faults import run_campaign
 
     result = run_campaign(
@@ -223,8 +175,7 @@ def store_spec_run(registry, spec: CampaignSpec, run: SpecRun, program,
     return store_campaign(
         registry, workload=spec.workload_dict(),
         technique=spec.technique, seed=spec.seed, result=run.result,
-        log=run.log, program=program,
-        weights=run.weights, adaptive=run.adaptive, tag=tag)
+        log=run.log, program=program, tag=tag)
 
 
 def expected_config(spec: CampaignSpec) -> dict:
@@ -239,19 +190,10 @@ def expected_config(spec: CampaignSpec) -> dict:
     from ..faults.injector import HANG_FACTOR, HANG_FLOOR
     from ..faults.model import FaultSite
 
-    config: dict = {"fault_model": FaultSite.fault_model,
-                    "seed": spec.seed}
-    if spec.adaptive:
-        config.update(spec.adaptive_config().config_dict())
-    else:
-        config.update({
-            "trials": spec.trials,
-            "checkpoint_interval": None,
-            "presampled_sites": False,
-            "hang_factor": HANG_FACTOR,
-            "hang_floor": HANG_FLOOR,
-        })
-    return config
+    return {"fault_model": FaultSite.fault_model, "seed": spec.seed,
+            "trials": spec.trials, "checkpoint_interval": None,
+            "presampled_sites": False, "hang_factor": HANG_FACTOR,
+            "hang_floor": HANG_FLOOR}
 
 
 def expected_identity(spec: CampaignSpec, program) -> dict:

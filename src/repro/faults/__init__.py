@@ -21,7 +21,6 @@ _EXPORTS = {
     "fault_landed": "injector",
     "geometric_mean": "stats",
     "golden_run": "injector",
-    "run_batch": "campaign",
     "run_campaign": "campaign",
     "run_opcode_campaign": "opcode_faults",
     "run_sites": "campaign",

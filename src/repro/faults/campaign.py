@@ -3,9 +3,9 @@
 The paper performed 250 runs per benchmark per technique (Section 7.1).
 Campaigns here are deterministic given (program, seed, trials), so
 results are exactly reproducible and shardable.  Every campaign --
-serial or sharded, fixed or adaptive, register SEUs, opcode flips or
-wild jumps -- runs its trials through :func:`run_batch` and the trial
-kernel (:mod:`repro.faults.trials`).
+serial or sharded, register SEUs, opcode flips or wild jumps -- runs
+its trials through :func:`run_campaign` and the trial kernel
+(:mod:`repro.faults.trials`).
 """
 
 from __future__ import annotations
@@ -151,8 +151,8 @@ class CampaignResult:
             never_landed=self.never_landed + other.never_landed,
             fast_forwards=self.fast_forwards + other.fast_forwards,
             # Shards ran concurrently, so summing their elapsed times
-            # over-counts wall clock; ``run_campaign`` and the adaptive
-            # engine overwrite this with their own wall measurement.
+            # over-counts wall clock; ``run_campaign`` overwrites this
+            # with its own wall measurement.
             elapsed_seconds=self.elapsed_seconds + other.elapsed_seconds,
         )
         for outcome in Outcome:
@@ -280,12 +280,21 @@ def run_campaign(
                      for _ in range(trials)]
         if monitor is not None:
             monitor.begin(total=len(sites))
+        if jobs != 1 and len(sites) > 1:
+            from .parallel import default_jobs, run_shards
+
+            jobs = jobs or default_jobs()
+        result = CampaignResult(golden_instructions=golden.instructions)
         with span("campaign", trials=len(sites), seed=seed):
-            result, _ = run_batch(
-                store, sites,
-                CampaignResult(golden_instructions=golden.instructions),
-                trial_log, jobs=jobs, taint=taint,
-                tick=None if monitor is None else monitor.trial_done)
+            if jobs > 1 and len(sites) > 1:
+                result = run_shards(store, sites, result, trial_log,
+                                    jobs=jobs, taint=taint)
+                if monitor is not None:
+                    monitor.trial_done(len(sites))
+            else:
+                run_trials(store, sites, result, trial_log, taint=taint,
+                           tick=None if monitor is None
+                           else monitor.trial_done)
     record_campaign_metrics(result, trial_log, log_start)
     if atlas is not None:
         if (atlas.golden_instructions and atlas.golden_instructions
@@ -311,38 +320,6 @@ def run_campaign(
     }
     result.elapsed_seconds = perf_counter() - start_time
     return result
-
-
-def run_batch(store, sites: list, result: CampaignResult,
-              log: CampaignLog | None = None, *, jobs: int = 1,
-              first_trial: int = 0, strata: list | None = None,
-              taint: bool = False, tick=None
-              ) -> tuple[CampaignResult, list[Outcome]]:
-    """Run ``sites`` on a built ``store`` and record them into ``result``.
-
-    The trials run through :func:`~repro.faults.trials.run_trials` in
-    this process, or with ``jobs > 1`` (``0`` = one per CPU) sharded
-    over forked workers that each run it on their slice
-    (:func:`~repro.faults.parallel.run_shards`); outcomes, records and
-    counts are the same either way.  ``tick(done)`` is called after
-    each trial, or once with ``len(sites)`` after a sharded merge.
-    Returns ``(result, outcomes)``: the sharded path returns a merged
-    copy of ``result``.
-    """
-    if jobs != 1 and len(sites) > 1:
-        from .parallel import default_jobs, run_shards
-
-        jobs = jobs or default_jobs()
-        if jobs > 1:
-            merged = run_shards(store, sites, result, log, jobs=jobs,
-                                first_trial=first_trial, strata=strata,
-                                taint=taint)
-            if tick is not None:
-                tick(len(sites))
-            return merged
-    return result, run_trials(
-        store, sites, result, log, first_trial=first_trial, strata=strata,
-        taint=taint, tick=tick)
 
 
 def run_sites(

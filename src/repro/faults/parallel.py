@@ -13,11 +13,11 @@ to the serial path, trial for trial:
   process per shard.  Each worker inherits the parent's built store
   (machine, JIT attachment, checkpoints) and runs its shard through
   the trial kernel :func:`~repro.faults.trials.run_trials`, numbering
-  its trials from the shard's global first index and stamping each
-  site's stratum, so its records need no renumbering;
+  its trials from the shard's global first index, so its records need
+  no renumbering;
 * each worker sends back its
-  :class:`~repro.faults.campaign.CampaignResult`, outcomes, trial
-  records, taint streams and shard profile over a pipe; the parent
+  :class:`~repro.faults.campaign.CampaignResult`, trial records, taint
+  streams and shard profile over a pipe; the parent
   merges them in shard (= trial) order, so counts, logs and profiles
   equal the serial campaign's;
 * a worker that dies without reporting (killed, out of memory) raises
@@ -38,7 +38,6 @@ from ..errors import ShardLostError
 from ..obs import spans
 from ..obs.campaign_log import CampaignLog
 from .campaign import CampaignResult
-from .outcomes import Outcome
 from .trials import run_trials
 
 
@@ -61,10 +60,10 @@ def _partition(sites: list, shards: int) -> list[tuple[int, list]]:
 
 
 def _run_shard(store, shard: int, first_trial: int, sites: list,
-               strata: list | None, logged: bool, taint: bool) -> tuple:
+               logged: bool, taint: bool) -> tuple:
     """Run one contiguous shard of trials in a forked worker.
 
-    Returns ``(result, outcomes, records, taint_records, profile)``.
+    Returns ``(result, records, taint_records, profile)``.
     A profiled campaign's shard counts into a fresh profiler: the
     parent's profile already holds the golden run, so merged shard
     profiles equal the serial campaign's.
@@ -77,13 +76,11 @@ def _run_shard(store, shard: int, first_trial: int, sites: list,
         machine.profile = SimProfiler()
     result = CampaignResult(golden_instructions=store.golden.instructions)
     log = CampaignLog() if logged else None
-    outcomes = run_trials(store, sites, result, log,
-                          first_trial=first_trial, strata=strata,
-                          taint=taint)
+    run_trials(store, sites, result, log, first_trial=first_trial,
+               taint=taint)
     if log is None:
-        return result, outcomes, [], [], machine.profile
-    return (result, outcomes, log.records, log.taint_records,
-            machine.profile)
+        return result, [], [], machine.profile
+    return result, log.records, log.taint_records, machine.profile
 
 
 def _shard_worker(conn, *args) -> None:
@@ -100,29 +97,26 @@ def _shard_worker(conn, *args) -> None:
 
 def run_shards(store, sites: list, result: CampaignResult,
                log: CampaignLog | None = None, *, jobs: int,
-               first_trial: int = 0, strata: list | None = None,
-               taint: bool = False
-               ) -> tuple[CampaignResult, list[Outcome]]:
-    """Run ``sites`` on a built ``store`` sharded over ``jobs`` workers.
+               taint: bool = False) -> CampaignResult:
+    """Run ``sites`` on a built ``store`` sharded over ``jobs`` workers
+    and return ``result`` merged with every shard's.
 
-    The sharded half of :func:`~repro.faults.campaign.run_batch`, with
-    its signature and return value.  A ``profile`` attached to the
-    store's machine receives every shard's counts.
+    Trials are numbered, logged into ``log`` and profiled as
+    :func:`~repro.faults.trials.run_trials` does them in one process;
+    a ``profile`` attached to the store's machine receives every
+    shard's counts.
     """
     profile = store.machine.profile
     context = multiprocessing.get_context("fork")
     workers = []
-    outcomes: list[Outcome] = []
     try:
         for shard, (lo, chunk) in enumerate(
                 _partition(sites, min(jobs, len(sites)))):
             receiver, sender = context.Pipe(duplex=False)
             worker = context.Process(
                 target=_shard_worker, daemon=True,
-                args=(sender, store, shard, first_trial + lo, chunk,
-                      None if strata is None
-                      else strata[lo:lo + len(chunk)],
-                      log is not None, taint))
+                args=(sender, store, shard, lo, chunk, log is not None,
+                      taint))
             worker.start()
             sender.close()
             workers.append((worker, receiver))
@@ -137,10 +131,8 @@ def run_shards(store, sites: list, result: CampaignResult,
                     "before reporting its trials") from None
             if error is not None:
                 raise error
-            shard_result, shard_outcomes, records, taint_records, \
-                shard_profile = payload
+            shard_result, records, taint_records, shard_profile = payload
             result = result.merged(shard_result)
-            outcomes.extend(shard_outcomes)
             if log is not None:
                 log.records.extend(records)
                 log.taint_records.extend(taint_records)
@@ -154,4 +146,4 @@ def run_shards(store, sites: list, result: CampaignResult,
         for worker, receiver in workers:
             receiver.close()
             worker.join()
-    return result, outcomes
+    return result

@@ -2,9 +2,8 @@
 
 Every campaign runs its trials through :func:`run_trials`: the
 register-SEU campaigns of :func:`~repro.faults.campaign.run_campaign`
-(serial, and in each worker shard of :mod:`repro.faults.parallel`), the
-adaptive runner's batches (:mod:`repro.stats.sequential`), and the
-opcode and wild-jump models, which are only site samplers over it.  A
+(serial, and in each worker shard of :mod:`repro.faults.parallel`) and
+the opcode and wild-jump models, which are only site samplers over it.  A
 fault model is its site type: anything with a ``dynamic_index`` and an
 ``inject(machine)`` method runs here.  :func:`engine` is the one place
 a campaign attaches the JIT and the profiler to a machine.
@@ -45,8 +44,8 @@ def engine(machine, jit: bool, profile=None):
 
 
 def run_trials(store, sites: list, result, log=None, *,
-               first_trial: int = 0, strata: list | None = None,
-               taint: bool = False, tick=None) -> list[Outcome]:
+               first_trial: int = 0, taint: bool = False,
+               tick=None) -> list[Outcome]:
     """Run one trial per site on a built ``store`` and record them.
 
     ``store`` is a :class:`~repro.faults.injector.CheckpointStore` or
@@ -59,11 +58,10 @@ def run_trials(store, sites: list, result, log=None, *,
     each is then classified against the golden run and recorded into
     ``result`` (a :class:`~repro.faults.campaign.CampaignResult`) in
     the order of ``sites``.  With a ``log`` each is also logged as trial
-    ``first_trial + i`` in stratum ``strata[i]``; ``taint=True`` traces
-    each trial with a fresh :class:`~repro.sim.taint.TaintTracker` and
-    logs its stream.  Whether a fault landed is the store's word for
-    it: the run reached the injection point.  Returns the outcomes in
-    trial order.
+    ``first_trial + i``; ``taint=True`` traces each trial with a fresh
+    :class:`~repro.sim.taint.TaintTracker` and logs its stream.  Whether
+    a fault landed is the store's word for it: the run reached the
+    injection point.  Returns the outcomes in trial order.
     """
     run, golden = store.run_with_fault, store.golden
     fast_forwards = store.fast_forwards
@@ -91,8 +89,7 @@ def run_trials(store, sites: list, result, log=None, *,
         outcomes.append(outcome)
         if log is not None:
             trial = first_trial + offset
-            log.record_trial(trial, site, outcome, faulty, landed,
-                             None if strata is None else strata[offset])
+            log.record_trial(trial, site, outcome, faulty, landed)
             if tracker is not None:
                 log.record_taint(trial, tracker)
     return outcomes

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from ..errors import IRError
 from .function import Function
 from .instruction import Instruction
-from .opcodes import Opcode
+from .opcodes import MEMORY_OPS, Opcode
 from .operands import FImm, Imm
 from .registers import Register, fpr, gpr
 
@@ -48,6 +48,14 @@ OPCODE_LIST = list(Opcode)
 OPCODE_INDEX = {op: i for i, op in enumerate(OPCODE_LIST)}
 
 _NONE_REG = 63
+
+#: Opcodes whose every source is an FP register or float immediate: an
+#: integer immediate there is illegal.
+_FLOAT_SOURCE_OPS = frozenset({
+    Opcode.FPRINT, Opcode.FMOV, Opcode.FNEG, Opcode.FADD, Opcode.FSUB,
+    Opcode.FMUL, Opcode.FDIV, Opcode.FCMPEQ, Opcode.FCMPLT, Opcode.FCMPLE,
+    Opcode.FLI,
+})
 _IMM_BITS = 10
 _TARGET_BITS = 10
 
@@ -208,23 +216,18 @@ def _validate_decoded(instr: Instruction) -> None:
     op = instr.op
     kind = op.kind
     # Immediate kinds must match the operand domain.
-    fp_domain = kind.value in ("fp", "fmem") or op in (Opcode.FPRINT,)
+    fp_domain = kind.value in ("fp", "fmem") or op is Opcode.FPRINT
     for slot, src in enumerate(instr.srcs):
         if isinstance(src, FImm) and not fp_domain:
             raise IllegalEncoding("float immediate in integer context")
-        if isinstance(src, Imm) and op in (Opcode.FPRINT, Opcode.FMOV,
-                                           Opcode.FNEG, Opcode.FADD,
-                                           Opcode.FSUB, Opcode.FMUL,
-                                           Opcode.FDIV, Opcode.FCMPEQ,
-                                           Opcode.FCMPLT, Opcode.FCMPLE,
-                                           Opcode.FLI):
+        if isinstance(src, Imm) and op in _FLOAT_SOURCE_OPS:
             raise IllegalEncoding("integer immediate in float context")
     if op is Opcode.LI and not isinstance(instr.srcs[0], Imm):
         raise IllegalEncoding("li requires an integer immediate")
     if op is Opcode.FLI and not isinstance(instr.srcs[0], FImm):
         raise IllegalEncoding("fli requires a float immediate")
     # Structural shape first (the class verifier assumes it).
-    if op in (Opcode.LOAD, Opcode.FLOAD, Opcode.STORE, Opcode.FSTORE):
+    if op in MEMORY_OPS:
         if not isinstance(instr.srcs[0], Register):
             raise IllegalEncoding("memory base must be a register")
         if not isinstance(instr.srcs[1], Imm):

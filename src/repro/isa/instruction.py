@@ -49,6 +49,9 @@ PROTECTION_ROLES = frozenset(
     }
 )
 
+#: Roles of repair code: SWIFT-R's votes and TRUMP's recovery sequences.
+REPAIR_ROLES = frozenset({Role.VOTE, Role.RECOVERY})
+
 
 class Instruction:
     """One three-address instruction.

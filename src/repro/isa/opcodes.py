@@ -269,3 +269,18 @@ FP_RESULT_OPS = frozenset(
 FP_TO_INT_OPS = frozenset(
     {Opcode.FCMPEQ, Opcode.FCMPLT, Opcode.FCMPLE, Opcode.CVTFI}
 )
+
+#: The FP compares alone: their integer result is 0 or 1.
+FP_COMPARE_OPS = frozenset({Opcode.FCMPEQ, Opcode.FCMPLT, Opcode.FCMPLE})
+
+#: Memory accesses, addressed ``[src0 + imm_src1]``: loads write the
+#: word to ``dest``, stores write ``src2`` to it.
+LOAD_OPS = frozenset({Opcode.LOAD, Opcode.FLOAD})
+STORE_OPS = frozenset({Opcode.STORE, Opcode.FSTORE})
+MEMORY_OPS = LOAD_OPS | STORE_OPS
+
+#: Integer division and remainder: a zero divisor traps.
+DIVISION_OPS = frozenset({Opcode.DIV, Opcode.REM})
+
+#: Shifts: the amount is taken mod 64.
+SHIFT_OPS = frozenset({Opcode.SHL, Opcode.SHR, Opcode.SRA})

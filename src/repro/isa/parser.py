@@ -17,7 +17,13 @@ import re
 from ..errors import ParseError
 from .function import Function
 from .instruction import Instruction, Role
-from .opcodes import MNEMONIC_TO_OPCODE, Opcode, OpKind
+from .opcodes import (
+    LOAD_OPS,
+    MNEMONIC_TO_OPCODE,
+    STORE_OPS,
+    Opcode,
+    OpKind,
+)
 from .operands import FImm, Imm, Operand
 from .program import Program
 from .registers import parse_register
@@ -83,7 +89,7 @@ def _split_commas(text: str) -> list[str]:
 
 def _parse_body(op: Opcode, rest: str) -> Instruction:
     kind = op.kind
-    if op in (Opcode.LOAD, Opcode.FLOAD):
+    if op in LOAD_OPS:
         dest_text, mem_text = rest.split(",", 1)
         match = _MEM_RE.search(mem_text)
         if not match:
@@ -91,7 +97,7 @@ def _parse_body(op: Opcode, rest: str) -> Instruction:
         base = parse_register(match.group(1))
         return Instruction(op, dest=parse_register(dest_text.strip()),
                            srcs=(base, Imm(int(match.group(2)))))
-    if op in (Opcode.STORE, Opcode.FSTORE):
+    if op in STORE_OPS:
         match = _MEM_RE.search(rest)
         if not match:
             raise ValueError("expected [base + offset]")

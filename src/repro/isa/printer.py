@@ -10,7 +10,7 @@ from __future__ import annotations
 from .block import BasicBlock
 from .function import Function
 from .instruction import Instruction, Role
-from .opcodes import Opcode, OpKind
+from .opcodes import LOAD_OPS, STORE_OPS, OpKind
 from .operands import FImm, Imm
 from .program import Program
 from .registers import Register
@@ -42,10 +42,10 @@ def format_instruction(instr: Instruction) -> str:
     op = instr.op
     kind = op.kind
     name = op.info.mnemonic
-    if kind in (OpKind.LOAD, OpKind.FMEM) and op in (Opcode.LOAD, Opcode.FLOAD):
+    if op in LOAD_OPS:
         base, off = instr.srcs
         return f"{name} {instr.dest.name}, [{_fmt_operand(base)} + {_fmt_operand(off)}]"
-    if op in (Opcode.STORE, Opcode.FSTORE):
+    if op in STORE_OPS:
         base, off, value = instr.srcs
         return f"{name} [{_fmt_operand(base)} + {_fmt_operand(off)}], {_fmt_operand(value)}"
     if kind == OpKind.BRANCH:

@@ -21,8 +21,6 @@ The measurement substrate for everything quantitative in this repo:
 * :mod:`repro.obs.atlas` -- program-anchored reliability maps: per
   instruction outcome tallies, population-weighted, with escape-route
   edges (``obs atlas``);
-* :mod:`repro.obs.convergence` -- stratum coverage and CI-convergence
-  audit over adaptive telemetry (``obs convergence``);
 * :mod:`repro.obs.registry` -- the persistent campaign ledger:
   content-addressed run manifests + artifacts under ``.repro/runs/``,
   cross-run diffing, and reliability history (``obs runs`` / ``obs
@@ -68,7 +66,6 @@ _EXPORTS = {
     "classify_trial": "forensics",
     "collect_site_locations": "atlas",
     "collector": "spans",
-    "convergence_tables": "convergence",
     "diff_tables": "registry",
     "emit_tables": "emit",
     "detection_icount": "campaign_log",

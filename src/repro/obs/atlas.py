@@ -15,12 +15,12 @@ one extra golden replay *only when an atlas is requested* -- the trial
 loop itself does no extra per-trial work, so campaigns without
 ``--atlas`` are untouched.
 
-Tallies are **population-weighted** via the stratified fault space of
-:mod:`repro.stats.space`: a trial drawn from stratum ``h`` contributes
-``W_h / n_h`` (its Horvitz-Thompson weight) to every rate, so maps
-estimate each instruction's *contribution to the population failure
-rate* rather than raw sample counts.  Unstratified campaigns collapse
-to a single stratum and the weights reduce to ``1/N``.
+Tallies are **population-weighted**: a trial drawn from stratum ``h``
+of the fault space contributes ``W_h / n_h`` (its Horvitz-Thompson
+weight) to every rate, so maps estimate each instruction's
+*contribution to the population failure rate* rather than raw sample
+counts.  Campaigns sample sites uniformly, so their trials fall into a
+single stratum and the weights reduce to ``1/N``.
 
 Shard discipline: the accumulator holds **integers only** (counts
 keyed by location/stratum/outcome strings); weights are applied at
@@ -267,8 +267,8 @@ class Atlas:
     def from_accumulator(cls, acc: AtlasAccumulator,
                          weights: dict[str, float] | None = None,
                          context: dict | None = None) -> "Atlas":
-        """Apply stratum ``weights`` (population shares from
-        :meth:`FaultSpace.weight`) to an accumulator's counts.
+        """Apply stratum ``weights`` (population shares) to an
+        accumulator's counts.
 
         With ``weights=None`` strata are self-weighted by their sampled
         share -- exact for uniform sampling, where every trial already
@@ -604,13 +604,10 @@ class Atlas:
 
 
 def atlas_from_records(records: list[dict], machine,
-                       weights: dict[str, float] | None = None,
                        context: dict | None = None) -> Atlas:
     """Build an atlas from exported telemetry records (``trial`` plus
     optional ``taint_summary`` kinds), anchoring sites with one golden
-    replay of ``machine``.  ``weights`` maps stratum keys to population
-    shares (e.g. from ``fault_space_stratum`` records); ``None``
-    self-weights by sampled share."""
+    replay of ``machine``; strata are self-weighted by sampled share."""
     trials = [r for r in records if r.get("kind") == "trial"]
     summaries = [r for r in records if r.get("kind") == "taint_summary"]
     acc = AtlasAccumulator()
@@ -619,4 +616,4 @@ def atlas_from_records(records: list[dict], machine,
                   if r.get("fault_landed", True)])
     acc.golden_instructions = machine.icount
     acc.add_records(trials, summaries, locations)
-    return Atlas.from_accumulator(acc, weights=weights, context=context)
+    return Atlas.from_accumulator(acc, context=context)

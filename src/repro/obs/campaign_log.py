@@ -62,7 +62,6 @@ class TrialRecord:
     detection_latency: int | None  # dynamic instrs injection -> check
     instructions: int              # dynamic length of the faulty run
     fault_landed: bool = True      # False: run ended before the flip
-    stratum: str | None = None     # stats.space stratum key, if sampled
 
     def to_dict(self, context: dict | None = None) -> dict:
         record = {"kind": "trial"}
@@ -81,8 +80,6 @@ class TrialRecord:
             instructions=self.instructions,
             fault_landed=self.fault_landed,
         )
-        if self.stratum is not None:
-            record["stratum"] = self.stratum
         return record
 
     @classmethod
@@ -112,8 +109,8 @@ class CampaignLog:
         self.taint_records: list[dict] = []
 
     def record_trial(self, trial: int, site: "FaultSite",
-                     outcome: "Outcome", faulty: RunResult, landed: bool,
-                     stratum: str | None = None) -> None:
+                     outcome: "Outcome", faulty: RunResult,
+                     landed: bool) -> None:
         """Record one trial; ``landed`` says whether the run reached
         the injection point (see :func:`repro.faults.trials.run_trials`)."""
         # Extension fault models (wild jumps, opcode flips) have no
@@ -130,7 +127,6 @@ class CampaignLog:
             detection_latency=detection_latency(site, faulty),
             instructions=faulty.instructions,
             fault_landed=landed,
-            stratum=stratum,
         ))
 
     def record_taint(self, trial: int, tracker) -> None:

@@ -19,8 +19,7 @@ where runs outlive processes.  This module is that place:
   (:func:`environment_fingerprint`), and the deterministic result
   summary;
 * ``<run_id>/*.jsonl[.gz]`` -- the artifacts: per-trial telemetry,
-  the reliability atlas, adaptive batch/stratum records, taint
-  summaries.
+  the reliability atlas, taint summaries.
 
 The run id **is** the first 16 hex digits of the sha256 of the
 canonical manifest JSON (artifact hashes included), so identical
@@ -373,8 +372,7 @@ class RunRegistry:
 # ------------------------------------------------------------ store_campaign
 def store_campaign(registry: RunRegistry, *, workload: dict,
                    technique: str, seed: int, result, log, program,
-                   weights: dict[str, float] | None = None,
-                   adaptive=None, tag: str = "") -> StoredRun:
+                   tag: str = "") -> StoredRun:
     """Assemble one campaign's manifest + artifacts and store them.
 
     ``result`` is the :class:`~repro.faults.campaign.CampaignResult`
@@ -382,10 +380,7 @@ def store_campaign(registry: RunRegistry, *, workload: dict,
     fingerprint), ``log`` the :class:`~repro.obs.campaign_log.CampaignLog`
     holding every trial, and ``program`` the protected binary -- hashed
     for the manifest and replayed once to anchor the stored atlas, so
-    ``obs diff`` always has per-instruction drift data.  ``adaptive``
-    (an :class:`~repro.stats.sequential.AdaptiveResult`) adds the
-    stopping verdict and the batch/stratum artifact; ``weights`` are
-    its population stratum weights for the atlas.
+    ``obs diff`` always has per-instruction drift data.
     """
     from ..sim.machine import Machine
     from .atlas import atlas_from_records
@@ -394,9 +389,6 @@ def store_campaign(registry: RunRegistry, *, workload: dict,
     config.setdefault("fault_model", "register-seu")
     config["seed"] = seed
     results = result.summary_dict()
-    if adaptive is not None:
-        config.update(adaptive.config.config_dict())
-        results["adaptive"] = adaptive.summary_dict()
     trial_dicts = log.to_dicts()
     taint_dicts = log.taint_dicts()
     artifacts: dict[str, list[dict]] = {"trials": trial_dicts}
@@ -404,13 +396,10 @@ def store_campaign(registry: RunRegistry, *, workload: dict,
                  if r.get("kind") == "taint_summary"]
     if summaries:
         artifacts["taint"] = summaries
-    context = dict(workload, technique=technique, seed=seed)
-    if adaptive is not None:
-        artifacts["adaptive"] = (adaptive.batch_dicts(context)
-                                 + adaptive.stratum_dicts(context))
     atlas = atlas_from_records(
-        trial_dicts + taint_dicts, Machine(program), weights=weights,
-        context=dict(context, trials=results["trials"]))
+        trial_dicts + taint_dicts, Machine(program),
+        context=dict(workload, technique=technique, seed=seed,
+                     trials=results["trials"]))
     artifacts["atlas"] = [atlas.payload]
     manifest = build_manifest(
         workload=workload, technique=technique, config=config,

@@ -1,12 +1,12 @@
 """Telemetry sinks: JSONL export and an in-memory summary renderer.
 
 Every telemetry record is one flat JSON object per line with a ``kind``
-discriminator (``trial``, ``span``, ``timing``, ``metric``,
-``adaptive_batch``, ...).  JSONL keeps the sink append-only --
-campaigns can stream records as trials finish, shards can concatenate
-their files, and ``python -m repro obs summarize`` can render any mix
-of kinds.  See ``docs/observability.md`` for the field-by-field
-schema.  :func:`load_telemetry` is the one reader.
+discriminator (``trial``, ``span``, ``timing``, ``metric``, ...).
+JSONL keeps the sink append-only -- campaigns can stream records as
+trials finish, shards can concatenate their files, and ``python -m
+repro obs summarize`` can render any mix of kinds.  See
+``docs/observability.md`` for the field-by-field schema.
+:func:`load_telemetry` is the one reader.
 """
 
 from __future__ import annotations
@@ -304,38 +304,6 @@ def _render_spans(spans: list[dict]) -> list[Table]:
     return tables
 
 
-def _render_adaptive(batches: list[dict]) -> list[Table]:
-    """One row per adaptive batch: the campaign's convergence path."""
-    sections = []
-    groups: dict[str, list[dict]] = {}
-    for record in batches:
-        groups.setdefault(_group_key(record), []).append(record)
-    for group, members in sorted(groups.items()):
-        members = sorted(members, key=lambda r: r.get("batch", 0))
-        rows = []
-        for record in members:
-            rows.append([
-                record.get("batch", "?"),
-                record.get("trials", "?"),
-                record.get("total_trials", "?"),
-                f"{100.0 * record.get('estimate', 0.0):6.2f}",
-                f"{100.0 * record.get('half_width', 0.0):5.2f}",
-                "yes" if record.get("met") else "no",
-            ])
-        last = members[-1]
-        metric = last.get("metric", "?")
-        target = 100.0 * last.get("target", 0.0)
-        title = (f"Adaptive batches ({group}): metric {metric}, "
-                 f"target half-width {target:.2f} pts")
-        sections.append(Table(
-            title=title,
-            columns=["batch", "trials", "total", "estimate%", "hw pts",
-                     "met"],
-            rows=rows,
-        ))
-    return sections
-
-
 def _render_timing(cells: list[dict]) -> list[Table]:
     rows = [
         [record.get("benchmark", "?"), record.get("technique", "?"),
@@ -358,15 +326,12 @@ def summary_tables(records: list[dict]) -> list[Table]:
     tables: list[Table] = []
     if "trial" in by_kind:
         tables += _render_trials(by_kind["trial"])
-    if "adaptive_batch" in by_kind:
-        tables += _render_adaptive(by_kind["adaptive_batch"])
     if "timing" in by_kind:
         tables += _render_timing(by_kind["timing"])
     if "span" in by_kind:
         tables += _render_spans(by_kind["span"])
     leftover = {kind: items for kind, items in by_kind.items()
-                if kind not in ("trial", "timing", "span",
-                                "adaptive_batch")}
+                if kind not in ("trial", "timing", "span")}
     if leftover:
         # Kinds this renderer has no dedicated table for (new producers,
         # taint streams): show count and field names so the file's

@@ -3,11 +3,10 @@
 The interpreter in :mod:`repro.sim.machine` dispatches one Python
 closure per dynamic instruction.  That per-instruction dispatch -- a
 list index, a call, an action check -- dominates campaign runtime now
-that checkpointing and adaptive stopping have squeezed out redundant
-*trials*.  This module removes it: every function is rendered into one
-generated Python driver via opcode templates (the one-expression
-formats, shared with the interpreter, live in
-:mod:`repro.sim.semantics`) -- registers held in
+that checkpointing has squeezed out redundant replay.  This module
+removes it: every function is rendered into one generated Python
+driver via opcode templates (the one-expression formats, shared with
+the interpreter, live in :mod:`repro.sim.semantics`) -- registers held in
 Python locals across basic-block transitions, the instruction counter
 carried as a local, block-to-block control flow as a binary-dispatch
 ``while`` loop -- then ``compile()``d once and cached per *program
@@ -90,7 +89,7 @@ from __future__ import annotations
 
 import weakref
 
-from ..isa.instruction import Instruction, Role
+from ..isa.instruction import REPAIR_ROLES, Instruction
 from ..isa.opcodes import Opcode, OpKind
 from ..isa.operands import FImm, Imm, MASK64, to_signed
 from ..isa.registers import Register
@@ -1094,7 +1093,7 @@ def _flow_edges(cfunc) -> list[tuple[int, int, bool]]:
     for j, blk in enumerate(cfunc.blocks):
         for instr in blk.instrs:
             if (instr.op.kind in (OpKind.BRANCH, OpKind.JUMP)
-                    and instr.role not in (Role.RECOVERY, Role.VOTE)):
+                    and instr.role not in REPAIR_ROLES):
                 edges.append((j, index[instr.label],
                               instr.op.kind is OpKind.BRANCH))
         last = blk.instrs[-1] if blk.instrs else None
@@ -1184,7 +1183,7 @@ class _Facts:
             {b for b, blk in enumerate(cfunc.blocks)
              if (b and b not in reached)
              or any(instr.op is Opcode.NOP
-                    and instr.role in (Role.RECOVERY, Role.VOTE)
+                    and instr.role in REPAIR_ROLES
                     for instr in blk.instrs)}, self.owners)
         self.interpreted = self.repair
         self.calls = [(b, instr.callee)

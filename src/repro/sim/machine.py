@@ -39,7 +39,7 @@ from types import MappingProxyType
 from ..analysis.frames import check_frames
 from ..analysis.liveness import live_in_masks
 from ..errors import SimulationError
-from ..isa.instruction import Instruction, Role
+from ..isa.instruction import REPAIR_ROLES, Instruction, Role
 from ..isa.opcodes import Opcode
 from ..isa.operands import FImm, Imm, MASK64
 from ..isa.program import Program, STACK_TOP
@@ -647,7 +647,7 @@ class Machine:
         if handler is None:
             raise SimulationError(f"no compiler for opcode {op.name}")
         step = handler(self, instr, block_index)
-        if instr.role in (Role.RECOVERY, Role.VOTE):
+        if instr.role in REPAIR_ROLES:
             return _count_recovery(step, instr)
         return step
 

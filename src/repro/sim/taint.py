@@ -44,7 +44,7 @@ the forensics classification never depends on the caps.
 from __future__ import annotations
 
 from ..isa.instruction import Instruction, Role
-from ..isa.opcodes import Opcode, OpKind
+from ..isa.opcodes import SHIFT_OPS, Opcode, OpKind
 from ..isa.operands import MASK64
 from ..isa.registers import Register
 
@@ -59,7 +59,10 @@ DEFAULT_MAX_STEPS = 1_000_000
 #: Roles whose stores move values inside the ECC-protected stack frame
 #: (register-allocator traffic); their taint flow is tracked but they
 #: are not output-boundary escapes.
-_FRAME_ROLES = (Role.SPILL, Role.FRAME)
+_FRAME_ROLES = frozenset({Role.SPILL, Role.FRAME})
+
+#: Opcodes whose carries spread a tainted bit to every higher bit.
+_CARRY_OPS = frozenset({Opcode.ADD, Opcode.SUB})
 
 _REPAIR_EVENTS = ("voted-out", "repaired")
 
@@ -396,14 +399,14 @@ class TaintTracker:
             return (ta & (inv_b | tb)) | (tb & (inv_a | ta))
         if op is Opcode.XOR:
             return ta | tb
-        if op in (Opcode.ADD, Opcode.SUB):
+        if op in _CARRY_OPS:
             return self._carry_mask(ta | tb)
         if op is Opcode.MUL:
             # Multiplication by a provably clean zero squashes anything.
             if (not ta and va == 0) or (not tb and vb == 0):
                 return 0
             return MASK64
-        if op in (Opcode.SHL, Opcode.SHR, Opcode.SRA):
+        if op in SHIFT_OPS:
             if tb:
                 return MASK64            # corrupt shift amount
             shift = vb & 63

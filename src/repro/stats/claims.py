@@ -8,18 +8,13 @@ effect, the statistical test backing it, and a verdict.  A claim
 confidence -- the distinction EXPERIMENTS.md previously could not
 make.
 
-For fixed (uniform-sampling) grids, technique-vs-NOFT comparisons pool
-outcome counts across benchmarks (both campaigns draw from the same
-per-benchmark site distributions, so pooled counts compare like with
-like) and use the two-proportion score test.  For adaptive grids the
-Neyman allocation makes raw pooled counts biased, so every claim
-switches to the post-stratified suite estimates
-(:meth:`~repro.stats.sequential.AdaptiveResult.suite_estimate`) and
-the Wald test on that scale (:func:`~repro.stats.estimators.
-estimate_difference`).  The SEGV-vs-SDC comparison inside NOFT treats
-the two rates as independent binomials, a standard approximation for
-multinomial category contrasts -- conservative here because the
-categories compete for the same trials.
+Technique-vs-NOFT comparisons pool outcome counts across benchmarks
+(both campaigns draw from the same per-benchmark site distributions, so
+pooled counts compare like with like) and use the two-proportion score
+test.  The SEGV-vs-SDC comparison inside NOFT treats the two rates as
+independent binomials, a standard approximation for multinomial
+category contrasts -- conservative here because the categories compete
+for the same trials.
 """
 
 from __future__ import annotations
@@ -29,11 +24,7 @@ from dataclasses import dataclass
 from ..faults.outcomes import Outcome
 from ..faults.stats import Proportion
 from ..transform.protect import Technique
-from .estimators import (
-    DifferenceTest,
-    estimate_difference,
-    two_proportion_diff,
-)
+from .estimators import DifferenceTest, two_proportion_diff
 
 #: Outcomes counted as a failure for the reduction claims (the paper's
 #: SDC + SEGV metric; hangs fold into SDC as everywhere else).
@@ -69,21 +60,6 @@ def _pooled(results, technique: Technique,
     return successes, trials
 
 
-def _suite_estimate(results, technique: Technique,
-                    outcomes: tuple[Outcome, ...], confidence: float):
-    """Post-stratified suite estimate for an adaptively-run technique.
-
-    Returns ``None`` when the technique was run with fixed (uniform)
-    sampling, in which case pooled raw counts are unbiased and the
-    classic two-proportion machinery applies.
-    """
-    adaptive = getattr(results, "adaptive", {}) or {}
-    run = adaptive.get(technique)
-    if run is None:
-        return None
-    return run.suite_estimate(outcomes, confidence)
-
-
 def evaluate_claims(results, confidence: float = 0.95) -> list[Claim]:
     """Test the headline claims against a reliability grid.
 
@@ -101,33 +77,20 @@ def evaluate_claims(results, confidence: float = 0.95) -> list[Claim]:
         return claims
 
     # 1. Each protection technique reduces SDC+SEGV vs NOFT.
-    noft_strat = _suite_estimate(results, Technique.NOFT,
-                                 FAILURE_OUTCOMES, confidence)
     for technique in techniques:
         if technique is Technique.NOFT:
             continue
         fail, trials = _pooled(results, technique, FAILURE_OUTCOMES)
         if trials == 0:
             continue
-        tech_strat = _suite_estimate(results, technique,
-                                     FAILURE_OUTCOMES, confidence)
-        if noft_strat is not None and tech_strat is not None:
-            # Adaptive allocation makes raw pooled counts biased; test
-            # on the post-stratified scale instead.
-            test = estimate_difference(noft_strat, tech_strat, confidence)
-            p0, p1 = noft_strat.value, tech_strat.value
-            detail = (f"stratified failure {100*p1:.2f}% vs NOFT "
-                      f"{100*p0:.2f}%")
-        else:
-            test = two_proportion_diff(noft_fail, noft_trials, fail,
-                                       trials, confidence)
-            p0, p1 = noft_fail / noft_trials, fail / trials
-            detail = (f"pooled failures {fail}/{trials} vs NOFT "
-                      f"{noft_fail}/{noft_trials}")
+        test = two_proportion_diff(noft_fail, noft_trials, fail, trials,
+                                   confidence)
+        p0, p1 = noft_fail / noft_trials, fail / trials
         reduction = (100.0 * (p0 - p1) / p0) if p0 > 0 else 0.0
         claims.append(Claim(
             name=f"{technique.label} reduces SDC+SEGV vs NOFT",
-            detail=detail,
+            detail=(f"pooled failures {fail}/{trials} vs NOFT "
+                    f"{noft_fail}/{noft_trials}"),
             estimate=f"-{reduction:.1f}% rel ({test})",
             holds=test.diff > 0,
             significant=test.significant and test.diff > 0,
@@ -135,48 +98,25 @@ def evaluate_claims(results, confidence: float = 0.95) -> list[Claim]:
         ))
 
     # 2. Unprotected faults are mostly benign (NOFT unACE > 50%).
-    unace_strat = _suite_estimate(results, Technique.NOFT,
-                                  (Outcome.UNACE,), confidence)
-    if unace_strat is not None:
-        claims.append(Claim(
-            name="NOFT faults are mostly unACE",
-            detail=(f"stratified unACE over {unace_strat.trials} trials, "
-                    "CI lower bound vs 50%"),
-            estimate=str(unace_strat),
-            holds=unace_strat.value > 0.5,
-            significant=unace_strat.low > 0.5,
-        ))
-    else:
-        unace, _ = _pooled(results, Technique.NOFT, (Outcome.UNACE,))
-        unace_prop = Proportion(unace, noft_trials, confidence)
-        low, _high = unace_prop.interval()
-        claims.append(Claim(
-            name="NOFT faults are mostly unACE",
-            detail=f"unACE {unace}/{noft_trials}, CI lower bound vs 50%",
-            estimate=str(unace_prop),
-            holds=unace_prop.value > 0.5,
-            significant=low > 0.5,
-        ))
+    unace, _ = _pooled(results, Technique.NOFT, (Outcome.UNACE,))
+    unace_prop = Proportion(unace, noft_trials, confidence)
+    low, _high = unace_prop.interval()
+    claims.append(Claim(
+        name="NOFT faults are mostly unACE",
+        detail=f"unACE {unace}/{noft_trials}, CI lower bound vs 50%",
+        estimate=str(unace_prop),
+        holds=unace_prop.value > 0.5,
+        significant=low > 0.5,
+    ))
 
     # 3. Unprotected failures skew to SEGV over SDC (paper Section 7.2).
-    segv_strat = _suite_estimate(results, Technique.NOFT,
-                                 (Outcome.SEGV,), confidence)
-    sdc_strat = _suite_estimate(results, Technique.NOFT,
-                                (Outcome.SDC, Outcome.HANG), confidence)
-    if segv_strat is not None and sdc_strat is not None:
-        segv_test = estimate_difference(segv_strat, sdc_strat, confidence)
-        segv_detail = (f"stratified SEGV {100*segv_strat.value:.2f}% vs "
-                       f"SDC {100*sdc_strat.value:.2f}%")
-    else:
-        segv, _ = _pooled(results, Technique.NOFT, (Outcome.SEGV,))
-        sdc, _ = _pooled(results, Technique.NOFT,
-                         (Outcome.SDC, Outcome.HANG))
-        segv_test = two_proportion_diff(segv, noft_trials, sdc,
-                                        noft_trials, confidence)
-        segv_detail = f"SEGV {segv} vs SDC {sdc} of {noft_trials}"
+    segv, _ = _pooled(results, Technique.NOFT, (Outcome.SEGV,))
+    sdc, _ = _pooled(results, Technique.NOFT, (Outcome.SDC, Outcome.HANG))
+    segv_test = two_proportion_diff(segv, noft_trials, sdc, noft_trials,
+                                    confidence)
     claims.append(Claim(
         name="NOFT failures skew to SEGV over SDC",
-        detail=segv_detail,
+        detail=f"SEGV {segv} vs SDC {sdc} of {noft_trials}",
         estimate=str(segv_test),
         holds=segv_test.diff > 0,
         significant=segv_test.significant and segv_test.diff > 0,
@@ -190,17 +130,10 @@ def evaluate_claims(results, confidence: float = 0.95) -> list[Claim]:
                     if tech is Technique.SWIFTR and cell.trials > 0]
     if swiftr_cells:
         threshold = 0.10
-        swiftr_run = (getattr(results, "adaptive", {}) or {}
-                      ).get(Technique.SWIFTR)
         worst_bench, worst_high = "", 0.0
         for bench, cell in swiftr_cells:
-            if swiftr_run is not None:
-                high = swiftr_run.arm_estimate(
-                    bench, FAILURE_OUTCOMES, confidence).high
-            else:
-                fail = sum(cell.count(o) for o in FAILURE_OUTCOMES)
-                _, high = Proportion(fail, cell.trials,
-                                     confidence).interval()
+            fail = sum(cell.count(o) for o in FAILURE_OUTCOMES)
+            _, high = Proportion(fail, cell.trials, confidence).interval()
             if high >= worst_high:
                 worst_bench, worst_high = bench, high
         claims.append(Claim(

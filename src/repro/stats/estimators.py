@@ -1,21 +1,21 @@
 """Post-stratified rate estimators and two-proportion difference tests.
 
-The sequential runner samples each stratum at its own (Neyman-driven)
-rate, so the raw pooled fraction is biased toward over-sampled strata.
 The post-stratified estimator reweights each stratum's observed rate
-by its exact *population* share:
+by its population share, so strata sampled with different trial counts
+still combine into an unbiased rate.  Figure 8's "Average" row uses it
+with the benchmarks as equal-weight strata (the row is a plain mean of
+per-benchmark percentages):
 
     p_hat = sum_h w_h * p_h          (w_h renormalized over observed strata)
     var   = sum_h w_h^2 * s_h / n_h  (s_h = Jeffreys-smoothed p_h (1 - p_h))
 
 The interval is a Wilson score interval evaluated at the *effective*
 sample size ``n_eff = p~ (1 - p~) / var`` -- for a single stratum this
-reduces exactly to the plain Wilson interval on the raw counts, so
-stratification never changes what an unstratified campaign would have
-reported.  When every observed stratum is degenerate at the same value
-(the all-unACE SWIFT-R case) the variance estimate is meaningless, so
-the estimator falls back to a Jeffreys interval on the pooled counts --
-again matching what :class:`repro.faults.stats.Proportion` reports.
+reduces exactly to the plain Wilson interval on the raw counts.  When
+every observed stratum is degenerate at the same value (the all-unACE
+SWIFT-R case) the variance estimate is meaningless, so the estimator
+falls back to a Jeffreys interval on the pooled counts -- again
+matching what :class:`repro.faults.stats.Proportion` reports.
 """
 
 from __future__ import annotations
@@ -64,18 +64,6 @@ class StratifiedEstimate:
     n_effective: float
     method: str  # "wilson" | "jeffreys" | "empty"
 
-    @property
-    def half_width(self) -> float:
-        return 0.5 * (self.high - self.low)
-
-    @property
-    def percent(self) -> float:
-        return 100.0 * self.value
-
-    def __str__(self) -> str:
-        return (f"{self.percent:.2f}% "
-                f"[{100*self.low:.2f}, {100*self.high:.2f}]")
-
 
 def stratified_estimate(cells: list[StratumCell],
                         confidence: float = 0.95) -> StratifiedEstimate:
@@ -83,8 +71,7 @@ def stratified_estimate(cells: list[StratumCell],
 
     Strata with zero trials are dropped and the remaining population
     weights renormalized (post-stratification collapse): the estimate
-    then covers the sub-population actually observed, which is the
-    honest thing to report mid-campaign before every stratum is seeded.
+    then covers the sub-population actually observed.
     """
     observed = [c for c in cells if c.trials > 0]
     trials = sum(c.trials for c in observed)
@@ -142,33 +129,6 @@ class DifferenceTest:
         return (f"{100*self.diff:+.2f} pts "
                 f"[{100*self.low:+.2f}, {100*self.high:+.2f}], "
                 f"z={self.z:.2f}, p={self.p_value:.2g}")
-
-
-def estimate_difference(first: StratifiedEstimate,
-                        second: StratifiedEstimate,
-                        confidence: float = 0.95) -> DifferenceTest:
-    """Difference test between two post-stratified estimates.
-
-    Uses each estimate's effective sample size for the standard error
-    (with a Jeffreys-style floor so degenerate estimates keep nonzero
-    variance), i.e. a Wald test on the stratified scale.  This is the
-    adaptive-campaign counterpart of :func:`two_proportion_diff`, whose
-    raw pooled counts would be biased under non-uniform allocation.
-    """
-    def variance(e: StratifiedEstimate) -> float:
-        n = max(e.n_effective, 1.0)
-        floor = 0.5 / (n + 1.0)
-        p = min(max(e.value, floor), 1.0 - floor)
-        return p * (1.0 - p) / n
-
-    se = math.sqrt(variance(first) + variance(second))
-    diff = first.value - second.value
-    z = diff / se if se > 0 else 0.0
-    p_value = math.erfc(abs(z) / math.sqrt(2.0))
-    zq = normal_quantile(0.5 * (1.0 + confidence))
-    low = max(-1.0, diff - zq * se)
-    high = min(1.0, diff + zq * se)
-    return DifferenceTest(diff, low, high, z, p_value, confidence)
 
 
 def two_proportion_diff(successes1: int, trials1: int,

@@ -36,7 +36,13 @@ from ..errors import TransformError
 from ..isa.block import BasicBlock
 from ..isa.function import Function
 from ..isa.instruction import Instruction, Role, make_mov
-from ..isa.opcodes import ANTransparency, Opcode, OpKind
+from ..isa.opcodes import (
+    LOAD_OPS,
+    STORE_OPS,
+    ANTransparency,
+    Opcode,
+    OpKind,
+)
 from ..isa.operands import Imm, MASK64, Operand
 from ..isa.program import Program
 from ..isa.registers import Register
@@ -109,6 +115,10 @@ REENCODE_OPS = frozenset(
         Opcode.FCMPLE,
     }
 )
+
+#: Integer output-boundary opcodes: their operand is validated (and
+#: repaired) before it leaves the sphere of replication.
+_CHECKED_OUTPUT_OPS = frozenset({Opcode.PRINT, Opcode.EXIT})
 
 
 class _Emitter:
@@ -198,13 +208,13 @@ class DuplicationEngine:
         op = instr.op
         kind = op.kind
         emit = self.emitter.emit
-        if op in (Opcode.LOAD, Opcode.FLOAD):
+        if op in LOAD_OPS:
             self._validate_operand(instr.srcs[0])
             emit(instr.clone())
             if op is Opcode.LOAD:
                 self._copy_into_shadows(instr.dest)
             return
-        if op in (Opcode.STORE, Opcode.FSTORE):
+        if op in STORE_OPS:
             self._validate_operand(instr.srcs[0])
             if op is Opcode.STORE:
                 self._validate_operand(instr.srcs[2])
@@ -227,7 +237,7 @@ class DuplicationEngine:
                 self._validate_operand(instr.srcs[0])
             emit(instr.clone())
             return
-        if op in (Opcode.PRINT, Opcode.EXIT):
+        if op in _CHECKED_OUTPUT_OPS:
             self._validate_operand(instr.srcs[0])
             emit(instr.clone())
             return

@@ -23,7 +23,13 @@ from __future__ import annotations
 from ..analysis.liveness import Liveness
 from ..isa.function import Function
 from ..isa.instruction import Instruction, Role
-from ..isa.opcodes import Opcode, OpKind
+from ..isa.opcodes import (
+    DIVISION_OPS,
+    MEMORY_OPS,
+    SHIFT_OPS,
+    Opcode,
+    OpKind,
+)
 from ..isa.operands import Imm, MASK64, to_signed
 from ..isa.program import Program
 from ..isa.registers import Register
@@ -66,6 +72,13 @@ _FOLDERS = {
 #: Pure integer operations safe to fold, CSE, and eliminate when dead.
 _PURE_OPS = frozenset(_FOLDERS) | {Opcode.MOV, Opcode.LI}
 
+#: Operations with 0 as an identity on either side (``x | 0 = x``).
+_OR_XOR = frozenset({Opcode.OR, Opcode.XOR})
+
+#: Operations whose every source may be an immediate.
+_IMMEDIATE_ANYWHERE = frozenset(
+    {Opcode.CALL, Opcode.RET, Opcode.PRINT, Opcode.EXIT})
+
 
 def _signed_of(operand: Imm) -> int:
     return operand.signed
@@ -90,7 +103,7 @@ def fold_constants(function: Function) -> bool:
                 continue
             srcs = instr.srcs
             if all(isinstance(s, Imm) for s in srcs):
-                if op in (Opcode.DIV, Opcode.REM) and srcs[1].value == 0:
+                if op in DIVISION_OPS and srcs[1].value == 0:
                     continue   # keep the trap
                 value = folder(*[_signed_of(s) for s in srcs])
                 blk.instructions[idx] = Instruction(
@@ -131,13 +144,13 @@ def _simplify_identity(instr: Instruction) -> Instruction | None:
             return mov_of(a)
         if op is Opcode.MUL and bv == 0:
             return li_of(0)
-        if op in (Opcode.SHL, Opcode.SHR, Opcode.SRA) and bv == 0:
+        if op in SHIFT_OPS and bv == 0:
             return mov_of(a)
         if op is Opcode.AND and b.value == MASK64:
             return mov_of(a)
         if op is Opcode.AND and bv == 0:
             return li_of(0)
-        if op in (Opcode.OR, Opcode.XOR) and bv == 0:
+        if op in _OR_XOR and bv == 0:
             return mov_of(a)
     if isinstance(a, Imm) and isinstance(b, Register):
         av = a.signed
@@ -147,7 +160,7 @@ def _simplify_identity(instr: Instruction) -> Instruction | None:
             return mov_of(b)
         if op is Opcode.MUL and av == 0:
             return li_of(0)
-        if op in (Opcode.OR, Opcode.XOR) and av == 0:
+        if op in _OR_XOR and av == 0:
             return mov_of(b)
     return None
 
@@ -197,9 +210,9 @@ def _slot_accepts(instr: Instruction, slot: int, replacement) -> bool:
     op = instr.op
     # Memory bases and offsets, and shift amounts already immediate,
     # have structural constraints; be conservative with immediates.
-    if op in (Opcode.LOAD, Opcode.FLOAD, Opcode.STORE, Opcode.FSTORE):
+    if op in MEMORY_OPS:
         return slot == 2 and op is Opcode.STORE
-    if op in (Opcode.CALL, Opcode.RET, Opcode.PRINT, Opcode.EXIT):
+    if op in _IMMEDIATE_ANYWHERE:
         return True
     if op.kind in (OpKind.ARITH, OpKind.LOGICAL, OpKind.SHIFT,
                    OpKind.COMPARE, OpKind.BRANCH, OpKind.MOVE):

@@ -391,11 +391,10 @@ def test_hang_floor_covers_short_golden_runs(simple_program):
 
 
 def test_campaigns_leave_the_machine_cap_alone():
-    """``prepare_machine`` machines are shared: no campaign, serial,
-    sharded or adaptive, may leave its trial budget behind on one."""
+    """``prepare_machine`` machines are shared: no campaign, serial or
+    sharded, may leave its trial budget behind on one."""
     from repro.eval.pipeline import MAX_INSTRUCTIONS, prepare_machine
     from repro.faults.injector import hang_budget
-    from repro.stats import AdaptiveConfig, run_adaptive_campaign
 
     machine = prepare_machine("crc32", Technique.NOFT)
     store = build_checkpoints(machine)
@@ -405,10 +404,6 @@ def test_campaigns_leave_the_machine_cap_alone():
         run_campaign(machine.program, trials=8, seed=3, machine=machine,
                      jobs=jobs)
         assert machine.max_instructions == MAX_INSTRUCTIONS
-    run_adaptive_campaign(machine.program, machine=machine,
-                          config=AdaptiveConfig(max_trials=8,
-                                                batch_size=4))
-    assert machine.max_instructions == MAX_INSTRUCTIONS
 
 
 def _flip_site(store, icounts, dead=True):
@@ -554,8 +549,7 @@ def test_run_trials_ticks_and_returns_in_trial_order():
 
     result, log = CampaignResult(), CampaignLog()
     outcomes = run_trials(Store(), sites, result, log, first_trial=10,
-                          strata=list("abcde"), taint=True,
-                          tick=ticks.append)
+                          taint=True, tick=ticks.append)
     assert ran == [0, 7, 12, 40, 40]
     assert ticks == [1, 2, 3, 4, 5]
     assert all(isinstance(t, TaintTracker) for t in trackers)
@@ -564,7 +558,6 @@ def test_run_trials_ticks_and_returns_in_trial_order():
                         Outcome.UNACE, Outcome.UNACE]
     assert result.counts == {Outcome.UNACE: 4, Outcome.SDC: 1}
     assert [r.trial for r in log.records] == [10, 11, 12, 13, 14]
-    assert [r.stratum for r in log.records] == list("abcde")
     assert [r.instructions for r in log.records] == [90, 57, 90, 50, 62]
     assert [r["trial"] for r in log.taint_records
             if r["kind"] == "taint_summary"] == [10, 11, 12, 13, 14]

@@ -60,6 +60,56 @@ def test_reliability_harness_small():
     assert "SWIFT-R" in rendered
 
 
+#: ``render_figure8(confidence=0.95)`` of crc32 and bitcount under
+#: NOFT and SWIFT-R, 20 trials per cell at seed 2006, with trailing
+#: blanks stripped (``render_table`` pads the last column).  Per-cell
+#: Wilson/Jeffreys intervals, the Average row's stratified interval and
+#: every claim verdict -- confirmed, inconclusive and REFUTED -- show.
+FIGURE8_CI_SMALL = """\
+Figure 8 -- unACE %
+benchmark  NOFT                   SWIFT-R
+---------  ---------------------  ---------------------
+crc32       90.00 [69.90, 97.21]  100.00 [88.34,100.00]
+bitcount    95.00 [76.39, 99.11]  100.00 [88.34,100.00]
+Average     92.50 [80.19, 97.41]  100.00 [93.95,100.00]
+
+Figure 8 -- SEGV %
+benchmark  NOFT                   SWIFT-R
+---------  ---------------------  ---------------------
+crc32        5.00 [ 0.89, 23.61]    0.00 [ 0.00, 11.66]
+bitcount     0.00 [ 0.00, 11.66]    0.00 [ 0.00, 11.66]
+Average      2.50 [ 0.45, 12.78]    0.00 [ 0.00,  6.05]
+
+Figure 8 -- SDC % (Hang included)
+benchmark  NOFT                   SWIFT-R
+---------  ---------------------  ---------------------
+crc32        5.00 [ 0.89, 23.61]    0.00 [ 0.00, 11.66]
+bitcount     5.00 [ 0.89, 23.61]    0.00 [ 0.00, 11.66]
+Average      5.00 [ 1.38, 16.50]    0.00 [ 0.00,  6.05]
+
+Headline scalars (paper Sections 1/7/9):
+  SWIFT-R        mean unACE 100.00%  SDC+SEGV reduction vs NOFT 100.00%
+
+Significance-tested claims
+claim                                          estimate                                                  p      verdict
+---------------------------------------------  --------------------------------------------------------  -----  ------------
+SWIFT-R reduces SDC+SEGV vs NOFT               -100.0% rel (+7.50 pts [-2.86, +17.15], z=1.77, p=0.077)  0.077  inconclusive
+NOFT faults are mostly unACE                   92.50% [80.14, 97.42]                                     -      confirmed
+NOFT failures skew to SEGV over SDC            -2.50 pts [-12.49, +7.73], z=-0.59, p=0.56                0.56   REFUTED
+SWIFT-R failure rate < 10% in every benchmark  max upper bound 11.66%                                    -      REFUTED
+"""
+
+
+def test_render_figure8_ci_small_grid():
+    results = evaluate_reliability(
+        benchmarks=["crc32", "bitcount"],
+        techniques=[Technique.NOFT, Technique.SWIFTR], trials=20,
+        seed=2006)
+    rendered = render_figure8(results, confidence=0.95)
+    assert [line.rstrip() for line in rendered.splitlines()] == \
+        FIGURE8_CI_SMALL.splitlines()
+
+
 def test_performance_harness_small():
     results = evaluate_performance(benchmarks=FAST, techniques=TECHS)
     for bench in FAST:

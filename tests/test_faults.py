@@ -19,7 +19,9 @@ from repro.faults import (
     sample_fault_site,
     sample_sites,
 )
+from repro.obs.campaign_log import CampaignLog
 from repro.sim import Machine, RunResult, RunStatus, TrapKind
+from repro.transform import Technique, allocate_program, protect
 
 
 # ------------------------------------------------------------------- model
@@ -151,6 +153,20 @@ def test_campaign_merge(simple_program):
     assert merged.trials == 60
     for outcome in Outcome:
         assert merged.count(outcome) == a.count(outcome) + b.count(outcome)
+
+
+def test_run_campaign_sites_bit_identical(simple_program):
+    """Explicit site lists reproduce seeded sampling exactly."""
+    binary = allocate_program(protect(simple_program, Technique.SWIFTR))
+    log_seeded, log_sites = CampaignLog(), CampaignLog()
+    seeded = run_campaign(binary, trials=40, seed=9, log=log_seeded)
+    sites = sample_sites(9, seeded.golden_instructions, 40)
+    explicit = run_campaign(binary, sites=sites, log=log_sites)
+    assert explicit.counts == seeded.counts
+    assert explicit.recoveries == seeded.recoveries
+    assert explicit.never_landed == seeded.never_landed
+    assert [r.to_dict() for r in log_sites.records] == \
+        [r.to_dict() for r in log_seeded.records]
 
 
 def test_run_sites_explicit(simple_program):

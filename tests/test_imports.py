@@ -26,10 +26,10 @@ LAZY_PACKAGES = ("repro", "repro.obs", "repro.eval", "repro.faults",
 #: to a package's public names has to update its pin.
 ALL_PINS = {
     "repro": (18, "99ea02ac177c78a9"),
-    "repro.obs": (50, "1c2f121351ff946e"),
+    "repro.obs": (49, "1e08bf4d5c277959"),
     "repro.eval": (16, "07b6ec273ec42e3f"),
-    "repro.faults": (27, "34619805e3276813"),
-    "repro.stats": (20, "2cf4cc64675f1554"),
+    "repro.faults": (26, "e1d95b4bdfa2659d"),
+    "repro.stats": (9, "5457697c22b28898"),
 }
 
 #: The library path a campaign or timing run takes (the modules the
@@ -39,12 +39,12 @@ ENTRY_MODULES = ("repro.eval.pipeline", "repro.faults.campaign",
                  "repro.sim.timing")
 
 #: What that path never runs: the ledger, the shard pool, the telemetry
-#: sinks, the obs readers, the adaptive engine and the figure harnesses,
-#: and the standard-library modules only they use.
+#: sinks, the obs readers, the statistics and the figure harnesses, and
+#: the standard-library modules only they use.
 NOT_LOADED = ("hashlib", "multiprocessing", "socket", "pickle", "gzip",
               "argparse", "repro.obs.registry", "repro.obs.sink",
               "repro.obs.atlas", "repro.obs.forensics",
-              "repro.obs.convergence", "repro.faults.parallel",
+              "repro.faults.parallel",
               "repro.eval.reliability", "repro.eval.performance")
 
 
@@ -85,9 +85,22 @@ def test_cli_start_up_skips_the_harness_internals():
     assert "crc32" in listing
     loaded = modules.split()
     assert "repro.eval.reliability" in loaded
-    assert [m for m in ("repro.stats.sequential", "repro.stats.claims",
+    assert [m for m in ("repro.stats.estimators", "repro.stats.claims",
                         "repro.obs.registry", "repro.obs.sink", "gzip")
             if m in loaded] == []
+
+
+def test_fixed_campaign_spec_loads_no_statistics():
+    """A campaign spec validates only what a fixed campaign reads:
+    building one (for a suite workload and for a source file) loads no
+    ``repro.stats`` module."""
+    loaded = _fresh(
+        "import sys\n"
+        "from repro.eval.spec import CampaignSpec, expected_config\n"
+        "expected_config(CampaignSpec(workload='crc32', trials=60))\n"
+        "CampaignSpec(source='demo.c', technique='noft', seed=3)\n"
+        "print(*sys.modules, sep='\\n')\n").split()
+    assert [m for m in loaded if m.startswith("repro.stats")] == []
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)

@@ -28,7 +28,6 @@ from repro.obs.campaign_log import CampaignLog
 from repro.obs.profile import SimProfiler
 from repro.sim import Machine, jit
 from repro.sim.jit import attach_jit, jit_program_for
-from repro.stats import AdaptiveConfig, run_adaptive_campaign
 from repro.transform import Technique, allocate_program, protect
 
 
@@ -760,8 +759,8 @@ def test_campaign_jobs_parity_with_jit():
 def test_campaign_restores_machine_jit_attachment(monkeypatch):
     """Campaigns must leave a shared machine's ``jit`` and ``profile``
     attachments the way they found them (prepare_machine caches
-    machines across calls): serial, sharded, adaptive and profiled
-    campaigns alike, also when the trial kernel raises."""
+    machines across calls): serial, sharded and profiled campaigns
+    alike, also when the trial kernel raises."""
     binary = _binaries(5)[0]
     machine = Machine(binary, max_instructions=2_000_000)
     assert machine.jit is None
@@ -774,9 +773,6 @@ def test_campaign_restores_machine_jit_attachment(monkeypatch):
     campaigns = {
         "jobs2": lambda jit: run_campaign(
             binary, trials=6, seed=1, machine=machine, jit=jit, jobs=2),
-        "adaptive": lambda jit: run_adaptive_campaign(
-            binary, machine=machine, jit=jit,
-            config=AdaptiveConfig(max_trials=8, profile_samples=8)),
         "profiled": lambda jit: run_campaign(
             binary, trials=5, seed=1, machine=machine, jit=jit,
             profile=SimProfiler()),

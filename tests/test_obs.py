@@ -18,6 +18,7 @@ from repro.obs import (
     summarize_records,
 )
 from repro.obs import metrics, spans
+from repro.obs.emit import FORMATS, Table, emit_tables
 from repro.lang import compile_source
 from repro.sim import Machine, RunStatus
 from repro.sim.jit import compile_program
@@ -326,6 +327,28 @@ def test_summarize_mixed_kinds():
     assert summarize_records([]) == "(no telemetry records)"
 
 
+def test_emit_tables_json_roundtrip():
+    tables = [Table(title="Coverage", columns=["key", "weight%", "trials"],
+                    rows=[["a", " 50.00", 30]], notes=["one note"]),
+              Table(title="Empty", columns=[], rows=[])]
+    text = emit_tables(tables, "json", kind="report", meta={"records": 2})
+    document = json.loads(text)
+    assert document["kind"] == "report"
+    assert document["records"] == 2
+    assert [t["title"] for t in document["tables"]] == ["Coverage", "Empty"]
+    # JSON cells keep native types; padded strings are stripped.
+    coverage = document["tables"][0]
+    assert coverage["rows"] == [["a", "50.00", 30]]
+    assert coverage["notes"] == ["one note"]
+    assert "notes" not in document["tables"][1]
+
+
+def test_emit_tables_rejects_unknown_format():
+    with pytest.raises(ValueError, match="unknown format"):
+        emit_tables([Table(title="t", columns=[], rows=[])], "yaml")
+    assert "text" in FORMATS and "json" in FORMATS
+
+
 def test_summarize_unknown_kinds_show_count_and_keys():
     records = [
         {"kind": "mystery", "alpha": 1, "beta": 2},
@@ -476,29 +499,35 @@ def test_cli_gzip_telemetry_round_trip(tmp_path, capsys):
         assert json.load(handle)["traceEvents"]
 
 
-def test_cli_adaptive_campaign_telemetry(tmp_path, capsys):
-    source = tmp_path / "demo.c"
-    source.write_text(
-        "int main() { int t = 0; "
-        "for (int i = 0; i < 9; i++) { t += i * i; } print(t); "
-        "return 0; }"
-    )
-    path = str(tmp_path / "t.jsonl")
-    assert cli_main(["campaign", str(source), "-t", "swiftr",
-                     "--adaptive", "--ci-width", "8",
-                     "--telemetry", path]) == 0
-    out = capsys.readouterr().out
-    assert "estimate" in out and "half-width" in out
-    records = load_telemetry(path)
-    batches = [r for r in records if r["kind"] == "adaptive_batch"]
-    assert batches
-    assert batches[-1]["met"] is True
-    trials = [r for r in records if r["kind"] == "trial"]
-    assert len(trials) == batches[-1]["total_trials"]
-
-    assert cli_main(["obs", "summarize", path]) == 0
+def test_cli_summarize_lists_retired_adaptive_records(tmp_path, capsys):
+    """Telemetry from a build that still had adaptive campaigns: its
+    trials carry a ``stratum`` field and its ``adaptive_batch`` and
+    ``fault_space_stratum`` records have no table of their own any
+    more, so they are listed under "Other records"."""
+    trial = {"kind": "trial", "source": "demo.c", "technique": "swiftr",
+             "trial": 0, "dynamic_index": 5, "reg_index": 3, "bit": 7,
+             "outcome": "unACE", "status": "exited", "recovered": False,
+             "recoveries": 0, "detection_latency": None,
+             "instructions": 120, "fault_landed": True, "stratum": "q0"}
+    records = [
+        trial, dict(trial, trial=1, stratum="q1", outcome="SDC"),
+        {"kind": "adaptive_batch", "source": "demo.c",
+         "technique": "swiftr", "batch": 0, "trials": 2,
+         "total_trials": 2, "estimate": 0.5, "half_width": 0.4,
+         "met": False},
+        {"kind": "fault_space_stratum", "source": "demo.c",
+         "technique": "swiftr", "stratum": "q0", "weight": 0.5},
+    ]
+    path = tmp_path / "old.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert cli_main(["obs", "summarize", str(path)]) == 0
     summary = capsys.readouterr().out
-    assert "Adaptive batches" in summary
+    assert "Campaign outcomes (2 trials" in summary
+    other = summary[summary.index("Other records"):].splitlines()
+    rows = {line.split()[0]: line.split()[1] for line in other[3:]
+            if line.strip()}
+    assert rows == {"adaptive_batch": "1", "fault_space_stratum": "1"}
+    assert "Adaptive batches" not in summary
 
 
 def test_cli_fig9_telemetry(tmp_path, capsys):

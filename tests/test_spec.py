@@ -64,10 +64,6 @@ def test_spec_validates_fields(tiny_c):
     with pytest.raises(SpecError):
         _spec(tiny_c, trials=0)
     with pytest.raises(SpecError):
-        _spec(tiny_c, adaptive=True, metric="nope")
-    with pytest.raises(SpecError):
-        _spec(tiny_c, adaptive=True, ci_width=1.5)
-    with pytest.raises(SpecError):
         _spec(tiny_c, jobs=-1)
 
 
@@ -89,14 +85,6 @@ def test_run_spec_matches_direct_campaign(tiny_c, tiny_binary):
     assert via_spec.config == direct.config
     # A stored summary rebuilds the same outcome counts.
     assert CampaignResult.from_summary(direct.summary_dict()) == direct
-
-
-def test_run_spec_adaptive_rejects_incompatible_hooks(tiny_c, tiny_binary):
-    spec = _spec(tiny_c, adaptive=True, max_trials=50)
-    with pytest.raises(SpecError):
-        run_spec(spec, tiny_binary, taint=True)
-    with pytest.raises(SpecError):
-        run_spec(spec, tiny_binary, profile=object())
 
 
 # ------------------------------------------------------------ cache probe
@@ -125,16 +113,6 @@ def test_find_cached_round_trip(tmp_path, tiny_c, tiny_binary):
                        tiny_binary) is None
 
 
-def test_find_cached_adaptive_round_trip(tmp_path, tiny_c, tiny_binary):
-    registry = RunRegistry(str(tmp_path / "runs"))
-    spec = _spec(tiny_c, adaptive=True, max_trials=60)
-    stored = _store(registry, spec, tiny_binary)
-    assert find_cached(registry, spec, tiny_binary) == stored.run_id
-    assert find_cached(registry, _spec(tiny_c, adaptive=True,
-                                       max_trials=61),
-                       tiny_binary) is None
-
-
 # ------------------------------------------------- campaign --store repeats
 def _run_ids(output: str) -> list[str]:
     return [line.split(" run ")[1].split()[0]
@@ -147,17 +125,12 @@ def _forbid_trials(monkeypatch):
         raise AssertionError("a cache hit must not run trials")
 
     monkeypatch.setattr("repro.faults.run_campaign", refuse)
-    monkeypatch.setattr("repro.stats.run_adaptive_campaign", refuse)
 
 
-@pytest.mark.parametrize("budget", [
-    ["--trials", "30"],
-    ["--adaptive", "--ci-width", "6", "--max-trials", "200"],
-], ids=["fixed", "adaptive"])
 def test_cli_repeat_store_is_answered_from_ledger(tmp_path, tiny_c, capsys,
-                                                  monkeypatch, budget):
-    argv = ["campaign", tiny_c, "-t", "swiftr", "--store",
-            "--runs-dir", str(tmp_path / "runs"), *budget]
+                                                  monkeypatch):
+    argv = ["campaign", tiny_c, "-t", "swiftr", "--trials", "30",
+            "--store", "--runs-dir", str(tmp_path / "runs")]
     assert cli_main(argv) == 0
     first = capsys.readouterr().out
     assert "ledger    : stored run" in first

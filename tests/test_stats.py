@@ -1,6 +1,4 @@
-"""repro.stats: estimators, difference tests, allocation, claims."""
-
-import math
+"""repro.stats: estimators, difference tests, claims."""
 
 import pytest
 
@@ -15,8 +13,6 @@ from repro.faults.stats import (
 )
 from repro.stats import (
     StratumCell,
-    estimate_difference,
-    neyman_allocation,
     stratified_estimate,
     two_proportion_diff,
 )
@@ -186,70 +182,6 @@ def test_two_proportion_diff_null_case():
 def test_two_proportion_diff_requires_trials():
     with pytest.raises(ValueError):
         two_proportion_diff(1, 0, 1, 10)
-
-
-def test_estimate_difference_on_stratified_scale():
-    high = stratified_estimate([StratumCell("a", 1.0, 200, 180)])
-    low = stratified_estimate([StratumCell("a", 1.0, 200, 20)])
-    test = estimate_difference(high, low)
-    assert test.diff == pytest.approx(0.8)
-    assert test.significant
-    null = estimate_difference(high, high)
-    assert null.diff == 0.0
-    assert null.p_value == pytest.approx(1.0)
-    assert not null.significant
-
-
-def test_estimate_difference_handles_degenerate_arms():
-    # All-unACE SWIFT-R vs a noisy NOFT arm: the variance floor keeps
-    # the test finite and the obvious difference significant.
-    perfect = stratified_estimate([StratumCell("a", 1.0, 300, 300)])
-    noisy = stratified_estimate([StratumCell("a", 1.0, 300, 150)])
-    test = estimate_difference(perfect, noisy)
-    assert math.isfinite(test.z)
-    assert test.diff == pytest.approx(0.5)
-    assert test.significant
-
-
-# ------------------------------------------------------------- allocation
-def _cells(spec):
-    return [StratumCell(key, weight, trials, successes)
-            for key, weight, trials, successes in spec]
-
-
-def test_neyman_allocation_sums_to_batch():
-    cells = _cells([("a", 0.5, 100, 50), ("b", 0.3, 100, 1),
-                    ("c", 0.2, 100, 99)])
-    allocation = neyman_allocation(cells, 97)
-    assert sum(allocation.values()) == 97
-    assert set(allocation) == {"a", "b", "c"}
-    # Maximum-variance stratum (p ~ 0.5, largest weight) gets the most.
-    assert allocation["a"] == max(allocation.values())
-
-
-def test_neyman_allocation_prior_for_unsampled_strata():
-    cells = _cells([("seen", 0.5, 100, 0), ("new", 0.5, 0, 0)])
-    allocation = neyman_allocation(cells, 100)
-    # The unsampled stratum uses the flat 0.5 prior and must dominate
-    # the near-degenerate observed one.
-    assert allocation["new"] > allocation["seen"]
-    assert sum(allocation.values()) == 100
-
-
-def test_neyman_allocation_floor():
-    cells = _cells([("a", 0.98, 500, 250), ("b", 0.01, 500, 250),
-                    ("c", 0.01, 500, 250)])
-    allocation = neyman_allocation(cells, 90, floor=5)
-    assert all(n >= 5 for n in allocation.values())
-    assert sum(allocation.values()) == 90
-
-
-def test_neyman_allocation_deterministic():
-    cells = _cells([("a", 0.4, 10, 3), ("b", 0.3, 10, 3),
-                    ("c", 0.3, 10, 3)])
-    first = neyman_allocation(cells, 31)
-    assert all(neyman_allocation(cells, 31) == first for _ in range(5))
-    assert sum(first.values()) == 31
 
 
 # ----------------------------------------------------------------- claims

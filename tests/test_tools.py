@@ -218,13 +218,8 @@ def test_cli_bad_source_is_one_line_error(tmp_path, capsys, text, detail):
 
 
 @pytest.mark.parametrize("knobs,detail", [
-    (["--adaptive", "--ci-width", "150"], "ci_width out of (0, 1): 1.5"),
+    (["--jobs", "-1"], "jobs must be a non-negative integer, got -1"),
     (["--trials", "0"], "trials must be a positive integer, got 0"),
-    (["--adaptive", "--taint"],
-     "taint tracing is not supported with adaptive campaigns"),
-    (["--adaptive", "--profile", "unwritten.jsonl"],
-     "profiling is not supported with adaptive campaigns (batch sizes "
-     "depend on observed variance)"),
 ])
 def test_cli_bad_campaign_knob_is_one_line_error(tmp_path, capsys, knobs,
                                                  detail):
@@ -232,6 +227,26 @@ def test_cli_bad_campaign_knob_is_one_line_error(tmp_path, capsys, knobs,
     assert cli_main(["campaign", str(source), *knobs]) == 2
     assert _one_line_error(capsys) == \
         f"repro: error: invalid campaign: {detail}"
+
+
+@pytest.mark.parametrize("argv,unknown", [
+    (["campaign", "crc32", "--adaptive"], "--adaptive"),
+    (["campaign", "crc32", "--ci-width", "6"], "--ci-width"),
+    (["fig8", "--adaptive"], "--adaptive"),
+    (["fig8", "--max-trials", "9"], "--max-trials"),
+    (["obs", "convergence", "x.jsonl"], "'convergence'"),
+])
+def test_cli_retired_adaptive_inputs_are_usage_errors(capsys, argv,
+                                                      unknown):
+    """The adaptive engine is gone: its flags and its convergence
+    audit are argparse usage errors (exit 2, no traceback)."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: repro")
+    assert unknown in err.splitlines()[-1]
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv,detail", [
@@ -257,8 +272,7 @@ def test_cli_unknown_benchmark_is_one_line_error(capsys, argv):
 
 
 @pytest.mark.parametrize("command", ["summarize", "forensics",
-                                     "export-trace", "hotspots",
-                                     "convergence", "atlas"])
+                                     "export-trace", "hotspots", "atlas"])
 def test_cli_bad_telemetry_is_one_line_error(tmp_path, capsys, command):
     cut = tmp_path / "cut.jsonl"
     cut.write_text('{"kind":"span","name":"campaign"}\n{"kind":"tri')
@@ -285,7 +299,7 @@ def test_cli_codegen_error_is_one_line_error(tmp_path, capsys, monkeypatch):
         f"repro: error: {source}: unhandled statement"
 
 
-# ------------------------------------------------- atlas / convergence CLI
+# --------------------------------------------------------------- atlas CLI
 SMOKE_SOURCE = (
     "int data[8] = { 3, 1, 4, 1, 5, 9, 2, 6 };\n"
     "int main() { int t = 0; "
@@ -358,25 +372,6 @@ def test_cli_obs_atlas_one_shot_json(tmp_path, capsys):
     assert doc["context"]["benchmark"] == "crc32"
 
 
-def test_cli_obs_convergence_path_and_json(tmp_path, capsys):
-    import json
-
-    source = _smoke(tmp_path)
-    telemetry = tmp_path / "adaptive.jsonl"
-    assert cli_main(["campaign", str(source), "-t", "swiftr",
-                     "--adaptive", "--ci-width", "6",
-                     "--telemetry", str(telemetry)]) == 0
-    capsys.readouterr()
-    assert cli_main(["obs", "convergence", str(telemetry)]) == 0
-    out = capsys.readouterr().out
-    assert "Stratum coverage" in out
-    assert "CI half-width timeline" in out
-    assert cli_main(["obs", "convergence", str(telemetry),
-                     "--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["kind"] == "convergence" and doc["tables"]
-
-
 def test_cli_obs_summarize_and_hotspots_json(tmp_path, capsys):
     import json
 
@@ -401,7 +396,7 @@ def test_cli_obs_summarize_and_hotspots_json(tmp_path, capsys):
     assert doc["kind"] == "hotspots" and doc["tables"]
 
 
-@pytest.mark.parametrize("command", ["hotspots", "atlas", "convergence"])
+@pytest.mark.parametrize("command", ["hotspots", "atlas"])
 def test_cli_obs_readers_run_no_campaign(capsys, command):
     """``obs`` only reads: a suite workload is campaigned with
     ``campaign NAME``, not through an ``obs`` flag."""
